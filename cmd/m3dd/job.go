@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vertical3d/internal/journal"
 	"vertical3d/internal/jobstore"
+	"vertical3d/internal/journal"
 	"vertical3d/internal/workload"
 )
 

@@ -54,7 +54,9 @@ func postSweep(t *testing.T, base string, req sweepRequest) string {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /sweeps: status %d", resp.StatusCode)
 	}
-	var out struct{ ID string `json:"id"` }
+	var out struct {
+		ID string `json:"id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

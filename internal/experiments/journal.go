@@ -61,6 +61,11 @@ func (opt RunOptions) identity(experiment string) journal.Identity {
 		"seed", fmt.Sprint(opt.Seed),
 		"stream", fmt.Sprint(opt.StreamID),
 		"kernel", opt.Kernel.String(),
+		// Full-simulation counters cover the measure window only; journals
+		// written when some of them still included the warmup lack this
+		// pair and are never merged. Sampled sweeps carry it too, for their
+		// cells that fall back to full simulation.
+		"counters", "window",
 	}
 	// Sampling joins the identity tuple only when enabled: full-run
 	// journals keep their historical identity, and a sampled sweep can

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 	"time"
 
@@ -284,7 +283,8 @@ func runSingle(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult
 }
 
 // runSingleFull is the full-simulation path: detailed warmup, detailed
-// measure, no extrapolation.
+// measure, no extrapolation. Every Stats and HierStats counter is the
+// delta over the measure window.
 func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult, error) {
 	src := traceSource(prof, opt)
 	h, err := mem.NewHierarchy(cfg)
@@ -296,34 +296,9 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 		return AppResult{}, err
 	}
 	c.Run(opt.Warmup)
-	s0 := c.Stats
-	m0 := h.Stats()
+	s0, m0 := c.Stats, h.Stats()
 	c.Run(opt.Warmup + opt.Measure)
-	s1 := c.Stats
-	m1 := h.Stats()
-
-	st := s1
-	st.Cycles -= s0.Cycles
-	st.Instrs -= s0.Instrs
-	st.RFReads -= s0.RFReads
-	st.RFWrites -= s0.RFWrites
-	st.RATLookups -= s0.RATLookups
-	st.IQInserts -= s0.IQInserts
-	st.IQWakeups -= s0.IQWakeups
-	st.SQSearches -= s0.SQSearches
-	st.ROBWrites -= s0.ROBWrites
-	st.Branches -= s0.Branches
-	st.Mispredicts -= s0.Mispredicts
-	for i := range st.KindCount {
-		st.KindCount[i] -= s0.KindCount[i]
-	}
-	hs := mem.HierStats{
-		IL1:          diffCache(m1.IL1, m0.IL1),
-		DL1:          diffCache(m1.DL1, m0.DL1),
-		L2:           diffCache(m1.L2, m0.L2),
-		L3:           diffCache(m1.L3, m0.L3),
-		DRAMAccesses: m1.DRAMAccesses - m0.DRAMAccesses,
-	}
+	st, hs := c.Stats.Sub(s0), h.Stats().Sub(m0)
 	sec := float64(st.Cycles) / (cfg.FreqGHz * 1e9)
 	energy := power.Estimate(cfg, st, hs, sec)
 	if err := energy.Validate(); err != nil {
@@ -338,14 +313,6 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 		Mem:       hs,
 		Energy:    energy,
 	}, nil
-}
-
-func diffCache(a, b mem.CacheStats) mem.CacheStats {
-	return mem.CacheStats{
-		Accesses:   a.Accesses - b.Accesses,
-		Misses:     a.Misses - b.Misses,
-		Writebacks: a.Writebacks - b.Writebacks,
-	}
 }
 
 // runSingleSampled is the sampled-mode counterpart of runSingle: warmup is
@@ -384,7 +351,7 @@ func runSingleSampled(cfg config.Config, prof trace.Profile, opt RunOptions) (Ap
 		if begin {
 			hwin = h.Stats()
 		} else {
-			hsum = addHier(hsum, diffHier(h.Stats(), hwin))
+			hsum = hsum.Add(h.Stats().Sub(hwin))
 		}
 	})
 	if err != nil {
@@ -405,7 +372,7 @@ func runSingleSampled(cfg config.Config, prof trace.Profile, opt RunOptions) (Ap
 		}
 	}
 	st := res.Extrapolate(opt.Measure)
-	hs := scaleHier(hsum, float64(opt.Measure)/float64(measured))
+	hs := hsum.Scale(float64(opt.Measure) / float64(measured))
 	sec := float64(st.Cycles) / (cfg.FreqGHz * 1e9)
 	energy := power.Estimate(cfg, st, hs, sec)
 	if err := energy.Validate(); err != nil {
@@ -420,51 +387,6 @@ func runSingleSampled(cfg config.Config, prof trace.Profile, opt RunOptions) (Ap
 		Mem:       hs,
 		Energy:    energy,
 	}, nil
-}
-
-func addHier(a, b mem.HierStats) mem.HierStats {
-	add := func(x, y mem.CacheStats) mem.CacheStats {
-		return mem.CacheStats{
-			Accesses:   x.Accesses + y.Accesses,
-			Misses:     x.Misses + y.Misses,
-			Writebacks: x.Writebacks + y.Writebacks,
-		}
-	}
-	return mem.HierStats{
-		IL1:          add(a.IL1, b.IL1),
-		DL1:          add(a.DL1, b.DL1),
-		L2:           add(a.L2, b.L2),
-		L3:           add(a.L3, b.L3),
-		DRAMAccesses: a.DRAMAccesses + b.DRAMAccesses,
-	}
-}
-
-func diffHier(a, b mem.HierStats) mem.HierStats {
-	return mem.HierStats{
-		IL1:          diffCache(a.IL1, b.IL1),
-		DL1:          diffCache(a.DL1, b.DL1),
-		L2:           diffCache(a.L2, b.L2),
-		L3:           diffCache(a.L3, b.L3),
-		DRAMAccesses: a.DRAMAccesses - b.DRAMAccesses,
-	}
-}
-
-func scaleHier(hs mem.HierStats, f float64) mem.HierStats {
-	sc := func(v uint64) uint64 { return uint64(math.Round(float64(v) * f)) }
-	scale := func(c mem.CacheStats) mem.CacheStats {
-		return mem.CacheStats{
-			Accesses:   sc(c.Accesses),
-			Misses:     sc(c.Misses),
-			Writebacks: sc(c.Writebacks),
-		}
-	}
-	return mem.HierStats{
-		IL1:          scale(hs.IL1),
-		DL1:          scale(hs.DL1),
-		L2:           scale(hs.L2),
-		L3:           scale(hs.L3),
-		DRAMAccesses: sc(hs.DRAMAccesses),
-	}
 }
 
 // Fig6 runs every SPEC-like benchmark on every single-core design,
@@ -503,9 +425,11 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 
 	// Pass 1: fan out every (benchmark × design) cell. Cell i is fully
 	// determined by (profiles[i/len(designs)], designs[i%len(designs)],
-	// opt.Seed), so collection by index is deterministic. Under KeepGoing
-	// the sweep completes through cell failures and panics, recording them
-	// per cell; otherwise the lowest-index error aborts the sweep.
+	// opt.Seed), so collection by index is deterministic. Cells are
+	// dispatched design-major (see designMajor) but keyed by index. Under
+	// KeepGoing the sweep completes through cell failures and panics,
+	// recording them per cell; otherwise the lowest-index error aborts the
+	// sweep.
 	//
 	// With a journal, each cell first looks up its checkpoint — a hit is
 	// merged without touching the CellHook or the simulator — and each
@@ -524,6 +448,7 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	}
 	nd := len(designs)
 	pool := opt.pool()
+	pool.Order = designMajor(len(profiles), nd)
 	task := func(_ context.Context, i int) (AppResult, error) {
 		prof, d := profiles[i/nd], designs[i%nd]
 		key := journal.CellKey(prof.Name, d.String(), suite.Configs[d], prof)
@@ -596,6 +521,21 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	ww.harvest(hr)
 	res.Health = hr.health()
 	return res, nil
+}
+
+// designMajor is the dispatch order of a profile-major np × nd sweep that
+// starts every profile's first design before any profile's second: slot j
+// runs cell (j%np)*nd + j/np. Concurrent workers then record the trace and
+// build the warm ladder of different profiles instead of queueing on one
+// profile's single-flighted recording and ladder lock. Cells stay keyed by
+// index, so results, journal entries and the reported error are those of
+// index order.
+func designMajor(np, nd int) []int {
+	order := make([]int, np*nd)
+	for j := range order {
+		order[j] = (j%np)*nd + j/np
+	}
+	return order
 }
 
 // AverageSpeedup returns the mean speedup of a design across the benchmarks

@@ -106,23 +106,31 @@ func TestPoolPanicsRecovered(t *testing.T) {
 }
 
 // TestPoolFailFastLowestIndex checks that with several poisoned cells, the
-// fail-fast Map reports the lowest-indexed panic on every schedule.
+// fail-fast Map reports the lowest-indexed panic on every schedule: index
+// order, and a reversed dispatch order that starts the higher poisoned cell
+// first.
 func TestPoolFailFastLowestIndex(t *testing.T) {
 	const n = 32
-	for _, w := range workerCounts {
-		in := faultinject.New()
-		in.PanicAt(faultinject.TaskKey(5), faultinject.TaskKey(17))
-		pool := parallel.Pool{Workers: w}
-		_, err := parallel.Map(context.Background(), pool, n, func(_ context.Context, i int) (int, error) {
-			in.Visit(faultinject.TaskKey(i))
-			return i, nil
-		})
-		var pe *parallel.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *parallel.PanicError", w, err)
-		}
-		if pe.Index != 5 {
-			t.Errorf("workers=%d: reported index %d, want lowest index 5", w, pe.Index)
+	reversed := make([]int, n)
+	for k := range reversed {
+		reversed[k] = n - 1 - k
+	}
+	for _, order := range [][]int{nil, reversed} {
+		for _, w := range workerCounts {
+			in := faultinject.New()
+			in.PanicAt(faultinject.TaskKey(5), faultinject.TaskKey(17))
+			pool := parallel.Pool{Workers: w, Order: order}
+			_, err := parallel.Map(context.Background(), pool, n, func(_ context.Context, i int) (int, error) {
+				in.Visit(faultinject.TaskKey(i))
+				return i, nil
+			})
+			var pe *parallel.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("order=%v workers=%d: err = %v, want *parallel.PanicError", order, w, err)
+			}
+			if pe.Index != 5 {
+				t.Errorf("order=%v workers=%d: reported index %d, want lowest index 5", order, w, pe.Index)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"vertical3d/internal/config"
 )
@@ -29,6 +30,43 @@ type HierStats struct {
 	NoCHops          uint64
 	Invalidations    uint64
 	Forwards         uint64
+}
+
+// Add returns the field-wise sum s + o.
+func (s HierStats) Add(o HierStats) HierStats {
+	return s.zip(o, func(a, b uint64) uint64 { return a + b })
+}
+
+// Sub returns the field-wise difference s - o (counter snapshot diff).
+func (s HierStats) Sub(o HierStats) HierStats {
+	return s.zip(o, func(a, b uint64) uint64 { return a - b })
+}
+
+// Scale returns every counter multiplied by f, rounded to the nearest
+// integer (the extrapolation of sampled windows to a full run).
+func (s HierStats) Scale(f float64) HierStats {
+	return s.zip(HierStats{}, func(a, _ uint64) uint64 { return uint64(math.Round(float64(a) * f)) })
+}
+
+// zip combines s and o counter by counter.
+func (s HierStats) zip(o HierStats, op func(a, b uint64) uint64) HierStats {
+	c := func(x, y CacheStats) CacheStats {
+		return CacheStats{
+			Accesses:   op(x.Accesses, y.Accesses),
+			Misses:     op(x.Misses, y.Misses),
+			Writebacks: op(x.Writebacks, y.Writebacks),
+		}
+	}
+	return HierStats{
+		IL1:           c(s.IL1, o.IL1),
+		DL1:           c(s.DL1, o.DL1),
+		L2:            c(s.L2, o.L2),
+		L3:            c(s.L3, o.L3),
+		DRAMAccesses:  op(s.DRAMAccesses, o.DRAMAccesses),
+		NoCHops:       op(s.NoCHops, o.NoCHops),
+		Invalidations: op(s.Invalidations, o.Invalidations),
+		Forwards:      op(s.Forwards, o.Forwards),
+	}
 }
 
 // Hierarchy is the single-core memory system of Table 9.

@@ -309,3 +309,34 @@ func TestMulticoreStatsAggregate(t *testing.T) {
 		t.Error("cold misses should reach DRAM")
 	}
 }
+
+func TestHierStatsArithmetic(t *testing.T) {
+	a := HierStats{
+		IL1:          CacheStats{Accesses: 10, Misses: 3, Writebacks: 1},
+		L3:           CacheStats{Accesses: 7, Misses: 5, Writebacks: 2},
+		DRAMAccesses: 5, NoCHops: 9, Invalidations: 4, Forwards: 2,
+	}
+	b := HierStats{
+		IL1:          CacheStats{Accesses: 4, Misses: 1},
+		DRAMAccesses: 1, NoCHops: 3,
+	}
+	if got := a.Add(b).Sub(b); got != a {
+		t.Errorf("(a+b)-b = %+v, want %+v", got, a)
+	}
+	want := HierStats{
+		IL1:          CacheStats{Accesses: 6, Misses: 2, Writebacks: 1},
+		L3:           CacheStats{Accesses: 7, Misses: 5, Writebacks: 2},
+		DRAMAccesses: 4, NoCHops: 6, Invalidations: 4, Forwards: 2,
+	}
+	if got := a.Sub(b); got != want {
+		t.Errorf("a-b = %+v, want %+v", got, want)
+	}
+	// Scale rounds to nearest: 10*0.25 = 2.5 → 3, 3*0.25 = 0.75 → 1.
+	sc := a.Scale(0.25)
+	if sc.IL1 != (CacheStats{Accesses: 3, Misses: 1, Writebacks: 0}) || sc.DRAMAccesses != 1 || sc.NoCHops != 2 {
+		t.Errorf("a*0.25 = %+v", sc)
+	}
+	if a.Scale(1) != a {
+		t.Error("scaling by 1 changed the counters")
+	}
+}

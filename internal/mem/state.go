@@ -14,12 +14,12 @@ type CacheState struct {
 	Ways      int
 	LineShift uint
 
-	Words  []uint64
-	Dirty  []bool
-	Clock  uint32
-	LastLA uint64
+	Words   []uint64
+	Dirty   []bool
+	Clock   uint32
+	LastLA  uint64
 	LastIdx int32
-	Stats  CacheStats
+	Stats   CacheStats
 }
 
 // State returns a deep copy of the cache's mutable state.

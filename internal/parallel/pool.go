@@ -7,10 +7,16 @@
 //   - deterministic result collection: Map writes the result of task i into
 //     slot i of a pre-sized slice, so output order never depends on
 //     goroutine scheduling;
+//   - caller-chosen dispatch order: Order permutes the order in which cells
+//     start (nil means index order) without moving any result or error out
+//     of its index slot;
 //   - deterministic error selection: when several tasks fail, the error of
 //     the lowest-indexed failing task is returned;
-//   - context cancellation: the first failure (or an external cancel) stops
-//     the dispatch of any task that has not started yet;
+//   - index-keyed fail-fast: after cell k fails, undispatched cells below k
+//     still run, cells above k are never dispatched, and in-flight cells
+//     above k have their context cancelled — so on every dispatch order the
+//     reported error is that of the lowest failing index. An external
+//     cancel stops the dispatch of every task that has not started yet;
 //   - panic safety: a panicking task is recovered into a *PanicError
 //     carrying the task index and stack, and reported like any other task
 //     error instead of crashing the whole sweep;
@@ -31,11 +37,15 @@
 // Tasks themselves must be pure functions of their index (plus immutable
 // captured state); the pool adds no synchronisation beyond the join, which
 // is exactly what makes "results depend only on (profile, design, seed),
-// never on scheduling order" enforceable.
+// never on scheduling order" enforceable. That is also why Order is a pure
+// throughput knob: a caller whose neighbouring cells contend on a shared,
+// single-flighted resource (one profile's trace recording and warm ladder
+// in a Fig6 sweep) spreads them apart, and every output stays identical.
 package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -262,6 +272,85 @@ type Pool struct {
 	// WatchdogLog receives the watchdog's stuck-cell reports. Nil means
 	// the standard library logger (stderr).
 	WatchdogLog func(format string, args ...any)
+
+	// Order, when non-nil, is the dispatch order: the k-th cell started is
+	// Order[k]. It must be a permutation of [0, n) for a call over n cells,
+	// or the call fails with ErrOrder before running anything. Results and
+	// errors stay in their index slots and fail-fast stays keyed by index
+	// (see the package comment), so the order changes only which cells run
+	// side by side. Nil means index order.
+	Order []int
+}
+
+// ErrOrder reports a Pool.Order that is not a permutation of the call's
+// cell indices.
+var ErrOrder = errors.New("parallel: dispatch order is not a permutation of the cell indices")
+
+// checkOrder validates Order for a call over n cells.
+func (p Pool) checkOrder(n int) error {
+	if p.Order == nil {
+		return nil
+	}
+	if len(p.Order) != n {
+		return fmt.Errorf("%w: %d entries for %d cells", ErrOrder, len(p.Order), n)
+	}
+	seen := make([]bool, n)
+	for _, i := range p.Order {
+		if i < 0 || i >= n || seen[i] {
+			return fmt.Errorf("%w: cell %d out of range or repeated", ErrOrder, i)
+		}
+		seen[i] = true
+	}
+	return nil
+}
+
+// failState is the index-keyed fail-fast state of one call: the lowest
+// failing cell so far and the cancel functions of the cells in flight.
+// Its methods are nil-receiver safe, so keep-going calls pass nil.
+type failState struct {
+	mu      sync.Mutex
+	lowest  int                  // lowest failed cell index; n while none has
+	cancels []context.CancelFunc // per cell; non-nil while the cell runs
+}
+
+func newFailState(n int) *failState {
+	return &failState{lowest: n, cancels: make([]context.CancelFunc, n)}
+}
+
+// start reports whether cell i may still be dispatched — no lower cell has
+// failed — and returns the context it runs under.
+func (f *failState) start(ctx context.Context, i int) (context.Context, bool) {
+	if f == nil {
+		return ctx, true
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i > f.lowest {
+		return nil, false
+	}
+	ctx, f.cancels[i] = context.WithCancel(ctx)
+	return ctx, true
+}
+
+// finish releases cell i's context; when the cell failed below every
+// earlier failure, it cancels the in-flight cells above it.
+func (f *failState) finish(i int, failed bool) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.cancels[i]()
+	f.cancels[i] = nil
+	if !failed || i > f.lowest {
+		return
+	}
+	f.lowest = i
+	for _, cancel := range f.cancels[i+1:] {
+		if cancel != nil {
+			cancel()
+		}
+	}
 }
 
 // Default returns a pool using the process-wide default worker count.
@@ -396,20 +485,30 @@ func (p Pool) callOnce(ctx context.Context, i int, wd *watchdog, fn func(ctx con
 	return fn(ctx, i)
 }
 
-// run is the shared dispatch loop: it executes fn over [0, n) writing task
-// errors into errs by index. When failFast is set, the first error cancels
-// the context and stops dispatching new tasks; otherwise every task runs
-// unless the (external or sweep-deadline) context is cancelled first, in
-// which case undispatched tasks are marked with the context error. The
-// returned error is the context error (external cancel or expired
-// SweepTimeout) if it stopped any dispatch, nil otherwise.
+// run is the shared dispatch loop: it executes fn over [0, n) in Order,
+// writing task errors into errs by index. When failFast is set, a failing
+// cell k stops the dispatch of every cell above k and cancels those in
+// flight, while cells below k still run; otherwise every task runs unless
+// the (external or sweep-deadline) context is cancelled first, in which
+// case undispatched tasks are marked with the context error. The returned
+// error is ErrOrder (also written into every slot) for an invalid Order,
+// else the context error (external cancel or expired SweepTimeout) if it
+// stopped any dispatch, nil otherwise.
 func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	if err := p.checkOrder(n); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return err
+	}
 	if p.SweepTimeout > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, p.SweepTimeout)
-		defer cancelT()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.SweepTimeout)
+		defer cancel()
+	}
+	var ff *failState
+	if failFast {
+		ff = newFailState(n)
 	}
 
 	workers := p.size(n)
@@ -427,6 +526,9 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 				if i >= n {
 					return
 				}
+				if p.Order != nil {
+					i = p.Order[i]
+				}
 				if err := ctx.Err(); err != nil {
 					skipped.Store(true)
 					if failFast {
@@ -441,12 +543,13 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 					errs[i] = &CellAbortError{Index: i, Deadline: deadline, Err: err}
 					continue
 				}
-				if err := p.call(ctx, i, wd, fn); err != nil {
-					errs[i] = err
-					if failFast {
-						cancel() // first failure stops new dispatch
-					}
+				cctx, ok := ff.start(ctx, i)
+				if !ok {
+					continue // a lower cell failed: i is never dispatched
 				}
+				err := p.call(cctx, i, wd, fn)
+				errs[i] = err
+				ff.finish(i, err != nil)
 			}
 		}()
 	}
@@ -458,11 +561,12 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 }
 
 // ForEach runs fn(ctx, i) for every i in [0, n), at most p.Workers at a
-// time, and blocks until all started tasks have finished. The first error
-// (including a recovered panic) cancels the context passed to every task
-// and stops dispatching new ones; among the tasks that did fail, the error
-// of the lowest index is returned so the reported error does not depend on
-// goroutine scheduling.
+// time, and blocks until all started tasks have finished. It fails fast by
+// index: a failing task k (including a recovered panic) cancels the
+// context of every running task above k and stops dispatching them, while
+// tasks below k still run. The error of the lowest failing index is
+// returned, so the reported error depends neither on goroutine scheduling
+// nor on the dispatch Order.
 func (p Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

@@ -44,21 +44,143 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// reversed returns the dispatch order n-1, ..., 0.
+func reversed(n int) []int {
+	order := make([]int, n)
+	for k := range order {
+		order[k] = n - 1 - k
+	}
+	return order
+}
+
 func TestFirstErrorByLowestIndex(t *testing.T) {
 	errLow := errors.New("low")
-	for _, workers := range []int{1, 4, 16} {
-		_, err := Map(context.Background(), Pool{Workers: workers}, 32,
-			func(_ context.Context, i int) (int, error) {
-				switch i {
-				case 3:
-					return 0, errLow
-				case 20:
-					return 0, fmt.Errorf("high")
+	// Index order, and a reversed order that dispatches the higher failing
+	// cell first: the lower one must be reported either way.
+	for _, order := range [][]int{nil, reversed(32)} {
+		for _, workers := range []int{1, 4, 16} {
+			_, err := Map(context.Background(), Pool{Workers: workers, Order: order}, 32,
+				func(_ context.Context, i int) (int, error) {
+					switch i {
+					case 3:
+						return 0, errLow
+					case 20:
+						return 0, fmt.Errorf("high")
+					}
+					return i, nil
+				})
+			if !errors.Is(err, errLow) {
+				t.Fatalf("order=%v workers=%d: want lowest-index error, got %v", order, workers, err)
+			}
+		}
+	}
+}
+
+// TestOrderedDispatch checks that Order sets the start sequence while every
+// result stays in its index slot.
+func TestOrderedDispatch(t *testing.T) {
+	order := []int{4, 0, 3, 1, 2}
+	var started []int
+	got, err := Map(context.Background(), Pool{Workers: 1, Order: order}, 5,
+		func(_ context.Context, i int) (int, error) {
+			started = append(started, i)
+			return i * 10, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(started, order) {
+		t.Fatalf("dispatched %v, want %v", started, order)
+	}
+	if want := []int{0, 10, 20, 30, 40}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("results %v, want %v by index", got, want)
+	}
+}
+
+// TestFailFastKeyedByIndex dispatches a failing cell first: every cell
+// below it still runs (and the lowest failure wins), no cell above the
+// lowest failure starts.
+func TestFailFastKeyedByIndex(t *testing.T) {
+	order := []int{6, 0, 1, 2, 3, 4, 5, 7}
+	var started []int
+	err := Pool{Workers: 1, Order: order}.ForEach(context.Background(), 8,
+		func(_ context.Context, i int) error {
+			started = append(started, i)
+			if i == 6 || i == 2 {
+				return fmt.Errorf("cell %d", i)
+			}
+			return nil
+		})
+	if err == nil || err.Error() != "cell 2" {
+		t.Fatalf("want the error of cell 2, got %v", err)
+	}
+	if want := []int{6, 0, 1, 2}; !reflect.DeepEqual(started, want) {
+		t.Fatalf("started %v, want %v", started, want)
+	}
+}
+
+// TestFailFastCancelsOnlyAbove runs cells 0, 1 and 2 together and fails
+// cell 1: cell 2's context is cancelled, cell 0's is not.
+func TestFailFastCancelsOnlyAbove(t *testing.T) {
+	boom := errors.New("boom")
+	inFlight := make(chan struct{}, 2) // one send each from cells 0 and 2
+	cancelled := make(chan struct{})
+	err := Pool{Workers: 3}.ForEach(context.Background(), 3,
+		func(ctx context.Context, i int) error {
+			switch i {
+			case 1:
+				<-inFlight
+				<-inFlight
+				return boom
+			case 2:
+				inFlight <- struct{}{}
+				select {
+				case <-ctx.Done():
+					close(cancelled)
+					return ctx.Err()
+				case <-time.After(10 * time.Second):
+					t.Error("cell 2 above the failure was not cancelled")
+					return nil
 				}
-				return i, nil
-			})
-		if !errors.Is(err, errLow) {
-			t.Fatalf("workers=%d: want lowest-index error, got %v", workers, err)
+			default:
+				inFlight <- struct{}{}
+				select {
+				case <-cancelled:
+				case <-time.After(10 * time.Second):
+					t.Error("cell 2 was never cancelled")
+				}
+				if ctx.Err() != nil {
+					t.Errorf("cell 0 below the failure was cancelled: %v", ctx.Err())
+				}
+				return nil
+			}
+		})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want boom from cell 1, got %v", err)
+	}
+}
+
+// TestOrderMustBePermutation rejects orders that miss, repeat or exceed a
+// cell index, before running any cell.
+func TestOrderMustBePermutation(t *testing.T) {
+	for _, order := range [][]int{{}, {0, 1}, {0, 1, 1}, {0, 1, 3}, {-1, 0, 1}, {0, 1, 2, 3}} {
+		var ran atomic.Int64
+		fn := func(_ context.Context, i int) (int, error) {
+			ran.Add(1)
+			return i, nil
+		}
+		p := Pool{Workers: 2, Order: order}
+		if _, err := Map(context.Background(), p, 3, fn); !errors.Is(err, ErrOrder) {
+			t.Errorf("order %v: Map error %v, want ErrOrder", order, err)
+		}
+		_, errs := MapPartial(context.Background(), p, 3, fn)
+		for i, err := range errs {
+			if !errors.Is(err, ErrOrder) {
+				t.Errorf("order %v: MapPartial cell %d error %v, want ErrOrder", order, i, err)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("order %v: %d cells ran", order, n)
 		}
 	}
 }
@@ -142,7 +264,7 @@ func TestPanicRecoveredIntoPanicError(t *testing.T) {
 }
 
 func TestPanicLowestIndexSelection(t *testing.T) {
-	// Panics at 5 and 25: dispatch is in index order, so index 5 always
+	// Panics at 5 and 25: fail-fast is keyed by index, so index 5 always
 	// runs and must be the reported error at any worker count.
 	for _, workers := range []int{1, 2, 8} {
 		err := Pool{Workers: workers}.ForEach(context.Background(), 64,

@@ -49,4 +49,3 @@ func (c *Core) issueRef() {
 		idx = (idx + 1) % len(c.rob)
 	}
 }
-

@@ -577,33 +577,33 @@ func (r SampleResult) Extrapolate(total uint64) Stats {
 	}
 	f := float64(total) / float64(m.Instrs)
 	out := Stats{
-		Cycles:       scaleU64(m.Cycles, f),
-		Instrs:       total,
-		RFReads:      scaleU64(m.RFReads, f),
-		RFWrites:     scaleU64(m.RFWrites, f),
-		RATLookups:   scaleU64(m.RATLookups, f),
-		IQInserts:    scaleU64(m.IQInserts, f),
-		IQWakeups:    scaleU64(m.IQWakeups, f),
-		SQSearches:   scaleU64(m.SQSearches, f),
-		Forwards:     scaleU64(m.Forwards, f),
-		ROBWrites:    scaleU64(m.ROBWrites, f),
-		ComplexOps:   scaleU64(m.ComplexOps, f),
-		FetchGroups:  scaleU64(m.FetchGroups, f),
-		Branches:     scaleU64(m.Branches, f),
-		Mispredicts:  scaleU64(m.Mispredicts, f),
-		BTBMisses:    scaleU64(m.BTBMisses, f),
-		PredSquashes: scaleU64(m.PredSquashes, f),
-		Fetched:      scaleU64(m.Fetched, f),
+		Cycles:        scaleU64(m.Cycles, f),
+		Instrs:        total,
+		RFReads:       scaleU64(m.RFReads, f),
+		RFWrites:      scaleU64(m.RFWrites, f),
+		RATLookups:    scaleU64(m.RATLookups, f),
+		IQInserts:     scaleU64(m.IQInserts, f),
+		IQWakeups:     scaleU64(m.IQWakeups, f),
+		SQSearches:    scaleU64(m.SQSearches, f),
+		Forwards:      scaleU64(m.Forwards, f),
+		ROBWrites:     scaleU64(m.ROBWrites, f),
+		ComplexOps:    scaleU64(m.ComplexOps, f),
+		FetchGroups:   scaleU64(m.FetchGroups, f),
+		Branches:      scaleU64(m.Branches, f),
+		Mispredicts:   scaleU64(m.Mispredicts, f),
+		BTBMisses:     scaleU64(m.BTBMisses, f),
+		PredSquashes:  scaleU64(m.PredSquashes, f),
+		Fetched:       scaleU64(m.Fetched, f),
 		LoadL1Hits:    scaleU64(m.LoadL1Hits, f),
 		LoadL1Misses:  scaleU64(m.LoadL1Misses, f),
 		MemExtraFetch: scaleU64(m.MemExtraFetch, f),
 		MemExtraData:  scaleU64(m.MemExtraData, f),
 		MissRuns:      scaleU64(m.MissRuns, f),
 		StallROB:      scaleU64(m.StallROB, f),
-		StallIQ:      scaleU64(m.StallIQ, f),
-		StallLQ:      scaleU64(m.StallLQ, f),
-		StallSQ:      scaleU64(m.StallSQ, f),
-		StallRF:      scaleU64(m.StallRF, f),
+		StallIQ:       scaleU64(m.StallIQ, f),
+		StallLQ:       scaleU64(m.StallLQ, f),
+		StallSQ:       scaleU64(m.StallSQ, f),
+		StallRF:       scaleU64(m.StallRF, f),
 	}
 	for i := range m.KindCount {
 		out.KindCount[i] = scaleU64(m.KindCount[i], f)

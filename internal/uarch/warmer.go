@@ -37,9 +37,9 @@ import (
 // would. Only multi-core sharing and invalidation timing remain outside
 // the warmer's reach.
 type FunctionalWarmer struct {
-	id   int
-	src  trace.Source
-	mem  mem.Backend
+	id  int
+	src trace.Source
+	mem mem.Backend
 	// hier is mem when it is the single-core *mem.Hierarchy — the common
 	// case — letting the hot loop call it directly instead of through the
 	// interface table.

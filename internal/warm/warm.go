@@ -18,13 +18,14 @@
 //
 // Architecture: per Identity a Ladder owns a standalone builder warmer
 // that advances monotonically through the stream, snapshotting at every
-// stride boundary (stride = Interval/4, so a restore leaves at most a
-// quarter-interval of residual local warming). Cells reach the ladder
-// through a single-flight registry (Shared) and a FastForward hook on the
-// core (Bind): each fast-forward restores the deepest checkpoint at or
-// below its target, credits the skipped stretch's observables, and warms
-// the residual locally. Checkpoints are deep-copied on capture and on
-// restore, so concurrent cells never alias shared state.
+// stride boundary (stride = Interval/32, so a restore leaves at most a
+// thirty-second of an interval of residual local warming). Cells reach
+// the ladder through a single-flight registry (Shared) and a FastForward
+// hook on the core (Bind): each fast-forward restores the deepest
+// checkpoint at or below its target, credits the skipped stretch's
+// observables, and warms the residual locally. Checkpoints are
+// deep-copied on capture and on restore, so concurrent cells never alias
+// shared state.
 //
 // With a cache directory configured (SetCacheDir, -warm-dir), boundary
 // checkpoints persist as CRC32-framed .m3dwarm files written atomically
