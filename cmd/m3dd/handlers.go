@@ -10,6 +10,8 @@ import (
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/jobstore"
 	"vertical3d/internal/resultcache"
+	"vertical3d/internal/trace"
+	"vertical3d/internal/warm"
 )
 
 // routes builds the HTTP surface.
@@ -303,10 +305,12 @@ func (s *server) jobstoreMode() string {
 }
 
 // statszView is the GET /statsz document: the cache's hit/coalesce/disk
-// counters, the job ledger, the queue and admission counters, the
-// manifest's state, and the degradation events of recent sweeps.
+// counters, the simulator caches' resident entries, the job ledger, the
+// queue and admission counters, the manifest's state, and the degradation
+// events of recent sweeps.
 type statszView struct {
 	Cache         resultcache.Stats              `json:"cache"`
+	Resident      residentView                   `json:"resident"`
 	Jobs          map[string]int                 `json:"jobs"`
 	Queued        int                            `json:"queued"`
 	Running       int                            `json:"running"`
@@ -321,9 +325,31 @@ type statszView struct {
 	UptimeSeconds float64                        `json:"uptime_seconds"`
 }
 
+// residentView reports what the process-wide trace and warm caches hold.
+// Running sweeps hold their entries and release them when they return, so
+// every count is 0 on an idle daemon.
+type residentView struct {
+	TraceRecordings int `json:"trace_recordings"`
+	TraceBytes      int `json:"trace_bytes"`
+	WarmLadders     int `json:"warm_ladders"`
+	WarmMCSnapshots int `json:"warm_mc_snapshots"`
+}
+
+// resident reads the trace and warm registries.
+func resident() residentView {
+	ladders, snaps := warm.Resident()
+	return residentView{
+		TraceRecordings: trace.CachedRecordings(),
+		TraceBytes:      trace.CachedBytes(),
+		WarmLadders:     ladders,
+		WarmMCSnapshots: snaps,
+	}
+}
+
 func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	v := statszView{
 		Cache:         s.cache.Stats(),
+		Resident:      resident(),
 		Jobs:          map[string]int{},
 		QueueDepth:    s.cfg.QueueDepth,
 		JobStore:      s.jobstoreMode(),

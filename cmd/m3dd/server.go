@@ -60,6 +60,11 @@ type serverConfig struct {
 	Retry parallel.Retry
 	// Logf receives the daemon's progress lines; nil discards.
 	Logf func(format string, args ...any)
+
+	// faultHook, when non-nil, runs at the start of every simulated cell
+	// after its progress event: the fault-injection seam of the tests
+	// (guard/faultinject). The daemon itself leaves it nil.
+	faultHook func(bench, design string)
 }
 
 // admissionStats counts the admission-control decisions for /statsz.
@@ -541,6 +546,9 @@ func (s *server) cellHook(j *job) func(bench, design string) {
 		j.mu.Lock()
 		j.emitLocked(jobEvent{Type: "cell", Cell: bench + "/" + design})
 		j.mu.Unlock()
+		if s.cfg.faultHook != nil {
+			s.cfg.faultHook(bench, design)
+		}
 	}
 }
 

@@ -47,13 +47,16 @@ func LPStudy(names []string, opt RunOptions) (*LPStudyResult, error) {
 	}
 	// Resolve the profiles up front so a bad name fails deterministically.
 	profiles := make([]workloadProfile, len(names))
+	profs := make([]trace.Profile, len(names))
 	for i, name := range names {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		profiles[i] = workloadProfile{name: name, prof: p}
+		profs[i] = p
 	}
+	defer opt.holdCaches(suite, profs, lpDesigns[:])()
 
 	hr := &healthRecorder{}
 	tw := watchTrace()

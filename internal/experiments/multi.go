@@ -10,6 +10,7 @@ import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/multicore"
 	"vertical3d/internal/parallel"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/resultcache"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/tech"
@@ -100,6 +101,13 @@ func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	}
 
 	mcs := config.DeriveMulticore(suite)
+	var holds registry.Releases
+	for _, prof := range profiles {
+		for _, d := range designs {
+			holds = append(holds, multicore.Hold(mcs[d], prof, opt))
+		}
+	}
+	defer holds.Release()
 	hr := &healthRecorder{}
 	tws := watchTrace()
 	ww := watchWarm()

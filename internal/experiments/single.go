@@ -14,6 +14,7 @@ import (
 	"vertical3d/internal/mem"
 	"vertical3d/internal/parallel"
 	"vertical3d/internal/power"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/resultcache"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/tech"
@@ -259,6 +260,31 @@ func traceSource(prof trace.Profile, opt RunOptions) trace.Source {
 	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, opt.StreamID, hint))
 }
 
+// holdCaches holds, for the life of a single-core sweep over profiles ×
+// designs, every shared trace recording and warm ladder its cells replay
+// and bind to (see traceSource and runSingleSampled), and returns the
+// release that drops them. Entries the sweep was the last to hold leave
+// the process-wide caches when it returns.
+func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
+	var rs registry.Releases
+	for _, prof := range profiles {
+		rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
+		if !opt.Sample || !opt.WarmCache {
+			continue
+		}
+		for _, d := range designs {
+			rs = append(rs, warm.HoldLadder(warm.Identity{
+				Prof:   prof,
+				Seed:   opt.Seed,
+				Stream: opt.StreamID,
+				Sample: opt.sampleParams(),
+				Geom:   warm.GeometryOf(suite.Configs[d]),
+			}))
+		}
+	}
+	return rs.Release
+}
+
 // errSampleBudget marks a sampled cell whose warm-phase oracle check
 // exceeded RunOptions.SampleErrorBudget; runSingle catches it and re-runs
 // the cell under full simulation (the "sample" rung of the degradation
@@ -422,6 +448,7 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	if !hasBase {
 		return nil, fmt.Errorf("fig6: design list must include config.Base for the normalisation pass")
 	}
+	defer opt.holdCaches(suite, profiles, designs)()
 
 	// Pass 1: fan out every (benchmark × design) cell. Cell i is fully
 	// determined by (profiles[i/len(designs)], designs[i%len(designs)],

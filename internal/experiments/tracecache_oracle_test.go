@@ -26,6 +26,9 @@ func TestOracleFig6TraceCacheInvariant(t *testing.T) {
 	}
 	profiles := oracleProfiles(t, "Mcf", "Gobmk")
 	opt := RunOptions{Warmup: 4_000, Measure: 15_000, Seed: 5}
+	// Each sweep releases its recordings when it returns; holding them
+	// across the variants keeps one recording per key for all of them.
+	defer opt.holdCaches(s, profiles, nil)()
 
 	var results []*Fig6Result
 	for _, k := range []uarch.Kernel{uarch.KernelReference, uarch.KernelEvent} {

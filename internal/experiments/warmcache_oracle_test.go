@@ -102,6 +102,9 @@ func TestOracleWarmSnapshotNoRebuild(t *testing.T) {
 	profiles := oracleProfiles(t, "Mcf")
 	opt := sampledOracleOptions()
 	opt.WarmCache = true
+	// Each sweep releases its ladders when it returns; holding them across
+	// both sweeps lets the second one be served from the first's rungs.
+	defer opt.holdCaches(s, profiles, config.SingleCoreDesigns())()
 
 	first, err := Fig6With(s, profiles, opt)
 	if err != nil {

@@ -32,6 +32,11 @@ func TestChaosSharedRecordingsSurvivePanics(t *testing.T) {
 	trace.ResetCache()
 	defer trace.ResetCache()
 	suite, profiles, opt := fig6Fixture(t)
+	// Each sweep releases its recordings when it returns; holding them
+	// across every sweep below lets them all replay the reference run's.
+	for _, p := range profiles {
+		defer trace.Hold(p, opt.Seed, opt.StreamID)()
+	}
 
 	ref, err := experiments.Fig6With(suite, profiles, opt)
 	if err != nil {

@@ -14,7 +14,9 @@ const (
 	dirModified
 )
 
-// dirEntry tracks a line in the sliced L3 directory.
+// dirEntry tracks a line in the sliced L3 directory. The directory stores
+// entries by value: a new line costs no allocation, and mutations are
+// written back with one map store.
 type dirEntry struct {
 	sharers uint32 // bitmask of private-cache domains holding the line
 	owner   int8   // domain holding the line Modified, -1 otherwise
@@ -33,7 +35,7 @@ type Multicore struct {
 	l2  []*Cache // indexed by L2 domain
 
 	l3  *Cache
-	dir map[uint64]*dirEntry
+	dir map[uint64]dirEntry
 
 	cfg        config.CoreParams
 	hopCycles  int
@@ -69,7 +71,7 @@ func NewMulticore(mc config.MCConfig) (*Multicore, error) {
 		sharedL2:   mc.SharedL2,
 		cfg:        p,
 		hopCycles:  mc.RouterHopCycles,
-		dir:        make(map[uint64]*dirEntry, 1<<16),
+		dir:        make(map[uint64]dirEntry, 1<<16),
 		dramCycles: int(p.DRAMLatencyNs * mc.PerCore.FreqGHz),
 	}
 	fail := func(level string, err error) (*Multicore, error) {
@@ -195,7 +197,9 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 		}
 		// Write hit: if other domains share the line, pay an upgrade.
 		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
-			return m.invalidateOthers(e, la, dom)
+			lat := m.invalidateOthers(&e, la, dom)
+			m.dir[la] = e
+			return lat
 		}
 		return 0
 	}
@@ -210,7 +214,8 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	}
 	if l2hit && write {
 		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
-			return extra + m.invalidateOthers(e, la, dom)
+			extra += m.invalidateOthers(&e, la, dom)
+			m.dir[la] = e
 		}
 		return extra
 	}
@@ -221,10 +226,9 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	m.Extra.NoCHops += uint64(h)
 	extra += h*m.hopCycles + m.cfg.L3.RTCycles
 
-	e := m.dir[la]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		m.dir[la] = e
+	e, ok := m.dir[la]
+	if !ok {
+		e = dirEntry{owner: -1}
 	}
 
 	// If another domain holds the line Modified, forward from its cache.
@@ -239,13 +243,14 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	}
 
 	if write {
-		extra += m.invalidateOthers(e, la, dom)
+		extra += m.invalidateOthers(&e, la, dom)
 		e.state = dirModified
 		e.owner = int8(dom)
 		e.sharers = 1 << uint(dom)
 	} else {
 		e.sharers |= 1 << uint(dom)
 	}
+	m.dir[la] = e
 
 	if hit3, _, _ := m.l3.Access(addr, write); hit3 {
 		return extra

@@ -186,7 +186,7 @@ func (m *Multicore) State() *MCState {
 
 // SetState restores a snapshot taken by State. Topology and geometry are
 // checked across every cache before any mutation; the directory is rebuilt
-// from a fresh map so concurrent cells never share entries.
+// into a fresh map, so restoring cells never share one.
 func (m *Multicore) SetState(s *MCState) error {
 	if len(s.IL1) != len(m.il1) || len(s.DL1) != len(m.dl1) || len(s.L2) != len(m.l2) ||
 		len(s.LastDataLine) != len(m.lastDataLine) {
@@ -221,9 +221,9 @@ func (m *Multicore) SetState(s *MCState) error {
 		m.l2[i].setState(&s.L2[i])
 	}
 	m.l3.setState(&s.L3)
-	m.dir = make(map[uint64]*dirEntry, len(s.Dir))
+	m.dir = make(map[uint64]dirEntry, len(s.Dir))
 	for la, e := range s.Dir {
-		m.dir[la] = &dirEntry{sharers: e.Sharers, owner: e.Owner, state: dirState(e.State)}
+		m.dir[la] = dirEntry{sharers: e.Sharers, owner: e.Owner, state: dirState(e.State)}
 	}
 	copy(m.lastDataLine, s.LastDataLine)
 	m.Extra.NoCHops = s.NoCHops

@@ -14,6 +14,7 @@ import (
 	"vertical3d/internal/mem"
 	"vertical3d/internal/parallel"
 	"vertical3d/internal/power"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/resultcache"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
@@ -164,6 +165,41 @@ func coreSource(prof trace.Profile, opt Options, cores, i int) trace.Source {
 	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, stream, int(min(hint, 1<<30))))
 }
 
+// warmIdentity is the warmup-snapshot identity of a Run of prof on mc;
+// ok is false when the run does not use the snapshot cache.
+func warmIdentity(mc config.MCConfig, prof trace.Profile, opt Options) (id warm.MCIdentity, ok bool) {
+	if !opt.Sample || !opt.WarmCache || opt.NoTraceCache || opt.WarmupPerCore == 0 {
+		return warm.MCIdentity{}, false
+	}
+	return warm.MCIdentity{
+		Prof:       prof,
+		Seed:       opt.Seed,
+		StreamBase: opt.StreamBase,
+		Cores:      mc.Cores,
+		SharedL2:   mc.SharedL2,
+		Warmup:     opt.WarmupPerCore,
+		Geom:       warm.GeometryOf(mc.PerCore),
+	}, true
+}
+
+// Hold keeps the shared recordings and the warmup snapshot a Run of prof
+// on mc uses resident until release is called. Sweeps that fan out Runs
+// (experiments.Fig9WithDesigns) hold every cell's entries for their
+// duration, so the entries leave the process-wide caches when the sweep
+// returns.
+func Hold(mc config.MCConfig, prof trace.Profile, opt Options) (release func()) {
+	var rs registry.Releases
+	if !opt.NoTraceCache {
+		for i := range mc.Cores {
+			rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamBase+i))
+		}
+	}
+	if id, ok := warmIdentity(mc, prof, opt); ok {
+		rs = append(rs, warm.HoldMC(id))
+	}
+	return rs.Release
+}
+
 // Run executes the profile on the multicore configuration. The same
 // TotalInstrs of work is performed regardless of the core count, so designs
 // with more cores finish sooner (modulo the serial fraction, sharing and
@@ -203,16 +239,7 @@ func Run(mc config.MCConfig, prof trace.Profile, opt Options) (RunResult, error)
 			}
 		}
 	}
-	if opt.Sample && opt.WarmCache && !opt.NoTraceCache && opt.WarmupPerCore > 0 {
-		id := warm.MCIdentity{
-			Prof:       prof,
-			Seed:       opt.Seed,
-			StreamBase: opt.StreamBase,
-			Cores:      mc.Cores,
-			SharedL2:   mc.SharedL2,
-			Warmup:     opt.WarmupPerCore,
-			Geom:       warm.GeometryOf(mc.PerCore),
-		}
+	if id, ok := warmIdentity(mc, prof, opt); ok {
 		warm.MCWarmup(id, backend, cores, doWarm)
 	} else {
 		doWarm()

@@ -2,13 +2,20 @@
 // the (Profile, seed, stream) triple, and the experiment sweeps replay the
 // same handful of workload streams once per design point — a Fig6 sweep
 // re-generated the bit-identical stream |designs| times per benchmark
-// before this cache existed. Modelled on sram.CachedModelWith: all key
-// components are comparable value types, so the key is the tuple itself,
-// and the registry is a sync.Map safe for the worker-pool fan-out in
-// internal/parallel. Recordings are extend-on-demand but never mutated
-// below their materialised length, so sharing them read-only across
-// goroutines is safe; misses are single-flighted through a per-key
-// sync.Once so concurrent cells never record the same stream twice.
+// before this cache existed. All key components are comparable value
+// types, so the key is the tuple itself, and the registry
+// (internal/registry) single-flights misses so concurrent cells never
+// record the same stream twice. Recordings are extend-on-demand but never
+// mutated below their materialised length, so sharing them read-only
+// across goroutines is safe.
+//
+// Lifetime: an experiment sweep holds the keys its cells replay (Hold)
+// and releases them when it returns, and a recording nobody holds leaves
+// the registry — a long-running server's memory is bounded by its
+// in-flight sweeps, not by every seed it ever served. A SharedRecording
+// call on a key no sweep holds creates an entry that stays for the life
+// of the process, until ResetCache. The cache directory (SetCacheDir) is the cross-run
+// reuse tier and is independent of either lifetime.
 package trace
 
 import (
@@ -18,6 +25,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"vertical3d/internal/registry"
 )
 
 // recKey identifies one recorded stream. Profile is stored by value: two
@@ -29,15 +38,8 @@ type recKey struct {
 	stream int
 }
 
-// recHolder single-flights the recording of one key: racing cells agree on
-// one holder via LoadOrStore and only the Once winner records.
-type recHolder struct {
-	once sync.Once
-	rec  *Recording
-}
-
 var (
-	recCache   sync.Map // recKey -> *recHolder
+	recCache   registry.Registry[recKey, *Recording]
 	recHits    atomic.Uint64
 	recMisses  atomic.Uint64
 	fileLoads  atomic.Uint64
@@ -50,8 +52,9 @@ var (
 
 // CacheCounters reports the recording cache effectiveness.
 type CacheCounters struct {
-	// Hits counts SharedRecording calls that found an existing holder
-	// (including callers that waited on a concurrent first recording).
+	// Hits counts SharedRecording calls served by another call's
+	// recording (including callers that waited on a concurrent first
+	// recording).
 	Hits uint64
 	// Misses counts first-time recordings (or file loads) per key.
 	Misses uint64
@@ -77,15 +80,12 @@ func CacheStats() CacheCounters {
 	}
 }
 
-// ResetCache empties the recording cache and zeroes the counters. Tests
-// and long-running sweeps over many (profile, seed) pairs use this to
-// bound memory: each cached recording holds ~31 bytes per materialised
-// instruction. The cache directory setting is untouched.
+// ResetCache empties the recording cache, process-lifetime entries
+// included, and zeroes the counters. Tests and benchmarks use it to start
+// cold; sweeps need not, since their entries leave when they return. The
+// cache directory setting is untouched.
 func ResetCache() {
-	recCache.Range(func(k, _ any) bool {
-		recCache.Delete(k)
-		return true
-	})
+	recCache.Reset()
 	recHits.Store(0)
 	recMisses.Store(0)
 	fileLoads.Store(0)
@@ -117,60 +117,71 @@ func CacheDir() string {
 	return cacheDir
 }
 
-// CachedBytes reports the summed packed footprint of every cached
-// recording — the number ResetCache releases.
+// CachedBytes reports the summed packed footprint of every resident
+// recording (~31 bytes per materialised instruction).
 func CachedBytes() int {
 	total := 0
-	recCache.Range(func(_, v any) bool {
-		h := v.(*recHolder)
-		if h.rec != nil {
-			total += h.rec.Bytes()
-		}
-		return true
-	})
+	for _, rec := range recCache.Values() {
+		total += rec.Bytes()
+	}
 	return total
 }
 
-// SharedRecording returns the process-wide shared recording for the
-// (prof, seed, stream) triple, materialising sizeHint instructions on
-// first use (the recording extends on demand past the hint). All sweep
-// cells replaying the same workload share one read-only recording; the
-// first caller records (or loads from the cache directory) while
-// concurrent callers for the same key wait on the single flight.
+// CachedRecordings reports how many recordings are resident.
+func CachedRecordings() int { return len(recCache.Values()) }
+
+// Hold keeps the (prof, seed, stream) recording resident until release is
+// called: the sweep entry points hold every stream their cells replay, so
+// the sweep records each once, concurrent sweeps over one stream share
+// it, and it leaves the cache when the last of them returns.
+func Hold(prof Profile, seed int64, stream int) (release func()) {
+	return recCache.Hold(recKey{prof: prof, seed: seed, stream: stream})
+}
+
+// SharedRecording returns the shared recording for the (prof, seed,
+// stream) triple, materialising sizeHint instructions on first use (the
+// recording extends on demand past the hint). All sweep cells replaying
+// the same workload share one read-only recording; the first caller
+// records (or loads from the cache directory) while concurrent callers
+// for the same key wait on the single flight. A key no sweep holds stays
+// resident for the life of the process.
 func SharedRecording(prof Profile, seed int64, stream int, sizeHint int) *Recording {
-	key := recKey{prof: prof, seed: seed, stream: stream}
-	v, loaded := recCache.LoadOrStore(key, &recHolder{})
-	h := v.(*recHolder)
-	if loaded {
-		recHits.Add(1)
-	} else {
-		recMisses.Add(1)
-	}
-	h.once.Do(func() {
-		if sizeHint <= 0 {
-			sizeHint = 4096
-		}
-		if dir := CacheDir(); dir != "" {
-			path := filepath.Join(dir, FileName(prof, seed, stream))
-			switch rec, err := LoadFile(path); {
-			case err == nil && rec.prof == prof && rec.seed == seed && rec.stream == stream:
-				fileLoads.Add(1)
-				h.rec = rec
-				return
-			case err == nil:
-				// A file under our identity-hashed name with a foreign
-				// identity inside is as untrustworthy as a corrupt one.
-				loadErrors.Add(1)
-			case !errors.Is(err, fs.ErrNotExist):
-				loadErrors.Add(1)
-			}
-			h.rec = Record(prof, seed, stream, sizeHint)
-			if err := SaveFile(path, h.rec); err != nil {
-				saveErrors.Add(1)
-			}
-			return
-		}
-		h.rec = Record(prof, seed, stream, sizeHint)
+	rec, first := recCache.Do(recKey{prof: prof, seed: seed, stream: stream}, func() *Recording {
+		return loadOrRecord(prof, seed, stream, sizeHint)
 	})
-	return h.rec
+	if first {
+		recMisses.Add(1)
+	} else {
+		recHits.Add(1)
+	}
+	return rec
+}
+
+// loadOrRecord materialises a cache miss: from the cache directory when a
+// trustworthy file is there, else by recording (and saving best-effort).
+func loadOrRecord(prof Profile, seed int64, stream int, sizeHint int) *Recording {
+	if sizeHint <= 0 {
+		sizeHint = 4096
+	}
+	dir := CacheDir()
+	if dir == "" {
+		return Record(prof, seed, stream, sizeHint)
+	}
+	path := filepath.Join(dir, FileName(prof, seed, stream))
+	switch rec, err := LoadFile(path); {
+	case err == nil && rec.prof == prof && rec.seed == seed && rec.stream == stream:
+		fileLoads.Add(1)
+		return rec
+	case err == nil:
+		// A file under our identity-hashed name with a foreign identity
+		// inside is as untrustworthy as a corrupt one.
+		loadErrors.Add(1)
+	case !errors.Is(err, fs.ErrNotExist):
+		loadErrors.Add(1)
+	}
+	rec := Record(prof, seed, stream, sizeHint)
+	if err := SaveFile(path, rec); err != nil {
+		saveErrors.Add(1)
+	}
+	return rec
 }

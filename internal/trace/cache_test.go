@@ -198,3 +198,78 @@ func TestSetCacheDirCreatesDirectory(t *testing.T) {
 		t.Fatal("SetCacheDir under a regular file should fail")
 	}
 }
+
+// TestSharedRecordingHeldLifetime races holders and SharedRecording
+// callers on one key: every caller shares one recording, the key is
+// recorded once, and the entry leaves the cache when the last hold is
+// released — while a key first recorded with no hold on it stays.
+func TestSharedRecordingHeldLifetime(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	p := testProfile()
+
+	pinned := SharedRecording(p, 7, 0, 500)
+
+	const workers = 8
+	var ready, wg sync.WaitGroup
+	ready.Add(workers)
+	wg.Add(workers)
+	recs := make([]*Recording, workers)
+	releases := make([]func(), workers)
+	for i := range workers {
+		go func() {
+			defer wg.Done()
+			releases[i] = Hold(p, 8, 0)
+			ready.Done()
+			recs[i] = SharedRecording(p, 8, 0, 500)
+		}()
+	}
+	ready.Wait()
+	wg.Wait()
+	for i := range recs {
+		if recs[i] != recs[0] {
+			t.Fatalf("holder %d got a distinct recording", i)
+		}
+	}
+	if st := CacheStats(); st.Misses != 2 {
+		t.Fatalf("CacheStats = %+v, want 2 misses (one per key)", st)
+	}
+	if n := CachedRecordings(); n != 2 {
+		t.Fatalf("CachedRecordings = %d while held, want 2", n)
+	}
+
+	// Release concurrently; a release called twice counts once.
+	for _, rel := range releases[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel()
+			rel()
+		}()
+	}
+	wg.Wait()
+	if n := CachedRecordings(); n != 2 {
+		t.Fatalf("CachedRecordings = %d with one hold left, want 2", n)
+	}
+	releases[0]()
+	if n := CachedRecordings(); n != 1 {
+		t.Fatalf("CachedRecordings = %d after the last release, want 1 (the unscoped key)", n)
+	}
+	if CachedBytes() != pinned.Bytes() {
+		t.Fatalf("CachedBytes = %d, want the unscoped recording's %d", CachedBytes(), pinned.Bytes())
+	}
+
+	// The released recording stays valid for a caller still replaying it.
+	if got, want := recs[0].At(0), NewGenerator(p, 8, 0).Next(); got != want {
+		t.Fatalf("released recording's first instruction = %+v, want %+v", got, want)
+	}
+	// An unscoped key survives holds and releases of its own.
+	Hold(p, 7, 0)()
+	if SharedRecording(p, 7, 0, 500) != pinned {
+		t.Fatal("an unscoped recording left the cache")
+	}
+	// A released key records afresh.
+	if SharedRecording(p, 8, 0, 500) == recs[0] {
+		t.Fatal("a released key served its old recording")
+	}
+}

@@ -441,17 +441,17 @@ type fuBudget struct {
 }
 
 func (c *Core) newBudget() fuBudget {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	return fuBudget{alu: p.NumALU, mul: p.NumMulDiv, lsu: p.NumLSU, fpu: p.NumFPU}
 }
 
 // allocFU reserves a functional unit for the entry, returning whether it
-// can issue this cycle and its completion latency. memLat computes the
-// load/store latency and is only invoked once the LSU port is granted, so
-// its side effects (SQ search, cache access, forwarding records) happen in
-// exactly the same order under both kernels.
-func (c *Core) allocFU(e *robEntry, b *fuBudget, memLat func(*robEntry) int) (bool, int) {
-	p := c.cfg.Core
+// can issue this cycle and its completion latency. The load/store latency
+// (memLatency) is only computed once the LSU port is granted, so its side
+// effects (SQ search, cache access, forwarding records) happen in exactly
+// the same order under both kernels.
+func (c *Core) allocFU(e *robEntry, b *fuBudget) (bool, int) {
+	p := &c.cfg.Core
 	switch e.kind {
 	case trace.ALU, trace.Branch:
 		if b.alu > 0 {
@@ -490,7 +490,7 @@ func (c *Core) allocFU(e *robEntry, b *fuBudget, memLat func(*robEntry) int) (bo
 	case trace.Load, trace.Store:
 		if b.lsu > 0 {
 			b.lsu--
-			return true, memLat(e)
+			return true, c.memLatency(e)
 		}
 	}
 	return false, 0
@@ -539,7 +539,7 @@ func (c *Core) storeRingHas(la uint64) bool {
 // decision and the hierarchy access happened at dispatch, so nothing here
 // depends on issue order.
 func (c *Core) memLatency(e *robEntry) int {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	if e.kind == trace.Store {
 		return p.LSULatency
 	}
@@ -634,7 +634,7 @@ func (c *Core) squashAfter(idx int, br *robEntry) {
 // dispatch moves instructions from the frontend queue into the ROB/IQ/LSQ,
 // renaming their registers.
 func (c *Core) dispatch() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	slots := p.DispatchWidth
 	for slots > 0 && c.fqLen > 0 {
 		f := c.fq[c.fqHead]
@@ -757,7 +757,7 @@ func (c *Core) nextInst() trace.Inst {
 // (wrong-path work warms caches and trains predictors in real machines
 // too).
 func (c *Core) fetch() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	if c.now < c.fetchGate || c.fqLen >= 2*p.FetchWidth {
 		return
 	}

@@ -256,7 +256,7 @@ func (c *Core) issueEvent() {
 		return
 	}
 
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	budget := c.newBudget()
 	issued := 0
 	kept := c.readyKept[:0] // port-conflict entries retained for a later cycle
@@ -266,7 +266,7 @@ func (c *Core) issueEvent() {
 		if e.seq != r.seq || e.state != stWaiting {
 			continue // squashed or already handled: drop lazily
 		}
-		ok, lat := c.allocFU(e, &budget, c.memLatency)
+		ok, lat := c.allocFU(e, &budget)
 		if !ok {
 			// Port conflict: the scan kernel skips the entry but keeps
 			// scanning younger ones; keep it ready for a later cycle.
@@ -378,7 +378,7 @@ func (c *Core) skipIdle() {
 // decoded frontend head this cycle, replicating dispatch's check order, or
 // nil when the instruction can dispatch.
 func (c *Core) dispatchStall(in *trace.Inst) *uint64 {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	if c.count >= p.ROBSize {
 		return &c.Stats.StallROB
 	}

@@ -13,7 +13,7 @@ import "vertical3d/internal/trace"
 // scanning the whole ROB and re-polling ready() on every waiting entry,
 // respecting functional-unit ports, and executes them.
 func (c *Core) issueRef() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	budget := c.newBudget()
 	issued := 0
 
@@ -29,7 +29,7 @@ func (c *Core) issueRef() {
 			continue
 		}
 
-		ok, lat := c.allocFU(e, &budget, c.memLatency)
+		ok, lat := c.allocFU(e, &budget)
 		if !ok {
 			idx = (idx + 1) % len(c.rob)
 			continue

@@ -519,7 +519,7 @@ func (c *Core) FastForwardLocal(n uint64) {
 // the cycle clock and the monotonic sequence counter (seq uniqueness is
 // what lets stale scheduling refs die quietly).
 func (c *Core) resetPipeline() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	for c.count > 0 {
 		t := (c.tail - 1 + len(c.rob)) % len(c.rob)
 		c.rob[t].seq = 0 // stale scheduling refs stop validating

@@ -1,18 +1,30 @@
-// Process-global snapshot registry. Mirrors the single-flight discipline
-// of internal/trace/cache.go: a sync.Map of lazily-initialised holders
-// guarantees exactly one Ladder (and one multicore warmup) per identity no
-// matter how many sweep cells race to it, and atomic counters feed both
-// the sweep Health block and cache-effectiveness reporting.
+// Process-global snapshot registry. Shares the single-flight registry of
+// internal/trace/cache.go (internal/registry): exactly one Ladder (and one
+// multicore warmup) per identity no matter how many sweep cells race to
+// it, and atomic counters feed both the sweep Health block and
+// cache-effectiveness reporting.
+//
+// Lifetime follows the trace cache: an experiment sweep holds the ladder
+// and multicore identities its cells touch (HoldLadder, HoldMC) and
+// releases them when it returns, and an entry no running sweep holds
+// leaves the registry. A ladder's builder replays its recording, so
+// HoldLadder holds the recording too: the two are resident together.
+// Entries created with no hold on their identity (direct Bind or
+// MCWarmup calls) stay for the life of the process, until ResetCache.
+// The -warm-dir files are the cross-run reuse tier.
 package warm
 
 import (
 	"sync"
 	"sync/atomic"
+
+	"vertical3d/internal/registry"
+	"vertical3d/internal/trace"
 )
 
 var (
-	ladders sync.Map // Identity -> *ladderHolder
-	mcSnaps sync.Map // MCIdentity -> *mcHolder
+	ladders registry.Registry[Identity, *Ladder]
+	mcSnaps registry.Registry[MCIdentity, *mcSnapshot]
 
 	cacheDirMu sync.RWMutex
 	cacheDir   string
@@ -20,12 +32,6 @@ var (
 	buildHookMu sync.RWMutex
 	buildHook   func(id Identity, from, to uint64)
 )
-
-// ladderHolder is the single-flight slot for one ladder identity.
-type ladderHolder struct {
-	once sync.Once
-	lad  *Ladder
-}
 
 // counters aggregates process-lifetime cache telemetry. All fields are
 // atomics: cells update them from arbitrary worker goroutines.
@@ -76,12 +82,13 @@ func Stats() Counters {
 	}
 }
 
-// ResetCache drops every cached ladder and multicore snapshot and zeroes
-// the counters. Benchmarks use it to measure cold-versus-warm sweeps in
-// one process; production code never needs it.
+// ResetCache drops every cached ladder and multicore snapshot,
+// process-lifetime entries included, and zeroes the counters. Tests and
+// benchmarks use it to measure cold-versus-warm sweeps in one process;
+// sweeps need not, since their entries leave when they return.
 func ResetCache() {
-	ladders.Range(func(k, _ any) bool { ladders.Delete(k); return true })
-	mcSnaps.Range(func(k, _ any) bool { mcSnaps.Delete(k); return true })
+	ladders.Reset()
+	mcSnaps.Reset()
 	counters.hits.Store(0)
 	counters.misses.Store(0)
 	counters.builtInstrs.Store(0)
@@ -91,6 +98,26 @@ func ResetCache() {
 	counters.saveErrors.Store(0)
 	counters.quarantines.Store(0)
 	counters.restoreErrors.Store(0)
+}
+
+// Resident reports how many ladders and multicore warmup snapshots the
+// registry holds.
+func Resident() (ladderCount, mcSnapshots int) {
+	return len(ladders.Values()), len(mcSnaps.Values())
+}
+
+// HoldLadder keeps an identity's ladder, and the recording its builder
+// replays, resident until release is called. Sweep entry points hold
+// every identity their cells bind to.
+func HoldLadder(id Identity) (release func()) {
+	return registry.Releases{ladders.Hold(id), trace.Hold(id.Prof, id.Seed, id.Stream)}.Release
+}
+
+// HoldMC keeps an identity's multicore warmup snapshot resident until
+// release is called. The snapshot copies the warm state out, so it holds
+// no recording; the caller holds the per-core streams itself.
+func HoldMC(id MCIdentity) (release func()) {
+	return mcSnaps.Hold(id)
 }
 
 // SetCacheDir enables the on-disk snapshot cache rooted at dir ("" turns

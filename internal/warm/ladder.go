@@ -8,10 +8,11 @@
 // straight through unrequested grid points. Each rung records the
 // cumulative design-independent observables from position zero, so a
 // cell restoring rung k can credit the skipped stretch exactly. Rungs
-// are built at most once process-wide and — with -warm-dir — at most
-// once across runs. Quantising rung positions to the grid (rather than
-// to raw request targets) keeps them shared across designs whose
-// fast-forward targets jitter by less than a stride.
+// are built at most once while the ladder is resident (for as long as a
+// sweep holds it) and — with -warm-dir — at most once across runs.
+// Quantising rung positions to the grid (rather than to raw request
+// targets) keeps them shared across designs whose fast-forward targets
+// jitter by less than a stride.
 //
 // A Binding hooks one cell's Core.FastForward: it tracks the cell's
 // cumulative observables at its current stream position (detailed
@@ -62,26 +63,24 @@ type Ladder struct {
 	ckpts      map[uint64]*Checkpoint
 }
 
-// Shared returns the process-wide ladder for an identity, creating it
+// Shared returns the shared ladder for an identity, creating it
 // single-flight on first use. Only cfg's geometry matters (it must match
 // id.Geom); the first caller's config becomes the builder's canonical
 // config, and per-design latencies are never baked into shared state.
 func Shared(id Identity, cfg config.Config) *Ladder {
-	v, _ := ladders.LoadOrStore(id, &ladderHolder{})
-	h := v.(*ladderHolder)
-	h.once.Do(func() {
+	lad, _ := ladders.Do(id, func() *Ladder {
 		stride := id.Sample.Interval / 32
 		if stride == 0 {
 			stride = 1
 		}
-		h.lad = &Ladder{
+		return &Ladder{
 			id:     id,
 			cfg:    cfg,
 			stride: stride,
 			ckpts:  make(map[uint64]*Checkpoint),
 		}
 	})
-	return h.lad
+	return lad
 }
 
 // newBuilder constructs a standalone warmer over the shared recording,

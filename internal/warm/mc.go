@@ -8,7 +8,6 @@ package warm
 
 import (
 	"path/filepath"
-	"sync"
 
 	"vertical3d/internal/mem"
 	"vertical3d/internal/uarch"
@@ -20,12 +19,6 @@ import (
 type mcSnapshot struct {
 	Mem   *mem.MCState
 	Cores []uarch.CoreWarmState
-}
-
-// mcHolder is the single-flight slot for one multicore identity.
-type mcHolder struct {
-	once sync.Once
-	snap *mcSnapshot
 }
 
 // MCWarmup performs (or skips) the functional warmup of a multicore run.
@@ -46,16 +39,11 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 		doWarm()
 		return
 	}
-	v, _ := mcSnaps.LoadOrStore(id, &mcHolder{})
-	h := v.(*mcHolder)
-	first := false
-	h.once.Do(func() {
-		first = true
+	snap, first := mcSnaps.Do(id, func() *mcSnapshot {
 		counters.misses.Add(1)
 		if snap := mcLoadDisk(id); snap != nil && mcRestore(backend, cores, snap) {
-			h.snap = snap
 			counters.skippedInstrs.Add(uint64(len(cores)) * id.Warmup)
-			return
+			return snap
 		}
 		doWarm()
 		counters.builtInstrs.Add(uint64(len(cores)) * id.Warmup)
@@ -63,17 +51,17 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 		for _, c := range cores {
 			cs, err := c.SnapshotCoreWarm()
 			if err != nil {
-				return // h.snap stays nil; later callers warm themselves
+				return nil // later callers warm themselves
 			}
 			snap.Cores = append(snap.Cores, *cs)
 		}
-		h.snap = snap
 		mcSaveDisk(id, snap)
+		return snap
 	})
 	if first {
-		return // warmed (or disk-restored) inside the once
+		return // warmed (or disk-restored) inside the single flight
 	}
-	if h.snap == nil || !mcRestore(backend, cores, h.snap) {
+	if snap == nil || !mcRestore(backend, cores, snap) {
 		counters.restoreErrors.Add(1)
 		doWarm()
 		return

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/tech"
@@ -234,5 +235,64 @@ func TestForeignSnapshotQuarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(dst + ".quarantine"); err != nil {
 		t.Errorf("foreign file not quarantined: %v", err)
+	}
+}
+
+// TestWarmHoldLadderLifetime races ladder holders against Shared: every
+// caller shares one ladder, the ladder's builder replays the held
+// recording instead of pinning one of its own, and both leave their
+// registries when the last hold is released. An unscoped ladder stays.
+func TestWarmHoldLadderLifetime(t *testing.T) {
+	resetAll(t)
+	id, cfg := testIdentity(t)
+
+	const holders = 6
+	done := make(chan *Ladder, holders)
+	releases := make(chan func(), holders)
+	for range holders {
+		go func() {
+			releases <- HoldLadder(id)
+			l := Shared(id, cfg)
+			l.checkpoint(0, 1_000)
+			done <- l
+		}()
+	}
+	first := <-done
+	for range holders - 1 {
+		if l := <-done; l != first {
+			t.Fatal("holders got distinct ladders")
+		}
+	}
+	if n, _ := Resident(); n != 1 || trace.CachedRecordings() != 1 {
+		t.Fatalf("while held: %d ladder(s), %d recording(s), want 1 and 1", n, trace.CachedRecordings())
+	}
+	for range holders {
+		rel := <-releases
+		go rel()
+		defer rel() // a second release is a no-op
+	}
+	waitFor(t, func() bool { n, _ := Resident(); return n == 0 && trace.CachedRecordings() == 0 })
+
+	// A ladder first built with no hold on it is process-lifetime.
+	pinned := Shared(id, cfg)
+	pinned.checkpoint(0, 1_000)
+	HoldLadder(id)()
+	if Shared(id, cfg) != pinned {
+		t.Fatal("an unscoped ladder left the registry")
+	}
+	if n, _ := Resident(); n != 1 {
+		t.Fatalf("%d resident ladder(s), want the unscoped one", n)
+	}
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
