@@ -3,8 +3,8 @@
 // view behind Figures 6 and 7.
 //
 // Exit codes: 0 on success, 1 on runtime errors (including failed cells
-// under -keep-going), 2 on flag/usage errors (including invalid -kernel
-// values and uncreatable -cpuprofile/-memprofile paths), 130 when
+// under -keep-going), 2 on flag/usage errors (including uncreatable
+// -cpuprofile/-memprofile paths), 130 when
 // interrupted by SIGINT/SIGTERM (the sweep drains, the -journal-dir
 // checkpoint flushes, and a re-run resumes from it).
 package main
@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -64,9 +63,7 @@ func run() int {
 	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
-	kernelName := flag.String("kernel", uarch.KernelEvent.String(),
-		"simulation kernel: "+strings.Join(uarch.KernelNames(), "|")+"; results are identical at either")
-	sample := flag.Bool("sample", false, "interval sampling: fast-forward/warm/measure phases per interval, extrapolated Stats (CPI error ≤2%; ≈8-18x faster on the reference kernel, ≈3.5-10x on event); sampled cells journal separately from full cells")
+	sample := flag.Bool("sample", false, "interval sampling: fast-forward/warm/measure phases per interval, extrapolated Stats (CPI error ≤2%; ≈3.5-10x faster); sampled cells journal separately from full cells")
 	sampleInterval := flag.Uint64("sample-interval", 0, "sampling interval length in instructions (0 = default 100000); implies nothing without -sample")
 	sampleWarmup := flag.Uint64("sample-warmup", 0, "detailed pipeline-warm instructions before each measured window (0 = default 1000)")
 	sampleUnit := flag.Uint64("sample-unit", 0, "measured-window length in instructions (0 = default 4000)")
@@ -86,10 +83,6 @@ func run() int {
 
 	if *measure == 0 {
 		return usageErr("-measure must be > 0")
-	}
-	kernel, err := uarch.ParseKernel(*kernelName)
-	if err != nil {
-		return usageErr(err.Error())
 	}
 	sp, err := uarch.SampleParamsFrom(*sample, *sampleInterval, *sampleWarmup, *sampleUnit)
 	if err != nil {
@@ -129,7 +122,7 @@ func run() int {
 	}
 	opt := experiments.RunOptions{Warmup: *warmup, Measure: *measure, Seed: *seed,
 		StreamID: *stream, NoTraceCache: !*traceCache, WarmCache: *warmCache,
-		Workers: *workers, KeepGoing: *keepGoing, Kernel: kernel,
+		Workers: *workers, KeepGoing: *keepGoing,
 		Sample: *sample, SampleParams: sp, SampleErrorBudget: *sampleBudget,
 		Context:     shut.Context(),
 		JournalDir:  *journalDir,

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"vertical3d/internal/accel"
@@ -47,8 +46,6 @@ func main() {
 	full := flag.Bool("full", false, "benchmark-scale simulation sizes")
 	workers := flag.Int("j", 0, "worker count for experiment sweeps (0 = GOMAXPROCS); results are identical at any value")
 	keepGoing := flag.Bool("keep-going", false, "complete figure sweeps when cells fail; failed cells render as ERR and the exit code is 1")
-	kernelName := flag.String("kernel", uarch.KernelEvent.String(),
-		"simulation kernel: "+strings.Join(uarch.KernelNames(), "|")+"; results are identical at either")
 	traceCache := flag.Bool("trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
 	traceDir := flag.String("trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
 	warmCache := flag.Bool("warm-cache", true, "checkpoint sampled fast-forward state once per (benchmark, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample)")
@@ -57,7 +54,7 @@ func main() {
 	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-cell attempt deadline (0 = unbounded)")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-sweep deadline (0 = unbounded)")
-	sample := flag.Bool("sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈8-18x faster on the reference kernel, ≈3.5-10x on event); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
+	sample := flag.Bool("sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
 	sampleInterval := flag.Uint64("sample-interval", 0, "sampling interval length in instructions (0 = default 100000)")
 	sampleWarmup := flag.Uint64("sample-warmup", 0, "detailed pipeline-warm instructions before each measured window (0 = default 1000)")
 	sampleUnit := flag.Uint64("sample-unit", 0, "measured-window length in instructions (0 = default 4000)")
@@ -70,11 +67,6 @@ func main() {
 	shut = shutdown.Install(context.Background(), shutdown.WithLog(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "m3dcli: "+format+"\n", args...)
 	}))
-	kernel, err := uarch.ParseKernel(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "m3dcli:", err)
-		os.Exit(2)
-	}
 	if err := trace.SetCacheDir(*traceDir); err != nil {
 		fmt.Fprintln(os.Stderr, "m3dcli:", err)
 		os.Exit(2)
@@ -106,8 +98,6 @@ func main() {
 	mopt.Workers = *workers
 	opt.KeepGoing = *keepGoing
 	mopt.KeepGoing = *keepGoing
-	opt.Kernel = kernel
-	mopt.Kernel = kernel
 	opt.NoTraceCache = !*traceCache
 	mopt.NoTraceCache = !*traceCache
 	opt.Context = shut.Context()

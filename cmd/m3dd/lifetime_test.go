@@ -119,12 +119,13 @@ func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 		s.wait()
 	})
 
-	// The slow cell holds the sweep open while the other worker records.
+	// The slow cell holds the sweep open while the other worker records
+	// the stream and its probe tape.
 	postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(111)})
 	deadline := time.Now().Add(30 * time.Second)
-	for in.Fired(faultinject.Key("Mcf", config.TSV3D.String())) == 0 || resident().TraceRecordings == 0 {
+	for r := resident(); in.Fired(faultinject.Key("Mcf", config.TSV3D.String())) == 0 || r.TraceRecordings == 0 || r.ProbeTapes == 0 || r.ProbeTapeBytes == 0; r = resident() {
 		if time.Now().After(deadline) {
-			t.Fatal("the sweep never recorded its stream while its slow cell ran")
+			t.Fatal("the sweep never recorded its stream and probe tape while its slow cell ran")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -4,8 +4,8 @@
 // results at any worker count.
 //
 // Exit codes: 0 on success, 1 on runtime errors (including failed cells
-// under -keep-going), 2 on flag/usage errors (including invalid -kernel
-// values and uncreatable -cpuprofile/-memprofile paths), 130 when
+// under -keep-going), 2 on flag/usage errors (including uncreatable
+// -cpuprofile/-memprofile paths), 130 when
 // interrupted by SIGINT/SIGTERM (the sweep drains, the -journal-dir
 // checkpoint flushes, and a re-run resumes from it).
 package main
@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -28,7 +27,6 @@ import (
 	"vertical3d/internal/shutdown"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
-	"vertical3d/internal/uarch"
 	"vertical3d/internal/warm"
 	"vertical3d/internal/workload"
 )
@@ -67,8 +65,6 @@ func run() int {
 	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
 	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
-	kernelName := flag.String("kernel", uarch.KernelEvent.String(),
-		"simulation kernel: "+strings.Join(uarch.KernelNames(), "|")+"; results are identical at either")
 	sample := flag.Bool("sample", false, "fast-forward per-core warmup functionally (caches + predictor only); measured phases stay detailed — per-phase budgets are too small to sample soundly over a shared memory system")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
@@ -83,10 +79,6 @@ func run() int {
 	}
 	if *phases <= 0 {
 		return usageErr("-phases must be > 0")
-	}
-	kernel, err := uarch.ParseKernel(*kernelName)
-	if err != nil {
-		return usageErr(err.Error())
 	}
 	prof, err := workload.ByName(*bench)
 	if err != nil {
@@ -122,7 +114,7 @@ func run() int {
 	}
 	opt := multicore.Options{TotalInstrs: *instrs, WarmupPerCore: *warmup, Phases: *phases,
 		Seed: *seed, StreamBase: *streamBase, NoTraceCache: !*traceCache, WarmCache: *warmCache,
-		Workers: *workers, KeepGoing: *keepGoing, Kernel: kernel, Sample: *sample,
+		Workers: *workers, KeepGoing: *keepGoing, Sample: *sample,
 		Context:     shut.Context(),
 		JournalDir:  *journalDir,
 		TaskTimeout: *taskTimeout, SweepTimeout: *sweepTimeout,

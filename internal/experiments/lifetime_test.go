@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -14,17 +15,18 @@ import (
 )
 
 // residentPeak is a CellHook that records the most trace recordings, warm
-// ladders and multicore snapshots resident at any cell start.
+// ladders, multicore snapshots and probe tapes resident at any cell start.
 type residentPeak struct {
-	mu                 sync.Mutex
-	recs, ladders, mcs int
+	mu                        sync.Mutex
+	recs, ladders, mcs, tapes int
 }
 
 func (p *residentPeak) hook(string, string) {
 	l, m := warm.Resident()
+	tp, _ := warm.ResidentTapes()
 	r := trace.CachedRecordings()
 	p.mu.Lock()
-	p.recs, p.ladders, p.mcs = max(p.recs, r), max(p.ladders, l), max(p.mcs, m)
+	p.recs, p.ladders, p.mcs, p.tapes = max(p.recs, r), max(p.ladders, l), max(p.mcs, m), max(p.tapes, tp)
 	p.mu.Unlock()
 }
 
@@ -32,8 +34,10 @@ func (p *residentPeak) hook(string, string) {
 func requireEmpty(t *testing.T, when string) {
 	t.Helper()
 	l, m := warm.Resident()
-	if r := trace.CachedRecordings(); r != 0 || l != 0 || m != 0 {
-		t.Errorf("%s: %d recording(s), %d ladder(s), %d multicore snapshot(s) resident, want none", when, r, l, m)
+	tp, tb := warm.ResidentTapes()
+	if r := trace.CachedRecordings(); r != 0 || l != 0 || m != 0 || tp != 0 || tb != 0 {
+		t.Errorf("%s: %d recording(s), %d ladder(s), %d multicore snapshot(s), %d probe tape(s) of %d bytes resident, want none",
+			when, r, l, m, tp, tb)
 	}
 }
 
@@ -85,6 +89,33 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEmpty(t, "after LPStudy")
+
+	// Full-mode cells replay probe tapes, which leave with the sweep.
+	var pf residentPeak
+	fullOpt := lopt
+	fullOpt.CellHook = pf.hook
+	if _, err := Fig6With(s, profiles, fullOpt); err != nil {
+		t.Fatal(err)
+	}
+	if pf.tapes == 0 {
+		t.Error("full-mode Fig6 cells saw no probe tape resident")
+	}
+	requireEmpty(t, "after a full-mode Fig6")
+
+	// A sweep cancelled mid-way.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	copt := lopt
+	copt.Context = ctx
+	copt.CellHook = func(_, design string) {
+		if design == config.TSV3D.String() {
+			cancel()
+		}
+	}
+	if _, err := Fig6With(s, profiles, copt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep error = %v, want context.Canceled", err)
+	}
+	requireEmpty(t, "after a cancelled Fig6")
 
 	// A fail-fast sweep that stops on a panicking cell.
 	fopt := lopt

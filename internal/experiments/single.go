@@ -253,33 +253,45 @@ func traceSource(prof trace.Profile, opt RunOptions) trace.Source {
 	if opt.NoTraceCache {
 		return trace.NewGenerator(prof, opt.Seed, opt.StreamID)
 	}
-	// Size the recording for the instructions a cell retires; squashed
-	// wrong-path fetches consume more, which the recording's on-demand
-	// extension absorbs.
-	hint := int(min(opt.Warmup+opt.Measure, 1<<30))
-	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, opt.StreamID, hint))
+	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, opt.StreamID, opt.traceHint()))
+}
+
+// traceHint sizes a shared recording for the instructions a cell retires;
+// squashed wrong-path fetches consume more, which the recording's
+// on-demand extension absorbs.
+func (opt RunOptions) traceHint() int {
+	return int(min(opt.Warmup+opt.Measure, 1<<30))
 }
 
 // holdCaches holds, for the life of a single-core sweep over profiles ×
-// designs, every shared trace recording and warm ladder its cells replay
-// and bind to (see traceSource and runSingleSampled), and returns the
-// release that drops them. Entries the sweep was the last to hold leave
-// the process-wide caches when it returns.
+// designs, every shared trace recording, probe tape and warm ladder its
+// cells replay and bind to (see traceSource, fullCore and
+// runSingleSampled), and returns the release that drops them. Entries the
+// sweep was the last to hold leave the process-wide caches when it
+// returns.
 func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
 	var rs registry.Releases
 	for _, prof := range profiles {
 		rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
-		if !opt.Sample || !opt.WarmCache {
-			continue
-		}
 		for _, d := range designs {
-			rs = append(rs, warm.HoldLadder(warm.Identity{
-				Prof:   prof,
-				Seed:   opt.Seed,
-				Stream: opt.StreamID,
-				Sample: opt.sampleParams(),
-				Geom:   warm.GeometryOf(suite.Configs[d]),
-			}))
+			geom := warm.GeometryOf(suite.Configs[d])
+			switch {
+			case opt.Sample && opt.WarmCache:
+				rs = append(rs, warm.HoldLadder(warm.Identity{
+					Prof:   prof,
+					Seed:   opt.Seed,
+					Stream: opt.StreamID,
+					Sample: opt.sampleParams(),
+					Geom:   geom,
+				}))
+			case !opt.Sample && !opt.NoTraceCache:
+				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
+					Prof:   prof,
+					Seed:   opt.Seed,
+					Stream: opt.StreamID,
+					Geom:   geom,
+				}))
+			}
 		}
 	}
 	return rs.Release
@@ -312,19 +324,14 @@ func runSingle(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult
 // measure, no extrapolation. Every Stats and HierStats counter is the
 // delta over the measure window.
 func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult, error) {
-	src := traceSource(prof, opt)
-	h, err := mem.NewHierarchy(cfg)
-	if err != nil {
-		return AppResult{}, err
-	}
-	c, err := uarch.NewCoreKernel(0, cfg, src, h, opt.Kernel)
+	c, memStats, err := fullCore(cfg, prof, opt)
 	if err != nil {
 		return AppResult{}, err
 	}
 	c.Run(opt.Warmup)
-	s0, m0 := c.Stats, h.Stats()
+	s0, m0 := c.Stats, memStats()
 	c.Run(opt.Warmup + opt.Measure)
-	st, hs := c.Stats.Sub(s0), h.Stats().Sub(m0)
+	st, hs := c.Stats.Sub(s0), memStats().Sub(m0)
 	sec := float64(st.Cycles) / (cfg.FreqGHz * 1e9)
 	energy := power.Estimate(cfg, st, hs, sec)
 	if err := energy.Validate(); err != nil {
@@ -339,6 +346,32 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 		Mem:       hs,
 		Energy:    energy,
 	}, nil
+}
+
+// fullCore builds a full-simulation cell's core and the reader of its
+// hierarchy counters. A cell of an unsampled sweep with the trace cache
+// on replays its geometry's shared probe tape (see internal/warm), so a
+// profile's probes are made once for every design. The rest probe a
+// hierarchy of their own: NoTraceCache cells, sampled cells falling back
+// to full simulation, and geometries or designs whose fill levels cannot
+// be classified.
+func fullCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Core, func() mem.HierStats, error) {
+	if !opt.NoTraceCache && !opt.Sample {
+		if tp := warm.SharedTape(prof, opt.Seed, opt.StreamID, cfg, opt.traceHint()); tp != nil {
+			if c, err := uarch.NewTapeCore(cfg, tp, opt.Kernel); err == nil {
+				return c, func() mem.HierStats { return tp.HierStats(c.Stats.Fetched) }, nil
+			}
+		}
+	}
+	h, err := mem.NewHierarchy(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := uarch.NewCoreKernel(0, cfg, traceSource(prof, opt), h, opt.Kernel)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, h.Stats, nil
 }
 
 // runSingleSampled is the sampled-mode counterpart of runSingle: warmup is

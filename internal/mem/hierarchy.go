@@ -92,7 +92,7 @@ func NewHierarchy(c config.Config) (*Hierarchy, error) {
 	h := &Hierarchy{
 		cfg:        p,
 		freqGHz:    c.FreqGHz,
-		dramCycles: int(p.DRAMLatencyNs * c.FreqGHz),
+		dramCycles: dramCycles(c),
 	}
 	var err error
 	levels := []struct {
@@ -111,6 +111,22 @@ func NewHierarchy(c config.Config) (*Hierarchy, error) {
 		}
 	}
 	return h, nil
+}
+
+// dramCycles is the DRAM latency in core cycles: fixed in nanoseconds, so
+// faster cores wait more cycles.
+func dramCycles(c config.Config) int { return int(c.Core.DRAMLatencyNs * c.FreqGHz) }
+
+// FillLatenciesOf returns the fill latencies a configuration's hierarchy
+// would report, without building one.
+func FillLatenciesOf(c config.Config) (l2, l3, dram int) {
+	return fillLatencies(c.Core, dramCycles(c))
+}
+
+func fillLatencies(p config.CoreParams, dram int) (l2, l3, dramFill int) {
+	l2 = p.L2.RTCycles
+	l3 = l2 + p.L3.RTCycles
+	return l2, l3, l3 + dram
 }
 
 // FetchExtra performs an instruction fetch; returns extra cycles beyond an

@@ -128,9 +128,7 @@ func (h *Hierarchy) SetState(s *HierState) error {
 // every miss by fill level — the design-independent form of the warm-phase
 // observations (see uarch.WarmObs).
 func (h *Hierarchy) FillLatencies() (l2, l3, dram int) {
-	l2 = h.cfg.L2.RTCycles
-	l3 = l2 + h.cfg.L3.RTCycles
-	return l2, l3, l3 + h.dramCycles
+	return fillLatencies(h.cfg, h.dramCycles)
 }
 
 // DirEntryState is the exported form of a directory entry in an MCState.

@@ -109,13 +109,9 @@ type robEntry struct {
 	prod1   regRef // producer of src1 (slot+seq; zero seq = ready)
 	prod2   regRef
 	prevMap regRef // previous producer of dst, for squash undo
-	addr    uint64
-	pc      uint64
-	taken   bool
 	mispred bool
 	btbMiss bool
-	complex bool
-	fwd     bool // load forwards from the store ring (decided at dispatch)
+	fwd     bool // load forwards from the store ring (decided at fetch)
 	seq     uint64
 
 	// memExtra is the extra hierarchy latency of a load beyond a DL1 hit,
@@ -147,17 +143,20 @@ type Core struct {
 	cfg  config.Config
 	kern Kernel
 
-	src  trace.Source
-	mem  mem.Backend
-	pred *Predictor
+	// fwd makes every cache, predictor and store-ring probe, for detailed
+	// fetch and fast-forward alike, and holds the state they evolve: the
+	// stream's prefill buffer, the predictor, the store-forwarding ring and
+	// the current fetch line (see FunctionalWarmer). Nil on a tape-fed core.
+	fwd *FunctionalWarmer
 
-	// instBuf is the frontend's prefill buffer: fetch pulls single
-	// instructions from it and it refills in batches via src.NextBatch,
-	// amortising the per-instruction interface call (and, for replayed
-	// recordings, the packed decode) over a whole buffer. The stream has no
-	// feedback from the core, so prefilling ahead of fetch is unobservable.
-	instBuf []trace.Inst
-	instPos int
+	// tape, when set, replaces fwd: fetch reads each trace
+	// instruction's backend fields and recorded probe outcomes from it, and
+	// prices the recorded fill levels with fillLat (0, L2, L3, DRAM extra
+	// cycles). tapeBuf is the window of tape words ahead of fetch.
+	tape    *Tape
+	tapeBuf []uint64
+	tapePos int
+	fillLat [4]int32
 
 	rob      []robEntry
 	head     int
@@ -183,23 +182,6 @@ type Core struct {
 	fetchGate  int64 // cycle at which fetch may resume
 	frontDepth int64
 
-	// storeRing holds the line addresses of the last SQSize dispatched
-	// stores, program order, for the dispatch-time forwarding check. The
-	// ring is stream state rather than pipeline state: records survive
-	// squashes and pipeline resets (squashed stores leave stale records),
-	// which is exactly the approximation the functional warmer can mirror,
-	// keeping sampled fast-forward and detailed simulation commensurate.
-	storeAddrs []uint64
-	storeHead  int
-
-	// stCounts is a counting filter over the ring's hashed line addresses:
-	// a zero bucket proves the address is absent, so the forwarding check
-	// skips the ring scan for the common no-forward case. Counts are exact
-	// (every insert increments, every overwrite decrements), so a positive
-	// bucket only means "maybe" and the scan still decides. The functional
-	// warmer shares this array alongside the ring itself.
-	stCounts [256]uint8
-
 	// dataMissRun tracks whether the previous data-cache probe (load or
 	// store, program order, forwarded loads excluded) missed — the state
 	// behind Stats.MissRuns. Like the store ring it is stream state, not
@@ -211,9 +193,6 @@ type Core struct {
 	// busy-until times for unpipelined units.
 	divBusy   []int64
 	fpDivBusy []int64
-
-	// icache line tracking.
-	curFetchLine uint64
 
 	// Event-kernel scheduling structures. readyQ is a seq-keyed min-heap of
 	// waiting entries whose operands are available now (pop order = program
@@ -233,10 +212,8 @@ type Core struct {
 	wakeHead  []int32
 	wakeFree  int32
 
-	// Sampled-simulation state: the cached functional warmer bound to this
-	// core's stream/backend/predictor, and the count of instructions
-	// fast-forwarded past the detailed pipeline (see sample.go).
-	fwd      *FunctionalWarmer
+	// ffInstrs counts instructions fast-forwarded past the detailed
+	// pipeline (see sample.go).
 	ffInstrs uint64
 
 	// ffHook, when installed via SetFastForward, intercepts FastForward —
@@ -271,14 +248,19 @@ type wakeEv struct {
 	seq  uint64
 }
 
-// fetched is an instruction waiting in the frontend, carrying the results
-// of the fetch-stage probes (branch prediction, store-forwarding check,
-// data-hierarchy latency) into dispatch.
+// fetched is an instruction waiting in the frontend: the fields the
+// backend needs, plus the results of the fetch-stage probes (branch
+// prediction, store-forwarding check, data-hierarchy latency) carried into
+// dispatch.
 type fetched struct {
-	in       trace.Inst
 	readyAt  int64
 	memExtra int32 // extra DL1-miss cycles probed at fetch (loads)
-	fwd      bool  // load forwards from the store ring
+	kind     trace.Kind
+	dst      int16
+	src1     int16
+	src2     int16
+	complex  bool
+	fwd      bool // load forwards from the store ring
 	mispred  bool
 	btbMiss  bool
 }
@@ -299,6 +281,20 @@ func NewCoreKernel(id int, cfg config.Config, src trace.Source, backend mem.Back
 	if src == nil || backend == nil {
 		return nil, errors.New("uarch: nil instruction source or memory backend")
 	}
+	c, err := newCore(id, cfg, k)
+	if err != nil {
+		return nil, err
+	}
+	if c.fwd, err = NewFunctionalWarmer(id, cfg, src, backend); err != nil {
+		return nil, err
+	}
+	c.latL2, c.latL3, c.fillsOK = c.fwd.latL2, c.fwd.latL3, c.fwd.fillsOK
+	return c, nil
+}
+
+// newCore builds a core's pipeline structures, with no instruction source
+// attached yet.
+func newCore(id int, cfg config.Config, k Kernel) (*Core, error) {
 	if k != KernelEvent && k != KernelReference {
 		return nil, errors.New("uarch: unknown kernel")
 	}
@@ -307,28 +303,12 @@ func NewCoreKernel(id int, cfg config.Config, src trace.Source, backend mem.Back
 		ID:         id,
 		cfg:        cfg,
 		kern:       k,
-		src:        src,
-		mem:        backend,
-		pred:       NewPredictor(p),
 		rob:        make([]robEntry, p.ROBSize),
 		freePhys:   p.IntRF + p.FPRF - 2*64,
 		frontDepth: 4,
 		fq:         make([]fetched, 3*p.FetchWidth),
-		storeAddrs: make([]uint64, p.SQSize),
 		divBusy:    make([]int64, p.NumMulDiv),
 		fpDivBusy:  make([]int64, p.NumFPU),
-		instBuf:    make([]trace.Inst, 0, max(8*p.FetchWidth, 64)),
-	}
-	// Sentinel-fill the store ring: a zero entry would spuriously match a
-	// load in the first data page.
-	for i := range c.storeAddrs {
-		c.storeAddrs[i] = ^uint64(0)
-	}
-	if h, ok := backend.(*mem.Hierarchy); ok {
-		e2, e3, ed := h.FillLatencies()
-		if e2 > 0 && e3 > e2 && ed > e3 {
-			c.latL2, c.latL3, c.fillsOK = e2, e3, true
-		}
 	}
 	if k == KernelEvent {
 		c.readyQ = make([]qref, 0, p.IssueWidth*4)
@@ -386,16 +366,19 @@ func (c *Core) Done() uint64 { return c.Stats.Instrs }
 
 // ---------------------------------------------------------------------------
 
-// fqPush appends to the frontend ring.
-func (c *Core) fqPush(f fetched) {
-	c.fq[(c.fqHead+c.fqLen)%len(c.fq)] = f
-	c.fqLen++
-}
-
 // fqPop removes the oldest frontend entry.
 func (c *Core) fqPop() {
-	c.fqHead = (c.fqHead + 1) % len(c.fq)
+	c.fqHead = ringNext(c.fqHead, len(c.fq))
 	c.fqLen--
+}
+
+// ringNext advances a ring index of a ring of n slots; on the hot paths a
+// compare is much cheaper than the division of a modulo.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
 }
 
 // fqClear discards the whole frontend queue (wrong-path squash).
@@ -428,7 +411,7 @@ func (c *Core) commit() {
 				c.lastMap[e.dst] = regRef{}
 			}
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		c.head = ringNext(c.head, len(c.rob))
 		c.count--
 		c.Stats.Instrs++
 	}
@@ -514,25 +497,6 @@ func (c *Core) markIssued(e *robEntry, lat int) {
 // finish marks the entry executed (results bypassed to dependents via
 // doneAt comparisons).
 func (c *Core) finish(e *robEntry) { e.state = stDone }
-
-// stHash buckets a store line address into the counting filter.
-func stHash(la uint64) uint8 {
-	return uint8((la * 0x9E3779B97F4A7C15) >> 56)
-}
-
-// storeRingHas reports whether the line address matches a recently
-// dispatched store — the dispatch-time forwarding check.
-func (c *Core) storeRingHas(la uint64) bool {
-	if c.stCounts[stHash(la)] == 0 {
-		return false
-	}
-	for _, a := range c.storeAddrs {
-		if a == la {
-			return true
-		}
-	}
-	return false
-}
 
 // memLatency returns a load or store's completion latency from the
 // dispatch-time probe results. Shared by both kernels: the forwarding
@@ -623,12 +587,12 @@ func (c *Core) squashAfter(idx int, br *robEntry) {
 	if gate > c.fetchGate {
 		c.fetchGate = gate
 	}
-	// curFetchLine is deliberately left alone: the IL1 is touched once per
-	// line change of the trace stream, with no post-squash re-touch. A
-	// re-touch would fire at the (timing-dependent) run-ahead position and
-	// make the probe sequence diverge from the functional warmer's, which
-	// has no notion of run-ahead; the redirect's timing cost is fully
-	// carried by the fetch gate.
+	// The fetch-line register is deliberately left alone: the IL1 is
+	// touched once per line change of the trace stream, with no post-squash
+	// re-touch. A re-touch would fire at the (timing-dependent) run-ahead
+	// position and make the probe sequence diverge from the functional
+	// warmer's, which has no notion of run-ahead; the redirect's timing
+	// cost is fully carried by the fetch gate.
 }
 
 // dispatch moves instructions from the frontend queue into the ROB/IQ/LSQ,
@@ -637,7 +601,7 @@ func (c *Core) dispatch() {
 	p := &c.cfg.Core
 	slots := p.DispatchWidth
 	for slots > 0 && c.fqLen > 0 {
-		f := c.fq[c.fqHead]
+		f := &c.fq[c.fqHead]
 		if f.readyAt > c.now {
 			return
 		}
@@ -649,8 +613,7 @@ func (c *Core) dispatch() {
 			c.Stats.StallIQ++
 			return
 		}
-		in := f.in
-		switch in.Kind {
+		switch f.kind {
 		case trace.Load:
 			if c.lqCount >= p.LQSize {
 				c.Stats.StallLQ++
@@ -662,11 +625,11 @@ func (c *Core) dispatch() {
 				return
 			}
 		}
-		if in.Dst >= 0 && c.freePhys <= 0 {
+		if f.dst >= 0 && c.freePhys <= 0 {
 			c.Stats.StallRF++
 			return
 		}
-		if in.Complex {
+		if f.complex {
 			// The complex-decoder latency is charged in the frontend
 			// (fetch sets a later readyAt); here we only count the event.
 			c.Stats.ComplexOps++
@@ -676,34 +639,27 @@ func (c *Core) dispatch() {
 		// (see fetch); dispatch only copies their results onto the ROB entry.
 		c.Stats.RATLookups++
 		c.seq++
-		e := robEntry{
-			kind:     in.Kind,
-			state:    stWaiting,
-			dst:      in.Dst,
-			src1:     in.Src1,
-			src2:     in.Src2,
-			addr:     in.Addr,
-			pc:       in.PC,
-			taken:    in.Taken,
-			complex:  in.Complex,
-			mispred:  f.mispred,
-			btbMiss:  f.btbMiss,
-			fwd:      f.fwd,
-			memExtra: f.memExtra,
-			seq:      c.seq,
+		// The entry is written field by field in place: building a robEntry
+		// value and copying it into the slot costs a measurable share of
+		// dispatch. The event-kernel fields are set by registerDeps.
+		slot := c.tail
+		e := &c.rob[slot]
+		e.kind, e.state, e.doneAt, e.seq = f.kind, stWaiting, 0, c.seq
+		e.dst, e.src1, e.src2 = f.dst, f.src1, f.src2
+		e.mispred, e.btbMiss, e.fwd, e.memExtra = f.mispred, f.btbMiss, f.fwd, f.memExtra
+		e.prod1, e.prod2, e.prevMap = regRef{}, regRef{}, regRef{}
+		if f.src1 >= 0 {
+			e.prod1 = c.lastMap[f.src1]
 		}
-		if in.Src1 >= 0 {
-			e.prod1 = c.lastMap[in.Src1]
+		if f.src2 >= 0 {
+			e.prod2 = c.lastMap[f.src2]
 		}
-		if in.Src2 >= 0 {
-			e.prod2 = c.lastMap[in.Src2]
-		}
-		if in.Dst >= 0 {
+		if f.dst >= 0 {
 			c.freePhys--
-			e.prevMap = c.lastMap[in.Dst]
-			c.lastMap[in.Dst] = regRef{slot: int32(c.tail), seq: c.seq}
+			e.prevMap = c.lastMap[f.dst]
+			c.lastMap[f.dst] = regRef{slot: int32(slot), seq: c.seq}
 		}
-		switch in.Kind {
+		switch f.kind {
 		case trace.Load:
 			c.lqCount++
 		case trace.Store:
@@ -712,9 +668,7 @@ func (c *Core) dispatch() {
 		c.Stats.IQInserts++
 		c.Stats.ROBWrites++
 		c.iqCount++
-		slot := c.tail
-		c.rob[slot] = e
-		c.tail = (c.tail + 1) % len(c.rob)
+		c.tail = ringNext(c.tail, len(c.rob))
 		c.count++
 		c.fqPop()
 		slots--
@@ -722,24 +676,6 @@ func (c *Core) dispatch() {
 			c.registerDeps(slot)
 		}
 	}
-}
-
-// nextInst returns the next instruction of the stream, refilling the
-// prefill buffer in whole batches so the Source interface call (and any
-// packed-recording decode) is amortised over cap(instBuf) instructions.
-func (c *Core) nextInst() trace.Inst {
-	if c.instPos == len(c.instBuf) {
-		buf := c.instBuf[:cap(c.instBuf)]
-		n := c.src.NextBatch(buf)
-		if n <= 0 {
-			panic("uarch: trace source exhausted (sources must be infinite)")
-		}
-		c.instBuf = buf[:n]
-		c.instPos = 0
-	}
-	in := c.instBuf[c.instPos]
-	c.instPos++
-	return in
 }
 
 // fetch brings new instructions into the frontend queue, modelling the IL1
@@ -753,99 +689,99 @@ func (c *Core) nextInst() trace.Inst {
 // ring state — which is exactly what lets sampled simulation's functional
 // warmer (warmer.go) evolve that state identically while skipping the
 // backend: every trace instruction probes exactly once, in the same order,
-// in both modes. Instructions later squashed keep their probe side effects
-// (wrong-path work warms caches and trains predictors in real machines
-// too).
+// in both modes, through the same FunctionalWarmer.probe. Instructions
+// later squashed keep their probe side effects (wrong-path work warms
+// caches and trains predictors in real machines too). The same invariant
+// makes the probe outcomes a pure function of the stream and the cache,
+// predictor and store-ring geometry, so a tape-fed core reads them from a
+// shared recording (tape.go) instead of probing.
 func (c *Core) fetch() {
 	p := &c.cfg.Core
 	if c.now < c.fetchGate || c.fqLen >= 2*p.FetchWidth {
 		return
 	}
 	c.Stats.FetchGroups++
-	lineMask := ^uint64(uint64(p.IL1.LineBytes) - 1)
 	for i := 0; i < p.FetchWidth && c.fqLen < len(c.fq); i++ {
-		in := c.nextInst()
+		slot := c.fqHead + c.fqLen
+		if slot >= len(c.fq) {
+			slot -= len(c.fq)
+		}
+		f := &c.fq[slot]
+		var r probeResult
+		if c.tape != nil {
+			r = c.replayProbes(f)
+		} else {
+			in := c.fwd.next()
+			f.kind, f.dst, f.src1, f.src2, f.complex = in.Kind, in.Dst, in.Src1, in.Src2, in.Complex
+			r = c.fwd.probe(in)
+		}
+		c.fqLen++
 		c.Stats.Fetched++
-		c.Stats.KindCount[in.Kind]++
-		if line := in.PC & lineMask; line != c.curFetchLine {
-			c.curFetchLine = line
-			if extra := c.mem.FetchExtra(c.ID, in.PC); extra > 0 {
-				// Instruction miss: this group's tail is delayed.
-				c.fetchGate = c.now + int64(extra)
-				c.Stats.MemExtraFetch += uint64(extra)
-				if c.fillsOK {
-					c.fetchFills[fillClass(extra, c.latL2, c.latL3)]++
-				}
+		c.Stats.KindCount[f.kind]++
+		if r.fetchExtra > 0 {
+			// Instruction miss: this group's tail is delayed.
+			c.fetchGate = c.now + int64(r.fetchExtra)
+			c.Stats.MemExtraFetch += uint64(r.fetchExtra)
+			if c.fillsOK {
+				c.fetchFills[fillClass(int(r.fetchExtra), c.latL2, c.latL3)]++
 			}
 		}
-		readyAt := c.now + c.frontDepth
-		if in.Complex {
+		f.readyAt = c.now + c.frontDepth
+		if f.complex {
 			// Complex instructions pass through the complex decoder — one
 			// extra cycle when it lives in the slower top M3D layer
 			// (Section 4.1.2).
-			readyAt += int64(p.ComplexDecodeExtra)
+			f.readyAt += int64(p.ComplexDecodeExtra)
 		}
-		f := fetched{in: in, readyAt: readyAt}
-		switch in.Kind {
+		f.fwd = r.flags&probeFwd != 0
+		f.mispred = r.flags&probeMispred != 0
+		f.btbMiss = r.flags&probeBTBMiss != 0
+		f.memExtra = 0
+		switch f.kind {
 		case trace.Branch:
 			c.Stats.Branches++
-			predTaken, predTarget, btbHit := c.pred.Predict(in.PC)
-			f.mispred = predTaken != in.Taken ||
-				(in.Taken && btbHit && predTarget != in.Target)
-			f.btbMiss = in.Taken && !btbHit
 			if f.btbMiss {
 				c.Stats.BTBMisses++
+				c.Stats.PredSquashes++
 			}
 			if f.mispred {
 				c.Stats.PredSquashes++
 			}
-			if f.btbMiss {
-				c.Stats.PredSquashes++
-			}
-			c.pred.Update(in.PC, in.Taken, in.Target)
 		case trace.Load:
 			c.Stats.SQSearches++
-			if c.storeRingHas(in.Addr &^ 7) {
+			switch {
+			case f.fwd:
 				c.Stats.Forwards++
-				f.fwd = true
-			} else if extra := c.mem.DataExtra(c.ID, in.Addr, false); extra == 0 {
+			case r.dataExtra == 0:
 				c.Stats.LoadL1Hits++
-				c.dataMissRun = false
-			} else {
+			default:
 				c.Stats.LoadL1Misses++
-				c.Stats.MemExtraData += uint64(extra)
-				if c.fillsOK {
-					c.dataFills[fillClass(extra, c.latL2, c.latL3)]++
-				}
-				if !c.dataMissRun {
-					c.Stats.MissRuns++
-					c.dataMissRun = true
-				}
-				f.memExtra = int32(extra)
-			}
-		case trace.Store:
-			if old := c.storeAddrs[c.storeHead]; old != ^uint64(0) {
-				c.stCounts[stHash(old)]--
-			}
-			c.stCounts[stHash(in.Addr&^7)]++
-			c.storeAddrs[c.storeHead] = in.Addr &^ 7
-			c.storeHead = (c.storeHead + 1) % len(c.storeAddrs)
-			if extra := c.mem.DataExtra(c.ID, in.Addr, true); extra > 0 {
-				c.Stats.MemExtraData += uint64(extra)
-				if c.fillsOK {
-					c.dataFills[fillClass(extra, c.latL2, c.latL3)]++
-				}
-				if !c.dataMissRun {
-					c.Stats.MissRuns++
-					c.dataMissRun = true
-				}
-			} else {
-				c.dataMissRun = false
+				f.memExtra = r.dataExtra
 			}
 		}
-		c.fqPush(f)
-		if in.Kind == trace.Branch && in.Taken {
+		if r.flags&probeData != 0 {
+			c.dataProbe(r.dataExtra)
+		}
+		if r.flags&probeTaken != 0 {
 			break // taken branch ends the fetch group
 		}
+	}
+}
+
+// dataProbe accounts one data-cache probe's extra latency, with the
+// functional warmer's exact MissRuns accounting (see
+// FunctionalWarmer.dataProbe).
+func (c *Core) dataProbe(extra int32) {
+	if extra == 0 {
+		c.dataMissRun = false
+		return
+	}
+	c.Stats.MemExtraData += uint64(extra)
+	if c.fillsOK {
+		c.dataFills[fillClass(int(extra), c.latL2, c.latL3)]++
+	}
+	if !c.dataMissRun {
+		c.Stats.MissRuns++
+		c.dataMissRun = true
 	}
 }

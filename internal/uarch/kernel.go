@@ -21,7 +21,8 @@ const (
 	KernelReference
 )
 
-// String returns the kernel's flag spelling.
+// String returns the kernel's name, the spelling journal identities key
+// on.
 func (k Kernel) String() string {
 	switch k {
 	case KernelEvent:
@@ -30,21 +31,6 @@ func (k Kernel) String() string {
 		return "reference"
 	default:
 		return fmt.Sprintf("Kernel(%d)", uint8(k))
-	}
-}
-
-// KernelNames lists the accepted kernel flag values.
-func KernelNames() []string { return []string{"event", "reference"} }
-
-// ParseKernel maps a -kernel flag value to a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "event":
-		return KernelEvent, nil
-	case "reference":
-		return KernelReference, nil
-	default:
-		return KernelEvent, fmt.Errorf("unknown kernel %q (want event or reference)", s)
 	}
 }
 

@@ -345,7 +345,7 @@ func (c *Core) skipIdle() {
 				next = f.readyAt
 			}
 		} else {
-			stall = c.dispatchStall(&f.in)
+			stall = c.dispatchStall(f)
 			if stall == nil {
 				return // dispatch can make progress next cycle
 			}
@@ -377,7 +377,7 @@ func (c *Core) skipIdle() {
 // dispatchStall returns the stall counter dispatch would increment for the
 // decoded frontend head this cycle, replicating dispatch's check order, or
 // nil when the instruction can dispatch.
-func (c *Core) dispatchStall(in *trace.Inst) *uint64 {
+func (c *Core) dispatchStall(f *fetched) *uint64 {
 	p := &c.cfg.Core
 	if c.count >= p.ROBSize {
 		return &c.Stats.StallROB
@@ -385,7 +385,7 @@ func (c *Core) dispatchStall(in *trace.Inst) *uint64 {
 	if c.iqCount >= p.IQSize {
 		return &c.Stats.StallIQ
 	}
-	switch in.Kind {
+	switch f.kind {
 	case trace.Load:
 		if c.lqCount >= p.LQSize {
 			return &c.Stats.StallLQ
@@ -395,7 +395,7 @@ func (c *Core) dispatchStall(in *trace.Inst) *uint64 {
 			return &c.Stats.StallSQ
 		}
 	}
-	if in.Dst >= 0 && c.freePhys <= 0 {
+	if f.dst >= 0 && c.freePhys <= 0 {
 		return &c.Stats.StallRF
 	}
 	return nil

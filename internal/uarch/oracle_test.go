@@ -89,18 +89,23 @@ func TestOracleStepEquivalentToRun(t *testing.T) {
 	}
 }
 
-// TestOracleKernelRoundTrip covers the flag plumbing used by the binaries.
-func TestOracleKernelRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelEvent, KernelReference} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
-		}
+// TestKernelNames pins the kernel spellings journal identities key on, and
+// that an unknown kernel is refused.
+func TestKernelNames(t *testing.T) {
+	if KernelEvent.String() != "event" || KernelReference.String() != "reference" {
+		t.Errorf("kernel names = %q, %q; want event, reference", KernelEvent, KernelReference)
 	}
-	if _, err := ParseKernel("nope"); err == nil {
-		t.Error("ParseKernel must reject unknown names")
+	s := suite(t)
+	cfg := s.Configs[config.Base]
+	h, err := mem.NewHierarchy(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(KernelNames()) != 2 {
-		t.Errorf("KernelNames() = %v, want two kernels", KernelNames())
+	p, err := workload.ByName("Mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoreKernel(0, cfg, trace.NewGenerator(p, 1, 0), h, Kernel(9)); err == nil {
+		t.Error("NewCoreKernel accepted an unknown kernel")
 	}
 }

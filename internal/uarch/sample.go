@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -204,6 +205,9 @@ func (r SampleResult) OracleDeviation() float64 {
 func (c *Core) RunSampled(n uint64, sp SampleParams, onWindow func(begin bool)) (SampleResult, error) {
 	if err := sp.Validate(); err != nil {
 		return SampleResult{}, err
+	}
+	if c.fwd == nil {
+		return SampleResult{}, errors.New("uarch: a tape-fed core cannot run sampled")
 	}
 	res := SampleResult{Streamed: n}
 	var wins []winObs

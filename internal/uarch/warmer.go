@@ -18,8 +18,8 @@ import (
 // measured window.
 //
 // Per instruction the warmer performs exactly the probes the detailed
-// core's fetch stage makes (see Core.fetch — all cache, predictor and
-// forwarding-ring probes live there, in program order):
+// core's fetch stage makes — the detailed core makes them through its own
+// warmer's probe method (see Core.fetch), in program order:
 //
 //   - instruction fetch touches the IL1 once per new cache line, in stream
 //     order (the frontend's line-change check);
@@ -49,14 +49,20 @@ type FunctionalWarmer struct {
 	lineMask uint64
 	curLine  uint64
 
-	// Program-order mirror of the detailed store ring: the last SQSize
-	// store line addresses, used only to decide which loads would forward.
-	// stCounts is the same counting filter the core keeps over the ring
-	// (see Core.stCounts); a core-bound warmer aliases the core's array so
-	// both stay exact across the detailed/functional boundary.
+	// stAddrs is the store-forwarding ring: the line addresses of the last
+	// SQSize stores, program order, used only to decide which loads
+	// forward. The ring is stream state rather than pipeline state:
+	// records survive squashes and pipeline resets (squashed stores leave
+	// stale records), which is exactly what lets detailed and functional
+	// execution share it. stCounts is a counting filter over the ring's
+	// hashed line addresses: a zero bucket proves the address is absent, so
+	// the forwarding check skips the ring scan for the common no-forward
+	// case. Counts are exact (every insert increments, every overwrite
+	// decrements), so a positive bucket only means "maybe" and the scan
+	// still decides.
 	stAddrs  []uint64
 	stHead   int
-	stCounts *[256]uint8
+	stCounts [256]uint8
 
 	// dataMissRun mirrors Core.dataMissRun — whether the previous data
 	// probe missed — so WarmObs.MissRuns continues the detailed
@@ -179,11 +185,10 @@ func (w *FunctionalWarmer) TakeObs() WarmObs {
 	return o
 }
 
-// NewFunctionalWarmer builds a standalone warmer over the given stream and
-// backend. A warmer that must share a detailed core's stream position and
-// predictor is obtained from Core.warmer instead (Core.FastForward uses
-// it); the standalone form exists for warming a hierarchy before any core
-// is built and for tests.
+// NewFunctionalWarmer builds a warmer over the given stream and backend.
+// Every inline core owns one (NewCoreKernel), which probes for its fetch
+// stage and fast-forwards it; a standalone warmer builds warm ladders and
+// probe tapes, or warms a hierarchy before any core is built.
 func NewFunctionalWarmer(id int, cfg config.Config, src trace.Source, backend mem.Backend) (*FunctionalWarmer, error) {
 	if src == nil || backend == nil {
 		return nil, errors.New("uarch: nil instruction source or memory backend")
@@ -198,27 +203,31 @@ func NewFunctionalWarmer(id int, cfg config.Config, src trace.Source, backend me
 		pred:     NewPredictor(p),
 		lineMask: ^uint64(uint64(p.IL1.LineBytes) - 1),
 		stAddrs:  make([]uint64, p.SQSize),
-		stCounts: new([256]uint8),
 		buf:      make([]trace.Inst, 0, max(8*p.FetchWidth, 64)),
 	}
 	if hier != nil {
 		e2, e3, ed := hier.FillLatencies()
-		if e2 > 0 && e3 > e2 && ed > e3 {
-			w.latL2, w.latL3, w.fillsOK = e2, e3, true
-		}
+		w.latL2, w.latL3, w.fillsOK = e2, e3, classifiable(e2, e3, ed)
 	}
-	w.stClear()
-	return w, nil
-}
-
-// stClear empties the forwarding ring (sentinel addresses never match a
-// load's aligned address, which always has the low bit of bit 3+ patterns).
-func (w *FunctionalWarmer) stClear() {
+	// Sentinel-fill the store ring: a zero entry would spuriously match a
+	// load in the first data page, while the sentinel never equals an
+	// 8-byte-aligned address.
 	for i := range w.stAddrs {
 		w.stAddrs[i] = ^uint64(0)
 	}
-	w.stHead = 0
-	*w.stCounts = [256]uint8{}
+	return w, nil
+}
+
+// classifiable reports whether three fill latencies identify their fill
+// level unambiguously: positive and strictly increasing, which every
+// derived configuration satisfies.
+func classifiable(l2, l3, dram int) bool {
+	return l2 > 0 && l3 > l2 && dram > l3
+}
+
+// stHash buckets a store line address into the counting filter.
+func stHash(la uint64) uint8 {
+	return uint8((la * 0x9E3779B97F4A7C15) >> 56)
 }
 
 // wouldForward reports whether a load at the given 8-byte-aligned address
@@ -350,8 +359,12 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 	}
 }
 
-// step processes one instruction functionally.
-func (w *FunctionalWarmer) step() {
+// next returns the stream's next instruction, refilling the prefill
+// buffer in whole batches so the Source interface call (and any
+// packed-recording decode) is amortised over cap(buf) instructions. The
+// stream has no feedback from the core, so prefilling ahead of fetch is
+// unobservable. The pointer is valid until the next refill.
+func (w *FunctionalWarmer) next() *trace.Inst {
 	if w.pos == len(w.buf) {
 		buf := w.buf[:cap(w.buf)]
 		k := w.src.NextBatch(buf)
@@ -363,37 +376,91 @@ func (w *FunctionalWarmer) step() {
 	}
 	in := &w.buf[w.pos]
 	w.pos++
+	return in
+}
 
-	w.obs.Instrs++
+// probeResult is what the fetch-stage probes of one trace instruction
+// observed: the extra latencies the hierarchy returned for the IL1 line
+// change and the data access (0 on a hit or when there was no probe), and
+// the probe* flags.
+type probeResult struct {
+	fetchExtra, dataExtra int32
+	flags                 uint8
+}
+
+// probeResult flags: the IL1 was probed (a new fetch line), a data access
+// was made, a load forwarded from the store ring, a branch was
+// mispredicted or missed the BTB, and a branch was taken (which ends a
+// fetch group).
+const (
+	probeLine = 1 << iota
+	probeData
+	probeFwd
+	probeMispred
+	probeBTBMiss
+	probeTaken
+)
+
+// probe makes one trace instruction's cache, predictor and store-ring
+// probes, in the detailed fetch stage's order, and returns what they
+// observed. It is the single implementation behind the detailed fetch
+// stage (Core.fetch), functional stepping and probe-tape recording
+// (tape.go); warmLanes restates it over packed lanes.
+func (w *FunctionalWarmer) probe(in *trace.Inst) (r probeResult) {
 	if line := in.PC & w.lineMask; line != w.curLine {
 		w.curLine = line
-		if extra := w.fetchExtra(in.PC); extra > 0 {
-			w.obs.ExtraFetch += uint64(extra)
-			if w.fillsOK {
-				w.obs.FetchFills[fillClass(extra, w.latL2, w.latL3)]++
-			}
-		}
+		r.flags |= probeLine
+		r.fetchExtra = int32(w.fetchExtra(in.PC))
 	}
 	switch in.Kind {
 	case trace.Branch:
 		predTaken, predTarget, btbHit := w.pred.Predict(in.PC)
-		mispred := predTaken != in.Taken || (in.Taken && btbHit && predTarget != in.Target)
-		btbMiss := in.Taken && !btbHit
+		if predTaken != in.Taken || (in.Taken && btbHit && predTarget != in.Target) {
+			r.flags |= probeMispred
+		}
+		if in.Taken {
+			r.flags |= probeTaken
+			if !btbHit {
+				r.flags |= probeBTBMiss
+			}
+		}
 		w.pred.Update(in.PC, in.Taken, in.Target)
-		if mispred {
-			w.obs.Mispredicts++
-		}
-		if btbMiss {
-			w.obs.Mispredicts++
-		}
 	case trace.Load:
-		if !w.wouldForward(in.Addr &^ 7) {
-			w.dataProbe(w.dataExtra(in.Addr, false))
+		if w.wouldForward(in.Addr &^ 7) {
+			r.flags |= probeFwd
+		} else {
+			r.flags |= probeData
+			r.dataExtra = int32(w.dataExtra(in.Addr, false))
 		}
 	case trace.Store:
 		w.stPush(in.Addr &^ 7)
-		w.dataProbe(w.dataExtra(in.Addr, true))
-	case trace.Div, trace.FPDiv:
+		r.flags |= probeData
+		r.dataExtra = int32(w.dataExtra(in.Addr, true))
+	}
+	return r
+}
+
+// step processes one instruction functionally.
+func (w *FunctionalWarmer) step() {
+	in := w.next()
+	r := w.probe(in)
+	w.obs.Instrs++
+	if r.fetchExtra > 0 {
+		w.obs.ExtraFetch += uint64(r.fetchExtra)
+		if w.fillsOK {
+			w.obs.FetchFills[fillClass(int(r.fetchExtra), w.latL2, w.latL3)]++
+		}
+	}
+	if r.flags&probeMispred != 0 {
+		w.obs.Mispredicts++
+	}
+	if r.flags&probeBTBMiss != 0 {
+		w.obs.Mispredicts++
+	}
+	if r.flags&probeData != 0 {
+		w.dataProbe(int(r.dataExtra))
+	}
+	if in.Kind == trace.Div || in.Kind == trace.FPDiv {
 		w.obs.LongOps++
 	}
 }
@@ -431,39 +498,16 @@ func (w *FunctionalWarmer) dataProbe(extra int) {
 	}
 }
 
-// warmer returns a functional warmer bound to the core's own stream,
-// backend, predictor and prefill buffer, so fast-forwarded instructions
-// come from exactly where the detailed frontend stopped and predictor
-// warmth carries over into the next detailed phase. The returned value is
-// cached on the core; FastForward is the public entry point.
+// warmer returns the core's functional warmer — the holder of its
+// stream position, predictor, store ring and fetch-line register — with
+// the data miss-run flag handed over, so fast-forwarded instructions come
+// from exactly where the detailed frontend stopped and the stream state
+// carries over in both directions. A tape-fed core has no warmer: its
+// probes were made when the tape was recorded.
 func (c *Core) warmer() *FunctionalWarmer {
 	if c.fwd == nil {
-		hier, _ := c.mem.(*mem.Hierarchy)
-		c.fwd = &FunctionalWarmer{
-			id:       c.ID,
-			src:      c.src,
-			mem:      c.mem,
-			hier:     hier,
-			pred:     c.pred,
-			lineMask: ^uint64(uint64(c.cfg.Core.IL1.LineBytes) - 1),
-			// Alias the core's own store ring and counting filter (same
-			// backing arrays) so the program-order forwarding history is
-			// continuous across the detailed/functional boundary in both
-			// directions.
-			stAddrs:  c.storeAddrs,
-			stCounts: &c.stCounts,
-			latL2:    c.latL2,
-			latL3:    c.latL3,
-			fillsOK:  c.fillsOK,
-		}
+		panic("uarch: a tape-fed core cannot fast-forward")
 	}
-	// Adopt the core's prefill buffer position: instructions the frontend
-	// batched but has not yet fetched belong to the stream's future and
-	// must be warmed, not skipped. Likewise the store-ring head.
-	c.fwd.buf = c.instBuf
-	c.fwd.pos = c.instPos
-	c.fwd.curLine = c.curFetchLine
-	c.fwd.stHead = c.storeHead
 	c.fwd.dataMissRun = c.dataMissRun
 	return c.fwd
 }
@@ -503,11 +547,6 @@ func (c *Core) FastForwardLocal(n uint64) {
 	c.resetPipeline()
 	w := c.warmer()
 	w.Warm(n)
-	// Hand the (possibly refilled) buffer position back to the frontend.
-	c.instBuf = w.buf
-	c.instPos = w.pos
-	c.curFetchLine = w.curLine
-	c.storeHead = w.stHead
 	c.dataMissRun = w.dataMissRun
 	c.ffInstrs += n
 }

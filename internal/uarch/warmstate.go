@@ -135,7 +135,7 @@ func (w *FunctionalWarmer) Snapshot() (*WarmState, error) {
 			Pred:        w.pred.State(),
 			StoreAddrs:  append([]uint64(nil), w.stAddrs...),
 			StoreHead:   w.stHead,
-			StoreCounts: *w.stCounts,
+			StoreCounts: w.stCounts,
 			CurLine:     w.curLine,
 			DataMissRun: w.dataMissRun,
 		},
@@ -168,7 +168,7 @@ func (w *FunctionalWarmer) Restore(s *WarmState) error {
 	w.pred.applyState(&s.Core.Pred)
 	copy(w.stAddrs, s.Core.StoreAddrs)
 	w.stHead = s.Core.StoreHead
-	*w.stCounts = s.Core.StoreCounts
+	w.stCounts = s.Core.StoreCounts
 	w.curLine = s.Core.CurLine
 	w.dataMissRun = s.Core.DataMissRun
 	w.buf = w.buf[:0]
@@ -177,16 +177,34 @@ func (w *FunctionalWarmer) Restore(s *WarmState) error {
 	return nil
 }
 
+// replayer returns the core's stream when it is a replayer.
+func (c *Core) replayer() (*trace.Replayer, bool) {
+	if c.fwd == nil {
+		return nil, false
+	}
+	rp, ok := c.fwd.src.(*trace.Replayer)
+	return rp, ok
+}
+
+// hierarchy returns the core's memory backend when it is a single-core
+// hierarchy.
+func (c *Core) hierarchy() (*mem.Hierarchy, bool) {
+	if c.fwd == nil || c.fwd.hier == nil {
+		return nil, false
+	}
+	return c.fwd.hier, true
+}
+
 // StreamPos returns the core's logical stream position — the number of
 // trace instructions consumed by fetch or fast-forward, exclusive of
 // batched-ahead buffer entries — when the source is a replayer. Streams
 // without random access (generators) report ok=false.
 func (c *Core) StreamPos() (pos uint64, ok bool) {
-	rp, ok := c.src.(*trace.Replayer)
+	rp, ok := c.replayer()
 	if !ok {
 		return 0, false
 	}
-	return uint64(rp.Pos() - (len(c.instBuf) - c.instPos)), true
+	return uint64(rp.Pos() - (len(c.fwd.buf) - c.fwd.pos)), true
 }
 
 // StreamCounters returns the cumulative functional observables of every
@@ -247,7 +265,7 @@ func (c *Core) FillsSupported() bool { return c.fillsOK }
 // of a skipped stretch with these values to reconstruct the exact
 // ExtraFetch/ExtraData sums this cell's own warming would have produced.
 func (c *Core) FillLatencies() (l2, l3, dram int, ok bool) {
-	h, hok := c.mem.(*mem.Hierarchy)
+	h, hok := c.hierarchy()
 	if !hok || !c.fillsOK {
 		return 0, 0, 0, false
 	}
@@ -258,13 +276,14 @@ func (c *Core) FillLatencies() (l2, l3, dram int, ok bool) {
 // snapshotCoreWarm captures the core-side functional state at the given
 // stream position.
 func (c *Core) snapshotCoreWarm(pos uint64) CoreWarmState {
+	w := c.fwd
 	return CoreWarmState{
 		Pos:         pos,
-		Pred:        c.pred.State(),
-		StoreAddrs:  append([]uint64(nil), c.storeAddrs...),
-		StoreHead:   c.storeHead,
-		StoreCounts: c.stCounts,
-		CurLine:     c.curFetchLine,
+		Pred:        w.pred.State(),
+		StoreAddrs:  append([]uint64(nil), w.stAddrs...),
+		StoreHead:   w.stHead,
+		StoreCounts: w.stCounts,
+		CurLine:     w.curLine,
 		DataMissRun: c.dataMissRun,
 	}
 }
@@ -286,14 +305,15 @@ func (c *Core) SnapshotCoreWarm() (*CoreWarmState, error) {
 // validated ring size and predictor geometry.
 func (c *Core) applyCoreWarm(s *CoreWarmState, rp *trace.Replayer) {
 	c.resetPipeline()
-	c.pred.applyState(&s.Pred)
-	copy(c.storeAddrs, s.StoreAddrs)
-	c.storeHead = s.StoreHead
-	c.stCounts = s.StoreCounts
-	c.curFetchLine = s.CurLine
+	w := c.fwd
+	w.pred.applyState(&s.Pred)
+	copy(w.stAddrs, s.StoreAddrs)
+	w.stHead = s.StoreHead
+	w.stCounts = s.StoreCounts
+	w.curLine = s.CurLine
 	c.dataMissRun = s.DataMissRun
-	c.instBuf = c.instBuf[:0]
-	c.instPos = 0
+	w.buf = w.buf[:0]
+	w.pos = 0
 	rp.Seek(int(s.Pos))
 }
 
@@ -304,15 +324,15 @@ func (c *Core) applyCoreWarm(s *CoreWarmState, rp *trace.Replayer) {
 // Timing state — clock, Stats, fetch gate — is preserved, exactly as a
 // plain FastForward would preserve it.
 func (c *Core) RestoreCoreWarm(s *CoreWarmState) error {
-	rp, ok := c.src.(*trace.Replayer)
+	rp, ok := c.replayer()
 	if !ok {
 		return errors.New("uarch: warm restore requires a replayer-backed stream")
 	}
-	if len(s.StoreAddrs) != len(c.storeAddrs) {
+	if len(s.StoreAddrs) != len(c.fwd.stAddrs) {
 		return fmt.Errorf("uarch: snapshot store ring size %d does not match %d",
-			len(s.StoreAddrs), len(c.storeAddrs))
+			len(s.StoreAddrs), len(c.fwd.stAddrs))
 	}
-	if err := c.pred.compatibleState(&s.Pred); err != nil {
+	if err := c.fwd.pred.compatibleState(&s.Pred); err != nil {
 		return err
 	}
 	c.applyCoreWarm(s, rp)
@@ -323,7 +343,7 @@ func (c *Core) RestoreCoreWarm(s *CoreWarmState) error {
 // hierarchy at the current stream position — the full equivalent of a
 // builder checkpoint, taken from a live core.
 func (c *Core) SnapshotWarm() (*WarmState, error) {
-	h, ok := c.mem.(*mem.Hierarchy)
+	h, ok := c.hierarchy()
 	if !ok {
 		return nil, errors.New("uarch: warm snapshot requires a single-core hierarchy")
 	}
@@ -339,19 +359,19 @@ func (c *Core) SnapshotWarm() (*WarmState, error) {
 // any. On success the core stands at the snapshot's stream position with an
 // empty pipeline, exactly as if it had fast-forwarded there itself.
 func (c *Core) RestoreWarm(s *WarmState) error {
-	h, ok := c.mem.(*mem.Hierarchy)
+	h, ok := c.hierarchy()
 	if !ok {
 		return errors.New("uarch: warm restore requires a single-core hierarchy")
 	}
-	rp, ok := c.src.(*trace.Replayer)
+	rp, ok := c.replayer()
 	if !ok {
 		return errors.New("uarch: warm restore requires a replayer-backed stream")
 	}
-	if len(s.Core.StoreAddrs) != len(c.storeAddrs) {
+	if len(s.Core.StoreAddrs) != len(c.fwd.stAddrs) {
 		return fmt.Errorf("uarch: snapshot store ring size %d does not match %d",
-			len(s.Core.StoreAddrs), len(c.storeAddrs))
+			len(s.Core.StoreAddrs), len(c.fwd.stAddrs))
 	}
-	if err := c.pred.compatibleState(&s.Core.Pred); err != nil {
+	if err := c.fwd.pred.compatibleState(&s.Core.Pred); err != nil {
 		return err
 	}
 	if err := h.SetState(s.Mem); err != nil {

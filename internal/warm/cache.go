@@ -82,13 +82,14 @@ func Stats() Counters {
 	}
 }
 
-// ResetCache drops every cached ladder and multicore snapshot,
+// ResetCache drops every cached ladder, multicore snapshot and probe tape,
 // process-lifetime entries included, and zeroes the counters. Tests and
 // benchmarks use it to measure cold-versus-warm sweeps in one process;
 // sweeps need not, since their entries leave when they return.
 func ResetCache() {
 	ladders.Reset()
 	mcSnaps.Reset()
+	tapes.Reset()
 	counters.hits.Store(0)
 	counters.misses.Store(0)
 	counters.builtInstrs.Store(0)
