@@ -10,6 +10,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/guard/faultinject"
+	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/warm"
 )
@@ -61,6 +62,14 @@ func postSweepHeaders(t *testing.T, base string, req sweepRequest, hdr map[strin
 
 func seedPtr(v int64) *int64 { return &v }
 
+// modeName names a subtest by its sweeps' simulation mode.
+func modeName(sample bool) string {
+	if sample {
+		return "sampled"
+	}
+	return "full"
+}
+
 // TestResidentCachesReleasedPerJob runs distinct-seed jobs through every
 // sweep entry point and every way a sweep returns — success, a failed
 // cell under fail-fast, a panicking cell under keep-going, an expired
@@ -75,27 +84,36 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{faultHook: in.Hook()})
 
 	deadline := map[string]string{deadlineHeader: "300ms"}
+	// taped jobs run full-mode single-core cells, which build probe tapes
+	// and record no trace; the others record their streams.
 	cases := []struct {
 		name  string
 		req   sweepRequest
 		hdr   map[string]string
 		state string
+		taped bool
 	}{
-		{"fig6", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(101)}, nil, "done"},
-		{"fig6-sample", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(102), Sample: true}, nil, "done"},
-		{"fig9", sweepRequest{Experiment: "fig9", Benchmarks: []string{"Fft"}, Seed: seedPtr(103)}, nil, "done"},
-		{"lpstudy", sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(104)}, nil, "done"},
-		{"failed", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Gobmk"}, Seed: seedPtr(105)}, nil, "failed"},
-		{"keep-going", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Gobmk"}, Seed: seedPtr(106), KeepGoing: true}, nil, "done"},
-		{"deadline", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Hmmer"}, Seed: seedPtr(107)}, deadline, "failed"},
+		{"fig6", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(101)}, nil, "done", true},
+		{"fig6-sample", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(102), Sample: true}, nil, "done", false},
+		{"fig9", sweepRequest{Experiment: "fig9", Benchmarks: []string{"Fft"}, Seed: seedPtr(103)}, nil, "done", false},
+		{"lpstudy", sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(104)}, nil, "done", true},
+		{"failed", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Gobmk"}, Seed: seedPtr(105)}, nil, "failed", true},
+		{"keep-going", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Gobmk"}, Seed: seedPtr(106), KeepGoing: true}, nil, "done", true},
+		{"deadline", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Hmmer"}, Seed: seedPtr(107)}, deadline, "failed", true},
 	}
 	for _, c := range cases {
-		misses := trace.CacheStats().Misses
+		misses, tapes := trace.CacheStats().Misses, warm.TapeBuilds()
 		v := waitTerminal(t, ts.URL, postSweepHeaders(t, ts.URL, c.req, c.hdr))
 		if v.State != c.state {
 			t.Fatalf("%s: job %s (%s), want %s", c.name, v.State, v.Error, c.state)
 		}
-		if trace.CacheStats().Misses == misses {
+		recorded, taped := trace.CacheStats().Misses-misses, warm.TapeBuilds()-tapes
+		switch {
+		case c.taped && taped == 0:
+			t.Errorf("%s: the job built no probe tape; the check below would be vacuous", c.name)
+		case c.taped && recorded != 0:
+			t.Errorf("%s: the full-mode job recorded %d trace(s), want none", c.name, recorded)
+		case !c.taped && recorded == 0:
 			t.Errorf("%s: the job recorded no trace; the check below would be vacuous", c.name)
 		}
 		if r := statszResident(t, ts.URL); r != (residentView{}) {
@@ -105,86 +123,142 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 }
 
 // TestResidentCachesReleasedOnShutdown cancels a running sweep by shutting
-// the daemon down: the interrupted sweep releases its entries too.
+// the daemon down: the interrupted sweep releases its entries too. A
+// running full-mode job holds probe tapes and no recording; a running
+// sampled job holds its recording.
 func TestResidentCachesReleasedOnShutdown(t *testing.T) {
-	resetResident(t)
-	in := faultinject.New()
-	in.SlowAt(500*time.Millisecond, faultinject.Key("Mcf", config.TSV3D.String()))
-	ctx, cancel := context.WithCancel(context.Background())
-	s := newServer(ctx, serverConfig{Quick: true, Workers: 2, Logf: t.Logf, faultHook: in.Hook()})
-	ts := httptest.NewServer(s.routes())
-	t.Cleanup(func() {
-		ts.Close()
-		cancel()
-		s.wait()
-	})
+	for _, sample := range []bool{false, true} {
+		t.Run(modeName(sample), func(t *testing.T) {
+			resetResident(t)
+			in := faultinject.New()
+			in.SlowAt(500*time.Millisecond, faultinject.Key("Mcf", config.TSV3D.String()))
+			ctx, cancel := context.WithCancel(context.Background())
+			s := newServer(ctx, serverConfig{Quick: true, Workers: 2, Logf: t.Logf, faultHook: in.Hook()})
+			ts := httptest.NewServer(s.routes())
+			t.Cleanup(func() {
+				ts.Close()
+				cancel()
+				s.wait()
+			})
 
-	// The slow cell holds the sweep open while the other worker records
-	// the stream and its probe tape.
-	postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(111)})
-	deadline := time.Now().Add(30 * time.Second)
-	for r := resident(); in.Fired(faultinject.Key("Mcf", config.TSV3D.String())) == 0 || r.TraceRecordings == 0 || r.ProbeTapes == 0 || r.ProbeTapeBytes == 0; r = resident() {
-		if time.Now().After(deadline) {
-			t.Fatal("the sweep never recorded its stream and probe tape while its slow cell ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	s.wait()
-	if r := resident(); r != (residentView{}) {
-		t.Errorf("resident after shutdown = %+v, want all zero", r)
+			// The slow cell holds the sweep open while the other worker
+			// builds the profile's probe tape, or records its stream.
+			postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(111), Sample: sample})
+			held := func(r residentView) bool {
+				if sample {
+					return r.TraceRecordings > 0 && r.TraceBytes > 0
+				}
+				return r.ProbeTapes > 0 && r.ProbeTapeBytes > 0
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			r := statszResident(t, ts.URL)
+			for ; in.Fired(faultinject.Key("Mcf", config.TSV3D.String())) == 0 || !held(r); r = statszResident(t, ts.URL) {
+				if time.Now().After(deadline) {
+					t.Fatal("the sweep never built its shared entries while its slow cell ran")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !sample && (r.TraceRecordings != 0 || r.TraceBytes != 0) {
+				t.Errorf("a running full-mode job holds %d recording(s) of %d bytes, want none", r.TraceRecordings, r.TraceBytes)
+			}
+			cancel()
+			s.wait()
+			if r := resident(); r != (residentView{}) {
+				t.Errorf("resident after shutdown = %+v, want all zero", r)
+			}
+		})
 	}
 }
 
 // TestConcurrentJobsShareResidentRecording runs jobs over one stream at
-// once. The stream is recorded once, and its entry stays until the later
-// job ends: an lpstudy job blocked in its last cell keeps the recording a
-// fig6 job over the same profile and seed started and finished on.
+// once. Full-mode jobs share one probe tape per geometry and record no
+// trace; sampled jobs record the stream once. Either way the shared entry
+// stays until the later job ends: an lpstudy job blocked in its last cell
+// keeps the tapes or recording a fig6 job over the same profile and seed
+// started and finished on.
 func TestConcurrentJobsShareResidentRecording(t *testing.T) {
-	resetResident(t)
-	gate := make(chan struct{})
-	hook := func(bench, design string) {
-		if design == config.M3DHetLP.String() {
-			<-gate
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	geoms := func(designs ...config.Design) map[warm.Geometry]bool {
+		m := map[warm.Geometry]bool{}
+		for _, d := range designs {
+			m[warm.GeometryOf(suite.Configs[d])] = true
 		}
+		return m
 	}
-	_, ts := newTestServer(t, serverConfig{MaxSweeps: 2, faultHook: hook})
+	fig6Geoms := geoms(config.SingleCoreDesigns()...)
+	lpGeoms := geoms(config.Base, config.M3DHet, config.M3DHetLP)
+	both := geoms(append(config.SingleCoreDesigns(), config.M3DHetLP)...)
 
-	// Two identical jobs at once: one recording between them.
-	same := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(201)}
-	a, b := postSweep(t, ts.URL, same), postSweep(t, ts.URL, same)
-	waitDone(t, ts.URL, a)
-	waitDone(t, ts.URL, b)
-	if st := trace.CacheStats(); st.Misses != 1 {
-		t.Fatalf("two identical jobs: %d recordings, want 1", st.Misses)
-	}
-	if r := statszResident(t, ts.URL); r != (residentView{}) {
-		t.Fatalf("resident after both jobs = %+v, want all zero", r)
-	}
+	for _, sample := range []bool{false, true} {
+		t.Run(modeName(sample), func(t *testing.T) {
+			resetResident(t)
+			gate := make(chan struct{})
+			hook := func(bench, design string) {
+				if design == config.M3DHetLP.String() {
+					<-gate
+				}
+			}
+			_, ts := newTestServer(t, serverConfig{MaxSweeps: 2, faultHook: hook})
+			// shared checks the builds so far: tapes full-mode jobs built
+			// and recordings any job made.
+			shared := func(when string, tapes, recs uint64) {
+				t.Helper()
+				if n := warm.TapeBuilds(); n != tapes {
+					t.Errorf("%s: %d probe tape(s) built, want %d", when, n, tapes)
+				}
+				if n := trace.CacheStats().Misses; n != recs {
+					t.Errorf("%s: %d recording(s), want %d", when, n, recs)
+				}
+			}
+			pick := func(tapes, recs uint64) (uint64, uint64) {
+				if sample {
+					return 0, recs
+				}
+				return tapes, 0
+			}
 
-	// The lpstudy job records the stream, then blocks in its M3D-Het-LP
-	// cell; the fig6 job replays the held recording and finishes first.
-	trace.ResetCache()
-	lp := postSweep(t, ts.URL, sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202), Workers: 1})
-	deadline := time.Now().Add(30 * time.Second)
-	for trace.CacheStats().Misses == 0 {
-		if time.Now().After(deadline) {
+			// Two identical jobs at once: one set of entries between them.
+			same := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(201), Sample: sample}
+			a, b := postSweep(t, ts.URL, same), postSweep(t, ts.URL, same)
+			waitDone(t, ts.URL, a)
+			waitDone(t, ts.URL, b)
+			tapes, recs := pick(uint64(len(fig6Geoms)), 1)
+			shared("two identical jobs", tapes, recs)
+			if r := statszResident(t, ts.URL); r != (residentView{}) {
+				t.Fatalf("resident after both jobs = %+v, want all zero", r)
+			}
+
+			// The lpstudy job builds its entries, then blocks in its
+			// M3D-Het-LP cell; the fig6 job replays the held entries and
+			// finishes first.
+			trace.ResetCache()
+			warm.ResetCache()
+			lp := postSweep(t, ts.URL, sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202), Workers: 1, Sample: sample})
+			deadline := time.Now().Add(30 * time.Second)
+			for trace.CacheStats().Misses+warm.TapeBuilds() == 0 {
+				if time.Now().After(deadline) {
+					close(gate)
+					t.Fatal("the lpstudy job never built its shared entries")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			waitDone(t, ts.URL, postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202), Sample: sample}))
+			r := statszResident(t, ts.URL)
 			close(gate)
-			t.Fatal("the lpstudy job never recorded its stream")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	waitDone(t, ts.URL, postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202)}))
-	r := statszResident(t, ts.URL)
-	close(gate)
-	if st := trace.CacheStats(); st.Misses != 1 {
-		t.Errorf("overlapping jobs: %d recordings, want 1", st.Misses)
-	}
-	if r.TraceRecordings != 1 {
-		t.Errorf("after the first job ended: %d resident recording(s), want 1 (held by the running job)", r.TraceRecordings)
-	}
-	waitDone(t, ts.URL, lp)
-	if r := statszResident(t, ts.URL); r != (residentView{}) {
-		t.Errorf("resident after both jobs = %+v, want all zero", r)
+			tapes, recs = pick(uint64(len(both)), 1)
+			shared("overlapping jobs", tapes, recs)
+			wantTapes, wantRecs := pick(uint64(len(lpGeoms)), 1)
+			if uint64(r.ProbeTapes) != wantTapes || uint64(r.TraceRecordings) != wantRecs {
+				t.Errorf("after the first job ended: %d resident tape(s) and %d recording(s), want %d and %d (held by the running job)",
+					r.ProbeTapes, r.TraceRecordings, wantTapes, wantRecs)
+			}
+			waitDone(t, ts.URL, lp)
+			if r := statszResident(t, ts.URL); r != (residentView{}) {
+				t.Errorf("resident after both jobs = %+v, want all zero", r)
+			}
+		})
 	}
 }

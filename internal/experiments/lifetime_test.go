@@ -45,7 +45,8 @@ func requireEmpty(t *testing.T, when string) {
 // the trace and warm registries: every entry point keeps its recordings,
 // ladders and multicore snapshots resident while its cells run — each
 // stream recorded once — and releases them when it returns, on success
-// and on failure. A recording made outside any sweep stays.
+// and on failure. A full-mode sweep keeps no recording resident at all,
+// and a recording made outside any sweep stays.
 func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	trace.ResetCache()
 	warm.ResetCache()
@@ -90,7 +91,8 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	requireEmpty(t, "after LPStudy")
 
-	// Full-mode cells replay probe tapes, which leave with the sweep.
+	// Full-mode cells replay probe tapes, which leave with the sweep. The
+	// tapes generate their streams, so no cell sees a recording resident.
 	var pf residentPeak
 	fullOpt := lopt
 	fullOpt.CellHook = pf.hook
@@ -99,6 +101,9 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	if pf.tapes == 0 {
 		t.Error("full-mode Fig6 cells saw no probe tape resident")
+	}
+	if pf.recs != 0 {
+		t.Errorf("full-mode Fig6 cells saw %d recording(s) resident, want none", pf.recs)
 	}
 	requireEmpty(t, "after a full-mode Fig6")
 
@@ -132,11 +137,12 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	requireEmpty(t, "after a failed Fig6")
 
 	// A recording made outside any sweep outlives the sweeps that share it.
-	pinned := trace.SharedRecording(profiles[0], lopt.Seed, lopt.StreamID, 1_000)
-	if _, err := Fig6WithDesigns(s, profiles[:1], []config.Design{config.Base}, lopt); err != nil {
+	sopt := sampledOracleOptions()
+	pinned := trace.SharedRecording(profiles[0], sopt.Seed, sopt.StreamID, 1_000)
+	if _, err := Fig6WithDesigns(s, profiles[:1], []config.Design{config.Base}, sopt); err != nil {
 		t.Fatal(err)
 	}
-	if n := trace.CachedRecordings(); n != 1 || trace.SharedRecording(profiles[0], lopt.Seed, lopt.StreamID, 1_000) != pinned {
+	if n := trace.CachedRecordings(); n != 1 || trace.SharedRecording(profiles[0], sopt.Seed, sopt.StreamID, 1_000) != pinned {
 		t.Errorf("the unscoped recording left the cache (%d resident)", n)
 	}
 }

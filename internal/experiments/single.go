@@ -268,30 +268,37 @@ func (opt RunOptions) traceHint() int {
 // cells replay and bind to (see traceSource, fullCore and
 // runSingleSampled), and returns the release that drops them. Entries the
 // sweep was the last to hold leave the process-wide caches when it
-// returns.
+// returns. A profile's recording is held only when a cell reads it:
+// sampled cells and their full-simulation fallback, and full-simulation
+// cells that cannot replay a tape. Taped cells generate their stream.
 func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
 	var rs registry.Releases
 	for _, prof := range profiles {
-		rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
+		recorded := opt.Sample
 		for _, d := range designs {
-			geom := warm.GeometryOf(suite.Configs[d])
+			cfg := suite.Configs[d]
 			switch {
+			case opt.replaysTape(cfg):
+				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
+					Prof:   prof,
+					Seed:   opt.Seed,
+					Stream: opt.StreamID,
+					Geom:   warm.GeometryOf(cfg),
+				}))
 			case opt.Sample && opt.WarmCache:
 				rs = append(rs, warm.HoldLadder(warm.Identity{
 					Prof:   prof,
 					Seed:   opt.Seed,
 					Stream: opt.StreamID,
 					Sample: opt.sampleParams(),
-					Geom:   geom,
+					Geom:   warm.GeometryOf(cfg),
 				}))
-			case !opt.Sample && !opt.NoTraceCache:
-				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
-					Prof:   prof,
-					Seed:   opt.Seed,
-					Stream: opt.StreamID,
-					Geom:   geom,
-				}))
+			default:
+				recorded = true
 			}
+		}
+		if recorded && !opt.NoTraceCache {
+			rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
 		}
 	}
 	return rs.Release
@@ -348,20 +355,32 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 	}, nil
 }
 
+// replaysTape reports whether a full-simulation cell of cfg replays its
+// geometry's shared probe tape instead of probing a hierarchy of its own:
+// an unsampled cell with the trace cache on whose fill levels can be
+// classified. It decides both fullCore's path and, in holdCaches, which
+// sweeps hold a tape rather than a recording, so the two cannot drift.
+func (opt RunOptions) replaysTape(cfg config.Config) bool {
+	return !opt.NoTraceCache && !opt.Sample && uarch.FillsClassifiable(cfg)
+}
+
 // fullCore builds a full-simulation cell's core and the reader of its
-// hierarchy counters. A cell of an unsampled sweep with the trace cache
-// on replays its geometry's shared probe tape (see internal/warm), so a
-// profile's probes are made once for every design. The rest probe a
-// hierarchy of their own: NoTraceCache cells, sampled cells falling back
-// to full simulation, and geometries or designs whose fill levels cannot
-// be classified.
+// hierarchy counters. A cell that replaysTape replays its geometry's
+// shared probe tape (see internal/warm), so a profile's probes are made
+// once for every design. The rest probe a hierarchy of their own over
+// traceSource: NoTraceCache cells, sampled cells falling back to full
+// simulation, and designs whose fill levels cannot be classified.
 func fullCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Core, func() mem.HierStats, error) {
-	if !opt.NoTraceCache && !opt.Sample {
-		if tp := warm.SharedTape(prof, opt.Seed, opt.StreamID, cfg, opt.traceHint()); tp != nil {
-			if c, err := uarch.NewTapeCore(cfg, tp, opt.Kernel); err == nil {
-				return c, func() mem.HierStats { return tp.HierStats(c.Stats.Fetched) }, nil
-			}
+	if opt.replaysTape(cfg) {
+		tp := warm.SharedTape(prof, opt.Seed, opt.StreamID, cfg)
+		if tp == nil {
+			return nil, nil, fmt.Errorf("%s/%s: no probe tape for the geometry", prof.Name, cfg.Name)
 		}
+		c, err := uarch.NewTapeCore(cfg, tp, opt.Kernel)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c, func() mem.HierStats { return tp.HierStats(c.Stats.Fetched) }, nil
 	}
 	h, err := mem.NewHierarchy(cfg)
 	if err != nil {

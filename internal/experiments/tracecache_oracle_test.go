@@ -9,58 +9,87 @@ import (
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
+	"vertical3d/internal/warm"
 )
 
 // TestOracleFig6TraceCacheInvariant is the record-once/replay-many
-// acceptance gate for the single-core sweep: with the shared-recording
-// cache enabled and disabled, at one and eight workers, on both kernels,
-// every Run map and derived ratio must deep-equal. Runs carry the full
-// Stats/HierStats/Energy of every cell, so this subsumes a per-cell
-// comparison of everything the pipeline measures.
+// acceptance gate for the single-core sweep: with the trace cache enabled
+// and disabled, at one and eight workers, every Run map and derived ratio
+// must deep-equal, for full-mode sweeps on both kernels and for sampled
+// ones on the event kernel. Runs carry the full Stats/HierStats/Energy of
+// every cell, so this subsumes a per-cell comparison of everything the
+// pipeline measures.
+//
+// Sharing is asserted where each mode shares: full-mode cells replay one
+// probe tape per (profile, geometry) across all variants and record no
+// trace, and sampled cells replay one recording per profile.
 func TestOracleFig6TraceCacheInvariant(t *testing.T) {
 	trace.ResetCache()
+	warm.ResetCache()
 	defer trace.ResetCache()
+	defer warm.ResetCache()
 	s, err := config.Derive(tech.N22())
 	if err != nil {
 		t.Fatal(err)
 	}
 	profiles := oracleProfiles(t, "Mcf", "Gobmk")
-	opt := RunOptions{Warmup: 4_000, Measure: 15_000, Seed: 5}
-	// Each sweep releases its recordings when it returns; holding them
-	// across the variants keeps one recording per key for all of them.
-	defer opt.holdCaches(s, profiles, nil)()
+	designs := config.SingleCoreDesigns()
+	full := RunOptions{Warmup: 4_000, Measure: 15_000, Seed: 5}
+	sampled := sampledOracleOptions()
+	// Each sweep releases its tapes and recordings when it returns;
+	// holding them across the variants keeps one per key for all of them.
+	defer full.holdCaches(s, profiles, designs)()
+	defer sampled.holdCaches(s, profiles, designs)()
 
-	var results []*Fig6Result
-	for _, k := range []uarch.Kernel{uarch.KernelReference, uarch.KernelEvent} {
-		for _, w := range []int{1, 8} {
-			for _, noCache := range []bool{false, true} {
-				o := opt
-				o.Kernel, o.Workers, o.NoTraceCache = k, w, noCache
-				f, err := Fig6With(s, profiles, o)
-				if err != nil {
-					t.Fatalf("kernel=%v workers=%d noCache=%v: %v", k, w, noCache, err)
+	variants := func(opt RunOptions, kernels ...uarch.Kernel) {
+		var results []*Fig6Result
+		for _, k := range kernels {
+			for _, w := range []int{1, 8} {
+				for _, noCache := range []bool{false, true} {
+					o := opt
+					o.Kernel, o.Workers, o.NoTraceCache = k, w, noCache
+					f, err := Fig6With(s, profiles, o)
+					if err != nil {
+						t.Fatalf("sample=%v kernel=%v workers=%d noCache=%v: %v", opt.Sample, k, w, noCache, err)
+					}
+					results = append(results, f)
 				}
-				results = append(results, f)
+			}
+		}
+		base := results[0]
+		for i, f := range results[1:] {
+			if !reflect.DeepEqual(base.Runs, f.Runs) {
+				t.Errorf("sample=%v: Fig6 Runs diverge between variant 0 and %d", opt.Sample, i+1)
+			}
+			if !reflect.DeepEqual(base.Speedup, f.Speedup) || !reflect.DeepEqual(base.NormEnergy, f.NormEnergy) {
+				t.Errorf("sample=%v: Fig6 derived ratios diverge between variant 0 and %d", opt.Sample, i+1)
 			}
 		}
 	}
-	base := results[0]
-	for i, f := range results[1:] {
-		if !reflect.DeepEqual(base.Runs, f.Runs) {
-			t.Errorf("Fig6 Runs diverge between variant 0 and %d", i+1)
-		}
-		if !reflect.DeepEqual(base.Speedup, f.Speedup) || !reflect.DeepEqual(base.NormEnergy, f.NormEnergy) {
-			t.Errorf("Fig6 derived ratios diverge between variant 0 and %d", i+1)
-		}
+
+	// Full mode: one tape per (profile, geometry), no recording at all.
+	variants(full, uarch.KernelReference, uarch.KernelEvent)
+	geoms := map[warm.Geometry]bool{}
+	for _, d := range designs {
+		geoms[warm.GeometryOf(s.Configs[d])] = true
 	}
-	// The cached variants must actually have shared recordings: one miss
-	// per (profile, stream) key and a hit for every other cell.
+	if n, want := warm.TapeBuilds(), uint64(len(profiles)*len(geoms)); n != want {
+		t.Errorf("full-mode variants built %d probe tapes, want %d (one per profile and geometry)", n, want)
+	}
+	if st := trace.CacheStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("full-mode variants touched the trace cache: %+v, want no recording", st)
+	}
+
+	// Sampled mode: one recording per profile, shared by every other cell.
+	// Recording is kernel-independent, and the reference kernel is slow
+	// under -race, so one kernel suffices here.
+	variants(sampled, uarch.KernelEvent)
 	st := trace.CacheStats()
 	if st.Misses != uint64(len(profiles)) {
 		t.Errorf("trace cache recorded %d streams, want %d (one per profile)", st.Misses, len(profiles))
 	}
 	if st.Hits == 0 {
-		t.Error("trace cache saw no hits across the sweep cells")
+		t.Error("trace cache saw no hits across the sampled sweep cells")
 	}
 }
 

@@ -233,28 +233,62 @@ func TestChaosReadOnlyJournalDir(t *testing.T) {
 	healthRoundTrip(t, f.Health, "journal")
 }
 
-// TestChaosFlakyTraceDir runs a sweep against a trace-cache directory
-// whose writes fail: every recording save errors out, the sweep falls back
-// to the in-memory single-flight cache, results stay bit-identical, and
-// the Health block reports the stale cache.
+// TestChaosFlakyTraceDir runs sweeps against a trace-cache directory
+// whose writes fail. A sampled sweep records its streams: every recording
+// save errors out, the sweep falls back to the in-memory single-flight
+// cache, results stay bit-identical, and the Health block reports the
+// stale cache. A full-mode sweep generates its probe tapes and makes no
+// .m3dtrace I/O at all.
 func TestChaosFlakyTraceDir(t *testing.T) {
-	suite, profiles, opt := fig6Fixture(t)
-	ref, err := experiments.Fig6With(suite, profiles, opt)
+	suite, profiles, full := fig6Fixture(t)
+	sampled := full
+	sampled.Sample = true
+	sampled.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
+	fullRef, err := experiments.Fig6With(suite, profiles, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := experiments.Fig6With(suite, profiles, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	trace.ResetCache() // drop the recordings the reference run cached
+	trace.ResetCache() // drop any recording the reference runs cached
 	t.Cleanup(trace.ResetCache)
-	if err := trace.SetCacheDir(t.TempDir()); err != nil {
+	dir := t.TempDir()
+	if err := trace.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = trace.SetCacheDir("") })
+
+	// Full mode: tripwires on every load, save and sync of a trace file.
+	trip := fsio.NewInjector(13, nil,
+		fsio.Rule{Op: fsio.OpOpen, Match: ".m3dtrace"},
+		fsio.Rule{Op: fsio.OpCreate, Match: dir},
+		fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
+	trace.SetFS(trip)
+	t.Cleanup(func() { trace.SetFS(nil) })
+	f, err := experiments.Fig6With(suite, profiles, full)
+	if err != nil {
+		t.Fatalf("full-mode sweep over a trace dir must complete: %v", err)
+	}
+	if !reflect.DeepEqual(f.Runs, fullRef.Runs) {
+		t.Error("full-mode Runs over a trace dir differ from the run without one")
+	}
+	if n := trip.Injected(); n != 0 || f.Health.Degraded {
+		t.Errorf("full-mode sweep touched the trace dir: %d tripwire(s) fired, health %+v", n, f.Health)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("full-mode sweep left %d file(s) in the trace dir (%v), want none", len(entries), err)
+	}
+	if st := trace.CacheStats(); st != (trace.CacheCounters{}) {
+		t.Errorf("full-mode sweep used the trace cache: %+v", st)
+	}
+
+	// Sampled mode: every recording's save fails at its sync.
 	in := fsio.NewInjector(13, nil, fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
 	trace.SetFS(in)
-	t.Cleanup(func() { trace.SetFS(nil) })
-
-	f, err := experiments.Fig6With(suite, profiles, opt)
+	f, err = experiments.Fig6With(suite, profiles, sampled)
 	if err != nil {
 		t.Fatalf("sweep over a flaky trace dir must complete: %v", err)
 	}

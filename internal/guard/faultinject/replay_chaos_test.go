@@ -1,6 +1,6 @@
-// Chaos tests for the shared trace-recording cache: injected panics and
-// mid-sweep cancellation must not corrupt or evict the process-wide
-// recordings that record-once/replay-many shares across sweep cells.
+// Chaos tests for the shared trace-recording and probe-tape caches:
+// injected panics and mid-sweep cancellation must not corrupt or evict the
+// process-wide recordings and tapes that sweep cells share.
 package faultinject_test
 
 import (
@@ -14,133 +14,219 @@ import (
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/guard/faultinject"
 	"vertical3d/internal/parallel"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/trace"
+	"vertical3d/internal/uarch"
+	"vertical3d/internal/warm"
 	"vertical3d/internal/workload"
 )
 
+// sharedMode is one way a Fig6 sweep shares work between its cells:
+// full-mode cells replay one probe tape per (profile, geometry), sampled
+// cells one trace recording per profile. built counts the shared entries
+// made so far, want is how many one sweep over the fixture makes, and
+// hold keeps them resident across several sweeps.
+type sharedMode struct {
+	name  string
+	opt   experiments.RunOptions
+	built func() uint64
+	want  uint64
+	hold  func() (release func())
+}
+
+// sharedModes returns the full-mode and sampled variants of fig6Fixture.
+func sharedModes(t *testing.T) (*config.Suite, []trace.Profile, []sharedMode) {
+	t.Helper()
+	suite, profiles, full := fig6Fixture(t)
+	var tapes []warm.TapeIdentity
+	geoms := map[warm.Geometry]bool{}
+	for _, p := range profiles {
+		for _, d := range config.SingleCoreDesigns() {
+			g := warm.GeometryOf(suite.Configs[d])
+			geoms[g] = true
+			tapes = append(tapes, warm.TapeIdentity{Prof: p, Seed: full.Seed, Stream: full.StreamID, Geom: g})
+		}
+	}
+	sampled := full
+	sampled.Sample = true
+	sampled.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
+	return suite, profiles, []sharedMode{
+		{
+			name:  "full",
+			opt:   full,
+			built: warm.TapeBuilds,
+			want:  uint64(len(profiles) * len(geoms)),
+			hold: func() func() {
+				var rs registry.Releases
+				for _, id := range tapes {
+					rs = append(rs, warm.HoldTape(id))
+				}
+				return rs.Release
+			},
+		},
+		{
+			name:  "sampled",
+			opt:   sampled,
+			built: func() uint64 { return trace.CacheStats().Misses },
+			want:  uint64(len(profiles)),
+			hold: func() func() {
+				var rs registry.Releases
+				for _, p := range profiles {
+					rs = append(rs, trace.Hold(p, sampled.Seed, sampled.StreamID))
+				}
+				return rs.Release
+			},
+		},
+	}
+}
+
+// resetShared empties the trace and warm registries now and when the test
+// ends.
+func resetShared(t *testing.T) {
+	trace.ResetCache()
+	warm.ResetCache()
+	t.Cleanup(func() {
+		trace.ResetCache()
+		warm.ResetCache()
+	})
+}
+
 // TestChaosSharedRecordingsSurvivePanics runs the Fig6 chaos scenario with
-// the trace cache enabled (the default) and checks the replay contract:
+// the trace cache enabled (the default), in full mode (shared probe tapes)
+// and sampled mode (shared recordings), and checks the replay contract:
 //
 //  1. healthy cells of every poisoned keep-going sweep are bit-identical to
 //     a fault-free reference run,
-//  2. the panics never force a re-recording — across all chaos runs the
-//     cache still holds exactly one recording per profile, and
-//  3. a final fault-free run replaying from the chaos-survived recordings
-//     is bit-identical to the reference, proving the shared buffers were
-//     neither corrupted nor evicted by recovered panics.
+//  2. the panics never force a rebuild — across all chaos runs the caches
+//     still hold exactly one tape per profile and geometry, or one
+//     recording per profile, and
+//  3. a final fault-free run replaying from the chaos-survived tapes or
+//     recordings is bit-identical to the reference, proving the shared
+//     buffers were neither corrupted nor evicted by recovered panics.
+//
+// Full-mode sweeps record no trace at all.
 func TestChaosSharedRecordingsSurvivePanics(t *testing.T) {
-	trace.ResetCache()
-	defer trace.ResetCache()
-	suite, profiles, opt := fig6Fixture(t)
-	// Each sweep releases its recordings when it returns; holding them
-	// across every sweep below lets them all replay the reference run's.
-	for _, p := range profiles {
-		defer trace.Hold(p, opt.Seed, opt.StreamID)()
-	}
+	suite, profiles, modes := sharedModes(t)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			resetShared(t)
+			// Each sweep releases its entries when it returns; holding them
+			// across every sweep below lets them all replay the reference
+			// run's.
+			defer m.hold()()
+			opt := m.opt
 
-	ref, err := experiments.Fig6With(suite, profiles, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMisses := uint64(len(profiles))
-	if st := trace.CacheStats(); st.Misses != wantMisses {
-		t.Fatalf("reference run recorded %d streams, want %d", st.Misses, wantMisses)
-	}
-	victimBench, victim := profiles[1].Name, victimDesign(t)
+			ref, err := experiments.Fig6With(suite, profiles, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m.built(); n != m.want {
+				t.Fatalf("reference run built %d shared entries, want %d", n, m.want)
+			}
+			victimBench, victim := profiles[1].Name, victimDesign(t)
 
-	for _, w := range workerCounts {
-		in := faultinject.New()
-		in.PanicAt(faultinject.Key(victimBench, victim.String()))
-		copt := opt
-		copt.Workers = w
-		copt.KeepGoing = true
-		copt.CellHook = in.Hook()
-		f, err := experiments.Fig6With(suite, profiles, copt)
-		if err != nil {
-			t.Fatalf("workers=%d: keep-going sweep must complete: %v", w, err)
-		}
-		var pe *parallel.PanicError
-		if !errors.As(f.Errors[victimBench][victim], &pe) {
-			t.Fatalf("workers=%d: poisoned cell error = %v, want *parallel.PanicError", w, f.Errors[victimBench][victim])
-		}
-		for _, b := range ref.Benchmarks {
-			for _, d := range config.SingleCoreDesigns() {
-				if b == victimBench && d == victim {
-					continue
+			for _, w := range workerCounts {
+				in := faultinject.New()
+				in.PanicAt(faultinject.Key(victimBench, victim.String()))
+				copt := opt
+				copt.Workers = w
+				copt.KeepGoing = true
+				copt.CellHook = in.Hook()
+				f, err := experiments.Fig6With(suite, profiles, copt)
+				if err != nil {
+					t.Fatalf("workers=%d: keep-going sweep must complete: %v", w, err)
 				}
-				if !reflect.DeepEqual(f.Runs[b][d], ref.Runs[b][d]) {
-					t.Errorf("workers=%d: healthy cell %s/%s differs from the fault-free run", w, b, d)
+				var pe *parallel.PanicError
+				if !errors.As(f.Errors[victimBench][victim], &pe) {
+					t.Fatalf("workers=%d: poisoned cell error = %v, want *parallel.PanicError", w, f.Errors[victimBench][victim])
+				}
+				for _, b := range ref.Benchmarks {
+					for _, d := range config.SingleCoreDesigns() {
+						if b == victimBench && d == victim {
+							continue
+						}
+						if !reflect.DeepEqual(f.Runs[b][d], ref.Runs[b][d]) {
+							t.Errorf("workers=%d: healthy cell %s/%s differs from the fault-free run", w, b, d)
+						}
+					}
+				}
+				// The chaos sweep must have replayed the reference run's
+				// entries, not rebuilt them: build count frozen since then.
+				if n := m.built(); n != m.want {
+					t.Fatalf("workers=%d: chaos run rebuilt shared entries: %d built, want %d", w, n, m.want)
 				}
 			}
-		}
-		// The chaos sweep must have replayed the reference run's recordings,
-		// not re-recorded them: miss count frozen since the reference run.
-		if st := trace.CacheStats(); st.Misses != wantMisses {
-			t.Fatalf("workers=%d: chaos run re-recorded streams: %d misses, want %d", w, st.Misses, wantMisses)
-		}
-	}
 
-	// Recordings that lived through every panic must still replay the exact
-	// reference streams.
-	again, err := experiments.Fig6With(suite, profiles, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Runs, ref.Runs) {
-		t.Error("fault-free run after the chaos sweeps differs — shared recordings were corrupted")
-	}
-	if st := trace.CacheStats(); st.Misses != wantMisses {
-		t.Errorf("final run re-recorded streams: %d misses, want %d (eviction under chaos?)", st.Misses, wantMisses)
+			// Entries that lived through every panic must still replay the
+			// exact reference results.
+			again, err := experiments.Fig6With(suite, profiles, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Runs, ref.Runs) {
+				t.Error("fault-free run after the chaos sweeps differs — shared entries were corrupted")
+			}
+			if n := m.built(); n != m.want {
+				t.Errorf("final run rebuilt shared entries: %d built, want %d (eviction under chaos?)", n, m.want)
+			}
+			if st := trace.CacheStats(); !opt.Sample && st.Misses != 0 {
+				t.Errorf("full-mode sweeps recorded %d trace(s), want none", st.Misses)
+			}
+		})
 	}
 }
 
 // TestChaosPanicDuringRecordingDoesNotPoisonCache panics inside the very
-// first cell that would record a profile's stream (at Workers=1 the victim
-// is the first cell to touch that key). The next cell of the same profile
-// must then record the stream itself and every healthy cell must stay
+// first cell that would build a profile's shared entry — its probe tape in
+// full mode, its recording in sampled mode (at Workers=1 the victim is the
+// first cell to touch that key). The next cell of the same profile must
+// then build the entry itself and every healthy cell must stay
 // bit-identical to a fault-free run: a panicking first toucher may waste
-// its own cell but must never leave a broken, truncated or missing
+// its own cell but must never leave a broken, truncated or missing tape or
 // recording behind for the survivors.
 func TestChaosPanicDuringRecordingDoesNotPoisonCache(t *testing.T) {
-	trace.ResetCache()
-	defer trace.ResetCache()
-	suite, profiles, opt := fig6Fixture(t)
-	ref, err := experiments.Fig6With(suite, profiles, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite, profiles, modes := sharedModes(t)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			resetShared(t)
+			ref, err := experiments.Fig6With(suite, profiles, m.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	trace.ResetCache()
-	// Workers=1 dispatches cells sequentially in (benchmark-major,
-	// design-minor) order, so cell 0 — profiles[0] × designs[0] — is the
-	// cell whose replayer would trigger the recording of profile 0's
-	// stream. Poison exactly that cell.
-	first := config.SingleCoreDesigns()[0]
-	in := faultinject.New()
-	in.PanicAt(faultinject.Key(profiles[0].Name, first.String()))
-	copt := opt
-	copt.Workers = 1
-	copt.KeepGoing = true
-	copt.CellHook = in.Hook()
-	f, err := experiments.Fig6With(suite, profiles, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.FailedCells() != 1 {
-		t.Fatalf("%d failed cells, want 1", f.FailedCells())
-	}
-	for _, b := range ref.Benchmarks {
-		for _, d := range config.SingleCoreDesigns() {
-			if b == profiles[0].Name && d == first {
-				continue
+			trace.ResetCache()
+			warm.ResetCache()
+			// Workers=1 dispatches cells sequentially, starting with cell 0
+			// — profiles[0] × designs[0] — the cell that would build
+			// profile 0's shared entry. Poison exactly that cell.
+			first := config.SingleCoreDesigns()[0]
+			in := faultinject.New()
+			in.PanicAt(faultinject.Key(profiles[0].Name, first.String()))
+			copt := m.opt
+			copt.Workers = 1
+			copt.KeepGoing = true
+			copt.CellHook = in.Hook()
+			f, err := experiments.Fig6With(suite, profiles, copt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(f.Runs[b][d], ref.Runs[b][d]) {
-				t.Errorf("healthy cell %s/%s differs after the recorder cell panicked", b, d)
+			if f.FailedCells() != 1 {
+				t.Fatalf("%d failed cells, want 1", f.FailedCells())
 			}
-		}
-	}
-	if st := trace.CacheStats(); st.Misses != uint64(len(profiles)) {
-		t.Errorf("cache holds %d recordings, want %d (one per profile)", st.Misses, len(profiles))
+			for _, b := range ref.Benchmarks {
+				for _, d := range config.SingleCoreDesigns() {
+					if b == profiles[0].Name && d == first {
+						continue
+					}
+					if !reflect.DeepEqual(f.Runs[b][d], ref.Runs[b][d]) {
+						t.Errorf("healthy cell %s/%s differs after the first cell panicked", b, d)
+					}
+				}
+			}
+			if n := m.built(); n != m.want {
+				t.Errorf("the sweep built %d shared entries, want %d", n, m.want)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -149,4 +153,65 @@ func TestSharedRecordingSurvivesFlakyTraceDir(t *testing.T) {
 	// The open fault fires on a file that was never written (the save
 	// failed), so it reads as absent-vs-corrupt depending on timing; what
 	// matters is the sweep got its stream.
+}
+
+// encodeClaim returns a trace file whose canonical header claims n
+// instructions, followed by lane bytes: a file truncated after them.
+func encodeClaim(t testing.TB, n int, lanes []byte) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(fileHeader{Profile: testProfile(), Seed: 42, N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.WriteString(fileMagic)
+	_ = binary.Write(&b, binary.LittleEndian, uint32(len(hdr)))
+	b.Write(hdr)
+	b.Write(lanes)
+	return b.Bytes()
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadRecordingBoundsAllocation feeds a tiny file whose header claims
+// 2^31 instructions, ~66 GB of lanes: the reader must reject it without
+// allocating for the claim, and the cache must fall back to recording.
+func TestReadRecordingBoundsAllocation(t *testing.T) {
+	data := encodeClaim(t, 1<<31, make([]byte, 16))
+	var err error
+	if n := allocated(func() { _, err = ReadRecording(bytes.NewReader(data)) }); n > 1<<20 {
+		t.Errorf("reading a %d-byte file allocated %d bytes", len(data), n)
+	}
+	if err == nil {
+		t.Fatal("a file claiming 2^31 instructions with 16 lane bytes was accepted")
+	}
+
+	ResetCache()
+	defer ResetCache()
+	dir := t.TempDir()
+	if err := SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer SetCacheDir("")
+	p := testProfile()
+	if err := os.WriteFile(filepath.Join(dir, FileName(p, 42, 0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := SharedRecording(p, 42, 0, 64)
+	if st := CacheStats(); st.LoadErrors != 1 || st.FileLoads != 0 {
+		t.Errorf("cache counters %+v, want one load error and no file load", st)
+	}
+	g, rp := NewGenerator(p, 42, 0), NewReplayer(rec)
+	for i := 0; i < 64; i++ {
+		if a, b := g.Next(), rp.Next(); a != b {
+			t.Fatalf("instruction %d of the fallback recording differs from generation", i)
+		}
+	}
 }

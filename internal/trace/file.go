@@ -33,6 +33,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -137,8 +138,10 @@ func (r *Recording) Encode(w io.Writer) error {
 // ReadRecording deserialises a recording, verifying the lane checksum. The
 // result extends on demand like any other recording: its generator is
 // rebuilt lazily from the header's identity triple on the first read past
-// N. A checksum mismatch returns an identity-tagged error wrapping
-// ErrCorrupt.
+// N. A checksum mismatch, a header Encode would not have written, or bytes
+// past the checksum return an identity-tagged error wrapping ErrCorrupt.
+// Lanes grow as their bytes arrive, so a header claiming more
+// instructions than the input holds costs no more memory than the input.
 func ReadRecording(r io.Reader) (*Recording, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(fileMagic))
@@ -155,45 +158,111 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	if hlen == 0 || hlen > 1<<20 {
 		return nil, fmt.Errorf("trace: implausible header length %d", hlen)
 	}
-	hdrBytes := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hdrBytes); err != nil {
+	hdrBytes, err := io.ReadAll(io.LimitReader(br, int64(hlen)))
+	if err == nil && len(hdrBytes) != int(hlen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
 	var hdr fileHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return nil, fmt.Errorf("trace: decode header: %w", err)
 	}
+	if canon, err := json.Marshal(hdr); err != nil || !bytes.Equal(canon, hdrBytes) {
+		return nil, fmt.Errorf("trace: %w: non-canonical header", ErrCorrupt)
+	}
 	if hdr.N < 0 || hdr.N > 1<<31 {
 		return nil, fmt.Errorf("trace: implausible instruction count %d", hdr.N)
 	}
-	p := &packed{
-		n:      hdr.N,
-		pc:     make([]uint64, hdr.N),
-		addr:   make([]uint64, hdr.N),
-		target: make([]uint64, hdr.N),
-		src1:   make([]int16, hdr.N),
-		src2:   make([]int16, hdr.N),
-		dst:    make([]int16, hdr.N),
-		meta:   make([]uint8, hdr.N),
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("trace: %w: %s seed=%d stream=%d n=%d: %s",
+			ErrCorrupt, hdr.Profile.Name, hdr.Seed, hdr.Stream, hdr.N, fmt.Sprintf(format, args...))
 	}
 	crc := crc32.NewIEEE()
-	lanes := io.TeeReader(br, crc)
-	for _, lane := range []any{p.pc, p.addr, p.target, p.src1, p.src2, p.dst, p.meta} {
-		if err := binary.Read(lanes, binary.LittleEndian, lane); err != nil {
-			return nil, fmt.Errorf("trace: read lanes: %w", err)
-		}
+	lr := &laneReader{r: io.TeeReader(br, crc), buf: make([]byte, 8*laneChunk)}
+	p := &packed{
+		n:      hdr.N,
+		pc:     readLane[uint64](lr, hdr.N),
+		addr:   readLane[uint64](lr, hdr.N),
+		target: readLane[uint64](lr, hdr.N),
+		src1:   readLane[int16](lr, hdr.N),
+		src2:   readLane[int16](lr, hdr.N),
+		dst:    readLane[int16](lr, hdr.N),
+		meta:   readLane[uint8](lr, hdr.N),
+	}
+	if lr.err != nil {
+		return nil, fmt.Errorf("trace: read lanes: %w", lr.err)
 	}
 	var want uint32
 	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
 		return nil, fmt.Errorf("trace: read lane checksum: %w", err)
 	}
 	if got := crc.Sum32(); got != want {
-		return nil, fmt.Errorf("trace: %w: %s seed=%d stream=%d n=%d: lane checksum %08x != %08x",
-			ErrCorrupt, hdr.Profile.Name, hdr.Seed, hdr.Stream, hdr.N, got, want)
+		return nil, corrupt("lane checksum %08x != %08x", got, want)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, corrupt("bytes past the lane checksum")
 	}
 	rec := &Recording{prof: hdr.Profile, seed: hdr.Seed, stream: hdr.Stream}
 	rec.snap.Store(p)
 	return rec, nil
+}
+
+// laneChunk is the most elements readLane reads at once.
+const laneChunk = 8192
+
+// laneReader reads a file's lanes in order through one chunk buffer,
+// counting the bytes read and keeping the first error.
+type laneReader struct {
+	r    io.Reader
+	buf  []byte
+	read int
+	err  error
+}
+
+// readLane reads the next n-element little-endian lane, or returns nil
+// once lr has failed. A lane longer than the bytes read so far grows as
+// its bytes arrive, its capacity at most doubling per chunk and never
+// exceeding n; once the first lane has arrived, the others are allocated
+// whole.
+func readLane[T uint64 | int16 | uint8](lr *laneReader, n int) []T {
+	if lr.err != nil {
+		return nil
+	}
+	size := binary.Size(T(0))
+	c := n
+	if n*size > lr.read {
+		c = min(n, laneChunk)
+	}
+	lane := make([]T, 0, c)
+	for len(lane) < n {
+		if len(lane) == cap(lane) {
+			grown := make([]T, len(lane), min(n, 2*cap(lane)))
+			copy(grown, lane)
+			lane = grown
+		}
+		k := min(cap(lane)-len(lane), laneChunk)
+		b := lr.buf[:k*size]
+		if _, lr.err = io.ReadFull(lr.r, b); lr.err != nil {
+			return nil
+		}
+		switch part := any(lane[len(lane) : len(lane)+k]).(type) {
+		case []uint64:
+			for i := range part {
+				part[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
+		case []int16:
+			for i := range part {
+				part[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
+			}
+		case []uint8:
+			copy(part, b)
+		}
+		lane = lane[:len(lane)+k]
+		lr.read += len(b)
+	}
+	return lane
 }
 
 // SaveFile writes the recording to path durably and atomically: temp file,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -65,6 +66,41 @@ func FuzzGenerator(f *testing.F) {
 					t.Fatalf("instruction %d: branch target %#x outside code segment", i, in.Target)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadRecording feeds arbitrary bytes to the .m3dtrace reader. It
+// must reject them with an error or return a recording that re-encodes to
+// exactly the input; it must never panic, and never allocate more than a
+// small multiple of the input plus a fixed allowance for its buffers,
+// whatever instruction count the header claims.
+func FuzzReadRecording(f *testing.F) {
+	for _, n := range []int{0, 1, 300} {
+		var b bytes.Buffer
+		if err := Record(testProfile(), 42, 3, n).Encode(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		f.Add(b.Bytes()[:b.Len()/2])
+	}
+	f.Add(encodeClaim(f, 1<<31, make([]byte, 16)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec *Recording
+		var err error
+		if n := allocated(func() { rec, err = ReadRecording(bytes.NewReader(data)) }); n > 8*uint64(len(data))+1<<20 {
+			t.Fatalf("reading %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := rec.Encode(&out); err != nil {
+			t.Fatalf("an accepted recording does not re-encode: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("an accepted recording re-encodes to %d different bytes (input %d)", out.Len(), len(data))
 		}
 	})
 }

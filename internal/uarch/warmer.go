@@ -225,6 +225,13 @@ func classifiable(l2, l3, dram int) bool {
 	return l2 > 0 && l3 > l2 && dram > l3
 }
 
+// FillsClassifiable reports whether cfg's fill latencies identify their
+// fill level, the condition for recording (NewTape) or replaying
+// (NewTapeCore) a probe tape with cfg.
+func FillsClassifiable(cfg config.Config) bool {
+	return classifiable(mem.FillLatenciesOf(cfg))
+}
+
 // stHash buckets a store line address into the counting filter.
 func stHash(la uint64) uint8 {
 	return uint8((la * 0x9E3779B97F4A7C15) >> 56)

@@ -83,9 +83,10 @@ func Stats() Counters {
 }
 
 // ResetCache drops every cached ladder, multicore snapshot and probe tape,
-// process-lifetime entries included, and zeroes the counters. Tests and
-// benchmarks use it to measure cold-versus-warm sweeps in one process;
-// sweeps need not, since their entries leave when they return.
+// process-lifetime entries included, and zeroes the counters (TapeBuilds
+// too). Tests and benchmarks use it to measure cold-versus-warm sweeps in
+// one process; sweeps need not, since their entries leave when they
+// return.
 func ResetCache() {
 	ladders.Reset()
 	mcSnaps.Reset()
@@ -99,6 +100,7 @@ func ResetCache() {
 	counters.saveErrors.Store(0)
 	counters.quarantines.Store(0)
 	counters.restoreErrors.Store(0)
+	tapeBuilds.Store(0)
 }
 
 // Resident reports how many ladders and multicore warmup snapshots the

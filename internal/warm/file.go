@@ -23,6 +23,7 @@ package warm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
@@ -150,8 +151,9 @@ func encodeSnapshot(w io.Writer, hdr fileHeader, payload any) error {
 
 // decodeSnapshot deserialises a snapshot file into payload, verifying the
 // checksum BEFORE gob decoding so a flipped payload bit can never place
-// partially-decoded garbage into the destination. A checksum mismatch
-// returns an error wrapping ErrCorrupt.
+// partially-decoded garbage into the destination. A checksum mismatch, a
+// header encodeSnapshot would not have written, or bytes past the state
+// return an error wrapping ErrCorrupt.
 func decodeSnapshot(r io.Reader, payload any) (fileHeader, error) {
 	var hdr fileHeader
 	raw, err := io.ReadAll(r)
@@ -173,13 +175,22 @@ func decodeSnapshot(r io.Reader, payload any) (fileHeader, error) {
 	if err := json.Unmarshal(raw[:hlen], &hdr); err != nil {
 		return hdr, fmt.Errorf("warm: %w: decode header: %v", ErrCorrupt, err)
 	}
+	// The header is outside the checksum: accept only the bytes
+	// encodeSnapshot writes for it.
+	if canon, err := json.Marshal(hdr); err != nil || !bytes.Equal(canon, raw[:hlen]) {
+		return hdr, fmt.Errorf("warm: %w: non-canonical header", ErrCorrupt)
+	}
 	body := raw[hlen : len(raw)-4]
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return hdr, fmt.Errorf("warm: %w: payload checksum %08x != %08x", ErrCorrupt, got, want)
 	}
-	if err := gob.NewDecoder(strings.NewReader(string(body))).Decode(payload); err != nil {
+	br := bytes.NewReader(body)
+	if err := gob.NewDecoder(br).Decode(payload); err != nil {
 		return hdr, fmt.Errorf("warm: %w: decode state: %v", ErrCorrupt, err)
+	}
+	if br.Len() != 0 {
+		return hdr, fmt.Errorf("warm: %w: %d bytes past the state", ErrCorrupt, br.Len())
 	}
 	return hdr, nil
 }

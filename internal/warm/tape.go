@@ -5,14 +5,18 @@
 // that shares the geometry replays one tape instead of probing a
 // hierarchy of its own.
 //
-// Tapes share the snapshot registry's lifetime rules: a sweep holds the
-// identities its cells replay (HoldTape) and an identity no sweep holds
-// leaves the registry. A tape's builder replays the stream's shared
-// recording, so HoldTape holds the recording too. Tapes never go to disk.
+// A tape's builder is a FunctionalWarmer over a private trace.Generator:
+// the tape extends on demand and the generator continues from where it
+// stopped, so the stream is never recorded and a full-mode sweep holds no
+// trace recording. Tapes share the snapshot registry's lifetime rules: a
+// sweep holds the identities its cells replay (HoldTape) and an identity
+// no sweep holds leaves the registry. Tapes never go to disk.
 
 package warm
 
 import (
+	"sync/atomic"
+
 	"vertical3d/internal/config"
 	"vertical3d/internal/registry"
 	"vertical3d/internal/trace"
@@ -28,18 +32,20 @@ type TapeIdentity struct {
 	Geom   Geometry
 }
 
-var tapes registry.Registry[TapeIdentity, *uarch.Tape]
+var (
+	tapes      registry.Registry[TapeIdentity, *uarch.Tape]
+	tapeBuilds atomic.Uint64
+)
 
 // SharedTape returns the probe tape of cfg's geometry over the (prof,
-// seed, stream) stream, creating it single-flight on first use; its
-// builder replays the shared recording, sized by sizeHint on first use.
-// Nil means the geometry's fill levels cannot be classified and the cell
-// must probe a hierarchy of its own.
-func SharedTape(prof trace.Profile, seed int64, stream int, cfg config.Config, sizeHint int) *uarch.Tape {
+// seed, stream) stream, creating it single-flight on first use over a
+// generator of its own. Nil means the geometry's fill levels cannot be
+// classified and the cell must probe a hierarchy of its own.
+func SharedTape(prof trace.Profile, seed int64, stream int, cfg config.Config) *uarch.Tape {
 	id := TapeIdentity{Prof: prof, Seed: seed, Stream: stream, Geom: GeometryOf(cfg)}
 	t, _ := tapes.Do(id, func() *uarch.Tape {
-		rec := trace.SharedRecording(prof, seed, stream, sizeHint)
-		t, err := uarch.NewTape(cfg, trace.NewReplayer(rec))
+		tapeBuilds.Add(1)
+		t, err := uarch.NewTape(cfg, trace.NewGenerator(prof, seed, stream))
 		if err != nil {
 			return nil
 		}
@@ -48,10 +54,9 @@ func SharedTape(prof trace.Profile, seed int64, stream int, cfg config.Config, s
 	return t
 }
 
-// HoldTape keeps an identity's tape, and the recording its builder
-// replays, resident until release is called.
+// HoldTape keeps an identity's tape resident until release is called.
 func HoldTape(id TapeIdentity) (release func()) {
-	return registry.Releases{tapes.Hold(id), trace.Hold(id.Prof, id.Seed, id.Stream)}.Release
+	return tapes.Hold(id)
 }
 
 // ResidentTapes reports how many probe tapes the registry holds and their
@@ -65,3 +70,7 @@ func ResidentTapes() (count, bytes int) {
 	}
 	return count, bytes
 }
+
+// TapeBuilds reports how many probe tapes have been created since the
+// last ResetCache, one per SharedTape miss.
+func TapeBuilds() uint64 { return tapeBuilds.Load() }

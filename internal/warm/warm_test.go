@@ -17,7 +17,7 @@ import (
 
 // testIdentity returns a small real identity (config, profile) for ladder
 // tests: stride = Interval/32 = 125.
-func testIdentity(t *testing.T) (Identity, config.Config) {
+func testIdentity(t testing.TB) (Identity, config.Config) {
 	t.Helper()
 	s, err := config.Derive(tech.N22())
 	if err != nil {
