@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
@@ -144,5 +146,77 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	if n := trace.CachedRecordings(); n != 1 || trace.SharedRecording(profiles[0], sopt.Seed, sopt.StreamID, 1_000) != pinned {
 		t.Errorf("the unscoped recording left the cache (%d resident)", n)
+	}
+}
+
+// fig9LifetimeSweep runs a small sampled Fig9 sweep at one worker with
+// hook as its CellHook and checks the per-profile lifetime: each
+// profile's first cell starts with no earlier profile's recording
+// resident, every stream is recorded exactly once, and nothing stays
+// resident after the sweep.
+func fig9LifetimeSweep(t *testing.T, retry parallel.Retry, hook func(bench, design string)) {
+	t.Helper()
+	trace.ResetCache()
+	warm.ResetCache()
+	defer trace.ResetCache()
+	defer warm.ResetCache()
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := oracleProfiles(t, "Barnes", "Fft", "Canneal")
+	designs := config.MulticoreDesigns()
+	mcs := config.DeriveMulticore(s)
+	streams := 0
+	for _, d := range designs {
+		streams = max(streams, mcs[d].Cores)
+	}
+	streams *= len(profiles)
+
+	mopt := multicore.Options{TotalInstrs: 24_000, WarmupPerCore: 1_000, Phases: 2, Seed: 5,
+		Sample: true, WarmCache: true, Workers: 1, Retry: retry}
+	var stale []string
+	mopt.CellHook = func(bench, design string) {
+		if design == designs[0].String() {
+			if n := trace.CachedRecordings(); n != 0 {
+				stale = append(stale, fmt.Sprintf("%s: %d", bench, n))
+			}
+		}
+		hook(bench, design)
+	}
+	if _, err := Fig9WithDesigns(s, profiles, designs, mopt); err != nil {
+		t.Fatal(err)
+	}
+	if len(stale) != 0 {
+		t.Errorf("a profile's first cell saw earlier profiles' recordings resident: %v", stale)
+	}
+	if st := trace.CacheStats(); st.Misses != uint64(streams) {
+		t.Errorf("Fig9 recorded %d streams, want %d (each distinct stream once)", st.Misses, streams)
+	}
+	requireEmpty(t, "after Fig9")
+}
+
+// TestFig9RecordingLifetimePerProfile checks that a Fig9 sweep drops each
+// profile's recordings and warm snapshots as soon as the profile's last
+// cell settles, instead of holding every profile's until it returns.
+func TestFig9RecordingLifetimePerProfile(t *testing.T) {
+	fig9LifetimeSweep(t, parallel.Retry{}, func(string, string) {})
+}
+
+// TestFig9RecordingLifetimeUnderRetry makes each profile's last cell panic
+// on its first attempt and succeed on the retry. The profile must stay
+// held until the retry settles: released on the failed attempt, the retry
+// would record its streams again and leave them pinned in the cache.
+func TestFig9RecordingLifetimeUnderRetry(t *testing.T) {
+	last := config.MulticoreDesigns()[len(config.MulticoreDesigns())-1].String()
+	failed := map[string]bool{}
+	fig9LifetimeSweep(t, parallel.Retry{Attempts: 2, BaseDelay: time.Millisecond}, func(bench, design string) {
+		if design == last && !failed[bench] {
+			failed[bench] = true
+			panic("injected")
+		}
+	})
+	if len(failed) != 3 {
+		t.Errorf("%d profile(s) saw the injected panic, want 3", len(failed))
 	}
 }

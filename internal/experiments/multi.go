@@ -101,6 +101,11 @@ func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	}
 
 	mcs := config.DeriveMulticore(suite)
+	// Each cell holds its recordings and warm snapshot until it settles, so
+	// a profile's entries leave once its last cell has; cells dispatch
+	// profile-major, so only the profiles in flight stay resident. A cell
+	// settles after its last retry: a hold released before a retry would
+	// leave that retry's recordings pinned for the life of the process.
 	var holds registry.Releases
 	for _, prof := range profiles {
 		for _, d := range designs {
@@ -121,6 +126,7 @@ func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 	}
 	nd := len(designs)
 	pool := mcPool(opt)
+	pool.Settled = func(i int) { holds[i]() }
 	task := func(_ context.Context, i int) (multicore.RunResult, error) {
 		prof, d := profiles[i/nd], designs[i%nd]
 		key := journal.CellKey(prof.Name, d.String(), mcs[d], prof)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,52 @@ func TestHierStatsArithmetic(t *testing.T) {
 	}
 	if a.Scale(1) != a {
 		t.Error("scaling by 1 changed the counters")
+	}
+}
+
+// TestDirTableMatchesMap drives the open-addressed directory and a map
+// with the same lookups and inserts — clustered and scattered line
+// addresses, through several doublings — and demands they agree, then
+// checks that State and SetState carry the table over exactly.
+func TestDirTableMatchesMap(t *testing.T) {
+	tab, ref := newDirTable(4), map[uint64]dirEntry{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		la := uint64(rng.Intn(4096)) // clustered
+		if i%3 == 0 {
+			la = rng.Uint64() >> 6 // scattered, up to the largest line address
+		}
+		want, ok := ref[la]
+		if got := tab.find(la); (got != nil) != ok || ok && *got != want {
+			t.Fatalf("op %d: find(%#x) = %v, want %v (present %v)", i, la, got, want, ok)
+		}
+		if i%2 == 0 {
+			continue
+		}
+		e := tab.entry(la)
+		if !ok && *e != (dirEntry{owner: -1}) {
+			t.Fatalf("op %d: a new line's entry is %+v, want untracked", i, *e)
+		}
+		e.sharers |= 1 << uint(i%8)
+		e.owner, e.state = int8(i%8), dirState(i%2)
+		ref[la] = *e
+	}
+	if tab.used != len(ref) || 2*tab.used > len(tab.slots) {
+		t.Fatalf("table holds %d lines in %d slots, want %d at most half full", tab.used, len(tab.slots), len(ref))
+	}
+
+	mc := mcConfig(t, false, 4)
+	a, b := mustMulticore(t, mc), mustMulticore(t, mc)
+	a.dir = tab
+	if err := b.SetState(a.State()); err != nil {
+		t.Fatal(err)
+	}
+	for la, want := range ref {
+		if got := b.dir.find(la); got == nil || *got != want {
+			t.Fatalf("line %#x restored as %v, want %+v", la, got, want)
+		}
+	}
+	if b.dir.used != len(ref) {
+		t.Fatalf("restored table holds %d lines, want %d", b.dir.used, len(ref))
 	}
 }

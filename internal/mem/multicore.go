@@ -14,13 +14,79 @@ const (
 	dirModified
 )
 
-// dirEntry tracks a line in the sliced L3 directory. The directory stores
-// entries by value: a new line costs no allocation, and mutations are
-// written back with one map store.
+// dirEntry tracks a line in the sliced L3 directory.
 type dirEntry struct {
 	sharers uint32 // bitmask of private-cache domains holding the line
 	owner   int8   // domain holding the line Modified, -1 otherwise
 	state   dirState
+}
+
+// dirTable is the coherence directory: an open-addressed table from line
+// address to dirEntry with linear probing, so a lookup is a multiply and
+// a short scan of adjacent slots instead of a map's hashing. Lines never
+// leave the directory, so the table needs no tombstones; it doubles once
+// half full.
+type dirTable struct {
+	slots []dirSlot // a power of two
+	used  int
+	shift uint // 64 - log2(len(slots))
+}
+
+// dirSlot is one table slot; key is the line address plus one, and zero
+// marks an empty slot.
+type dirSlot struct {
+	key uint64
+	dirEntry
+}
+
+// newDirTable returns a table with room for n lines before it grows.
+func newDirTable(n int) dirTable {
+	size, shift := 1<<4, uint(60)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	return dirTable{slots: make([]dirSlot, size), shift: shift}
+}
+
+// probe returns the slot holding la, or the empty slot where la belongs.
+func (t *dirTable) probe(la uint64) *dirSlot {
+	mask := len(t.slots) - 1
+	for i := int((la + 1) * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == la+1 || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// find returns la's entry, or nil when the directory has none.
+func (t *dirTable) find(la uint64) *dirEntry {
+	if s := t.probe(la); s.key != 0 {
+		return &s.dirEntry
+	}
+	return nil
+}
+
+// entry returns la's entry, first adding an untracked one (no sharers, no
+// owner) when the directory has none. The pointer is valid until the next
+// entry call.
+func (t *dirTable) entry(la uint64) *dirEntry {
+	s := t.probe(la)
+	if s.key != 0 {
+		return &s.dirEntry
+	}
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		*t = dirTable{slots: make([]dirSlot, 2*len(old)), used: t.used, shift: t.shift - 1}
+		for _, o := range old {
+			if o.key != 0 {
+				*t.probe(o.key - 1) = o
+			}
+		}
+		s = t.probe(la)
+	}
+	t.used++
+	*s = dirSlot{key: la + 1, dirEntry: dirEntry{owner: -1}}
+	return &s.dirEntry
 }
 
 // Multicore is the multicore memory system: private IL1/DL1 per core,
@@ -35,7 +101,7 @@ type Multicore struct {
 	l2  []*Cache // indexed by L2 domain
 
 	l3  *Cache
-	dir map[uint64]dirEntry
+	dir dirTable
 
 	cfg        config.CoreParams
 	hopCycles  int
@@ -71,7 +137,7 @@ func NewMulticore(mc config.MCConfig) (*Multicore, error) {
 		sharedL2:   mc.SharedL2,
 		cfg:        p,
 		hopCycles:  mc.RouterHopCycles,
-		dir:        make(map[uint64]dirEntry, 1<<16),
+		dir:        newDirTable(1 << 16),
 		dramCycles: int(p.DRAMLatencyNs * mc.PerCore.FreqGHz),
 	}
 	fail := func(level string, err error) (*Multicore, error) {
@@ -196,10 +262,8 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 			return 0
 		}
 		// Write hit: if other domains share the line, pay an upgrade.
-		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
-			lat := m.invalidateOthers(&e, la, dom)
-			m.dir[la] = e
-			return lat
+		if e := m.dir.find(la); e != nil && e.sharers&^(1<<uint(dom)) != 0 {
+			return m.invalidateOthers(e, la, dom)
 		}
 		return 0
 	}
@@ -213,9 +277,8 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 		return extra
 	}
 	if l2hit && write {
-		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
-			extra += m.invalidateOthers(&e, la, dom)
-			m.dir[la] = e
+		if e := m.dir.find(la); e != nil && e.sharers&^(1<<uint(dom)) != 0 {
+			extra += m.invalidateOthers(e, la, dom)
 		}
 		return extra
 	}
@@ -226,10 +289,7 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	m.Extra.NoCHops += uint64(h)
 	extra += h*m.hopCycles + m.cfg.L3.RTCycles
 
-	e, ok := m.dir[la]
-	if !ok {
-		e = dirEntry{owner: -1}
-	}
+	e := m.dir.entry(la)
 
 	// If another domain holds the line Modified, forward from its cache.
 	if e.state == dirModified && e.owner >= 0 && int(e.owner) != dom {
@@ -243,14 +303,13 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	}
 
 	if write {
-		extra += m.invalidateOthers(&e, la, dom)
+		extra += m.invalidateOthers(e, la, dom)
 		e.state = dirModified
 		e.owner = int8(dom)
 		e.sharers = 1 << uint(dom)
 	} else {
 		e.sharers |= 1 << uint(dom)
 	}
-	m.dir[la] = e
 
 	if hit3, _, _ := m.l3.Access(addr, write); hit3 {
 		return extra

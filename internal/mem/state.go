@@ -159,7 +159,7 @@ type MCState struct {
 func (m *Multicore) State() *MCState {
 	s := &MCState{
 		L3:           m.l3.State(),
-		Dir:          make(map[uint64]DirEntryState, len(m.dir)),
+		Dir:          make(map[uint64]DirEntryState, m.dir.used),
 		LastDataLine: append([]uint64(nil), m.lastDataLine...),
 
 		NoCHops:       m.Extra.NoCHops,
@@ -176,15 +176,17 @@ func (m *Multicore) State() *MCState {
 	for _, c := range m.l2 {
 		s.L2 = append(s.L2, c.State())
 	}
-	for la, e := range m.dir {
-		s.Dir[la] = DirEntryState{Sharers: e.sharers, Owner: e.owner, State: uint8(e.state)}
+	for _, e := range m.dir.slots {
+		if e.key != 0 {
+			s.Dir[e.key-1] = DirEntryState{Sharers: e.sharers, Owner: e.owner, State: uint8(e.state)}
+		}
 	}
 	return s
 }
 
 // SetState restores a snapshot taken by State. Topology and geometry are
 // checked across every cache before any mutation; the directory is rebuilt
-// into a fresh map, so restoring cells never share one.
+// into a fresh table, so restoring cells never share one.
 func (m *Multicore) SetState(s *MCState) error {
 	if len(s.IL1) != len(m.il1) || len(s.DL1) != len(m.dl1) || len(s.L2) != len(m.l2) ||
 		len(s.LastDataLine) != len(m.lastDataLine) {
@@ -219,9 +221,9 @@ func (m *Multicore) SetState(s *MCState) error {
 		m.l2[i].setState(&s.L2[i])
 	}
 	m.l3.setState(&s.L3)
-	m.dir = make(map[uint64]dirEntry, len(s.Dir))
+	m.dir = newDirTable(len(s.Dir))
 	for la, e := range s.Dir {
-		m.dir[la] = dirEntry{sharers: e.Sharers, owner: e.Owner, state: dirState(e.State)}
+		*m.dir.entry(la) = dirEntry{sharers: e.Sharers, owner: e.Owner, state: dirState(e.State)}
 	}
 	copy(m.lastDataLine, s.LastDataLine)
 	m.Extra.NoCHops = s.NoCHops

@@ -5,6 +5,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/tech"
+	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
 	"vertical3d/internal/workload"
 )
@@ -41,5 +42,36 @@ func BenchmarkMulticoreStep(b *testing.B) {
 				b.ReportMetric(float64(retired)/sec/1e6, "mips")
 			}
 		})
+	}
+}
+
+// BenchmarkMulticoreRun measures a non-lockstep Run sized like
+// DefaultOptions — the mode and size of a Fig9 sweep cell, where each
+// core runs its phase to completion in turn through the coherent memory
+// system. Every iteration starts from a cold trace cache, so the figure
+// includes recording the per-core streams.
+func BenchmarkMulticoreRun(b *testing.B) {
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := config.DeriveMulticore(s)
+	p, err := workload.ByName("Fft")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := DefaultOptions()
+	var retired uint64
+	for i := 0; i < b.N; i++ {
+		trace.ResetCache()
+		r, err := Run(m[config.MCBase], p, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		retired += r.Instrs
+	}
+	trace.ResetCache()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(retired)/sec/1e6, "mips")
 	}
 }

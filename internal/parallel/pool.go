@@ -280,6 +280,14 @@ type Pool struct {
 	// (see the package comment), so the order changes only which cells run
 	// side by side. Nil means index order.
 	Order []int
+
+	// Settled, when non-nil, is called once per cell when the cell's
+	// outcome is final: after its last attempt returned (success, error
+	// or recovered panic), or when fail-fast or cancellation kept it from
+	// running. Calls come from the worker goroutines, each before the
+	// worker takes its next cell, and all of them before the call
+	// returns. Sweeps use it to drop per-cell resources early.
+	Settled func(i int)
 }
 
 // ErrOrder reports a Pool.Order that is not a permutation of the call's
@@ -495,9 +503,14 @@ func (p Pool) callOnce(ctx context.Context, i int, wd *watchdog, fn func(ctx con
 // else the context error (external cancel or expired SweepTimeout) if it
 // stopped any dispatch, nil otherwise.
 func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn func(ctx context.Context, i int) error) error {
+	settle := func(int) {}
+	if p.Settled != nil {
+		settle = p.Settled
+	}
 	if err := p.checkOrder(n); err != nil {
 		for i := range errs {
 			errs[i] = err
+			settle(i)
 		}
 		return err
 	}
@@ -532,7 +545,8 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 				if err := ctx.Err(); err != nil {
 					skipped.Store(true)
 					if failFast {
-						return
+						settle(i)
+						continue
 					}
 					// Keep-going mode: attribute the cancellation to every
 					// undispatched cell — tagged with the cell index and the
@@ -541,15 +555,18 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 					// callers tell "not run" from "ran and succeeded".
 					deadline, _ := ctx.Deadline()
 					errs[i] = &CellAbortError{Index: i, Deadline: deadline, Err: err}
+					settle(i)
 					continue
 				}
 				cctx, ok := ff.start(ctx, i)
 				if !ok {
-					continue // a lower cell failed: i is never dispatched
+					settle(i) // a lower cell failed: i is never dispatched
+					continue
 				}
 				err := p.call(cctx, i, wd, fn)
 				errs[i] = err
 				ff.finish(i, err != nil)
+				settle(i)
 			}
 		}()
 	}

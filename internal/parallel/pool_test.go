@@ -456,3 +456,85 @@ func TestExternalDeadlinePropagates(t *testing.T) {
 		t.Fatal("no cells were abort-tagged despite the expired deadline")
 	}
 }
+
+// TestSettledOncePerFinalOutcome checks the Settled hook: every cell is
+// settled exactly once — after its last attempt, not after each retry —
+// whether it succeeded, failed, panicked, was skipped by fail-fast or was
+// never dispatched because the sweep was cancelled.
+func TestSettledOncePerFinalOutcome(t *testing.T) {
+	const n = 24
+	type probe struct {
+		attempts, settled [n]atomic.Int32
+		early             atomic.Int32 // settles seen before the final attempt
+	}
+	newPool := func(pr *probe, final func(i int) int32) Pool {
+		return Pool{Workers: 3, Retry: Retry{Attempts: 3, BaseDelay: time.Microsecond},
+			Settled: func(i int) {
+				if pr.attempts[i].Load() < final(i) {
+					pr.early.Add(1)
+				}
+				pr.settled[i].Add(1)
+			}}
+	}
+	check := func(name string, pr *probe) {
+		t.Helper()
+		if e := pr.early.Load(); e != 0 {
+			t.Errorf("%s: %d cell(s) settled before their final attempt", name, e)
+		}
+		for i := range pr.settled {
+			if c := pr.settled[i].Load(); c != 1 {
+				t.Errorf("%s: cell %d settled %d times, want 1", name, i, c)
+			}
+		}
+	}
+
+	// Keep-going: cells 0 mod 3 panic on their first attempt and succeed on
+	// the retry; cells 1 mod 3 fail with a non-retryable error.
+	var pr probe
+	final := func(i int) int32 {
+		if i%3 == 0 {
+			return 2
+		}
+		return 1
+	}
+	_, errs := MapPartial(context.Background(), newPool(&pr, final), n, func(_ context.Context, i int) (int, error) {
+		a := pr.attempts[i].Add(1)
+		switch {
+		case i%3 == 0 && a == 1:
+			panic("transient")
+		case i%3 == 1:
+			return 0, errors.New("model error")
+		}
+		return i, nil
+	})
+	if got := CountErrors(errs); got != n/3 {
+		t.Fatalf("keep-going: %d failed cells, want %d", got, n/3)
+	}
+	check("keep-going", &pr)
+
+	// Fail-fast: cell 0 fails, so every cell above it is skipped or
+	// cancelled.
+	var ff probe
+	zero := func(int) int32 { return 0 }
+	pool := newPool(&ff, zero)
+	pool.Workers = 1
+	if err := pool.ForEach(context.Background(), n, func(_ context.Context, i int) error {
+		ff.attempts[i].Add(1)
+		if i == 0 {
+			return errors.New("model error")
+		}
+		return nil
+	}); err == nil {
+		t.Fatal("fail-fast: the failing cell's error was not returned")
+	}
+	check("fail-fast", &ff)
+
+	// Cancelled before dispatch, in both modes.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var cf, ck probe
+	_ = newPool(&cf, zero).ForEach(ctx, n, func(context.Context, int) error { return nil })
+	check("cancelled fail-fast", &cf)
+	MapPartial(ctx, newPool(&ck, zero), n, func(context.Context, int) (int, error) { return 0, nil })
+	check("cancelled keep-going", &ck)
+}

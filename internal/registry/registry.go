@@ -70,23 +70,25 @@ func (r *Registry[K, V]) Do(k K, fn func() V) (v V, first bool) {
 // called (once; later calls do nothing). Holding creates an empty slot if
 // k has none, so the scope's first Do computes the value into it. When
 // the last hold on an unpinned slot is released, the slot leaves the
-// registry.
+// registry. A spent release no longer references the slot, so a scope
+// that keeps its releases around does not keep a released value alive.
 func (r *Registry[K, V]) Hold(k K) (release func()) {
 	r.mu.Lock()
 	s := r.lookupLocked(k, false)
 	s.holds++
 	r.mu.Unlock()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			s.holds--
-			// After a Reset the key may map to a newer slot, or none.
-			if s.holds == 0 && !s.pinned && r.slots[k] == s {
-				delete(r.slots, k)
-			}
-		})
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if s == nil {
+			return
+		}
+		s.holds--
+		// After a Reset the key may map to a newer slot, or none.
+		if s.holds == 0 && !s.pinned && r.slots[k] == s {
+			delete(r.slots, k)
+		}
+		s = nil
 	}
 }
 

@@ -1,6 +1,10 @@
 package registry
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"weak"
+)
 
 // TestRegistryLifetime walks one key through every lifetime rule: Do on
 // an unheld key pins it, held slots leave with their last release, a
@@ -42,4 +46,22 @@ func TestRegistryLifetime(t *testing.T) {
 	if n := len(r.Values()); n != 1 {
 		t.Fatalf("a release from before Reset evicted the newer slot (%d values)", n)
 	}
+}
+
+// TestRegistryReleaseDropsValue checks that a spent release lets its value
+// be collected even while the scope's Releases slice is still alive: a
+// sweep that releases a key early must not pin the value until it returns.
+func TestRegistryReleaseDropsValue(t *testing.T) {
+	var r Registry[int, *[1 << 16]byte]
+	rs := Releases{r.Hold(1)}
+	v, _ := r.Do(1, func() *[1 << 16]byte { return new([1 << 16]byte) })
+	wp := weak.Make(v)
+	v = nil
+	rs[0]()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a released value stayed reachable through its spent release")
+	}
+	rs.Release() // a second release of the whole scope stays harmless
+	runtime.KeepAlive(rs)
 }

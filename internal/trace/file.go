@@ -124,9 +124,13 @@ func (r *Recording) Encode(w io.Writer) error {
 	}
 	crc := crc32.NewIEEE()
 	lanes := io.MultiWriter(bw, crc)
-	for _, lane := range []any{p.pc, p.addr, p.target, p.src1, p.src2, p.dst, p.meta} {
-		if err := binary.Write(lanes, binary.LittleEndian, lane); err != nil {
-			return err
+	buf := make([]byte, 8*recChunk)
+	for lane := range laneCount {
+		for j, c := range p.chunks {
+			b := putLane(buf, c, lane, min(recChunk, p.n-j*recChunk))
+			if _, err := lanes.Write(b); err != nil {
+				return err
+			}
 		}
 	}
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
@@ -140,7 +144,7 @@ func (r *Recording) Encode(w io.Writer) error {
 // rebuilt lazily from the header's identity triple on the first read past
 // N. A checksum mismatch, a header Encode would not have written, or bytes
 // past the checksum return an identity-tagged error wrapping ErrCorrupt.
-// Lanes grow as their bytes arrive, so a header claiming more
+// Chunks are allocated as their bytes arrive, so a header claiming more
 // instructions than the input holds costs no more memory than the input.
 func ReadRecording(r io.Reader) (*Recording, error) {
 	br := bufio.NewReader(r)
@@ -180,19 +184,21 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 			ErrCorrupt, hdr.Profile.Name, hdr.Seed, hdr.Stream, hdr.N, fmt.Sprintf(format, args...))
 	}
 	crc := crc32.NewIEEE()
-	lr := &laneReader{r: io.TeeReader(br, crc), buf: make([]byte, 8*laneChunk)}
-	p := &packed{
-		n:      hdr.N,
-		pc:     readLane[uint64](lr, hdr.N),
-		addr:   readLane[uint64](lr, hdr.N),
-		target: readLane[uint64](lr, hdr.N),
-		src1:   readLane[int16](lr, hdr.N),
-		src2:   readLane[int16](lr, hdr.N),
-		dst:    readLane[int16](lr, hdr.N),
-		meta:   readLane[uint8](lr, hdr.N),
-	}
-	if lr.err != nil {
-		return nil, fmt.Errorf("trace: read lanes: %w", lr.err)
+	lanes := io.TeeReader(br, crc)
+	buf := make([]byte, 8*recChunk)
+	p := &packed{n: hdr.N}
+	for lane := range laneCount {
+		for j := 0; j*recChunk < hdr.N; j++ {
+			if lane == 0 { // allocate each chunk as its first bytes arrive
+				p.chunks = append(p.chunks, new(chunk))
+			}
+			k := min(recChunk, hdr.N-j*recChunk)
+			b := buf[:k*laneSizes[lane]]
+			if _, err := io.ReadFull(lanes, b); err != nil {
+				return nil, fmt.Errorf("trace: read lanes: %w", err)
+			}
+			getLane(b, p.chunks[j], lane)
+		}
 	}
 	var want uint32
 	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
@@ -209,60 +215,49 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	return rec, nil
 }
 
-// laneChunk is the most elements readLane reads at once.
-const laneChunk = 8192
+// laneCount is the number of lanes, in file order: PC, Addr, Target,
+// Src1, Src2, Dst, meta.
+const laneCount = 7
 
-// laneReader reads a file's lanes in order through one chunk buffer,
-// counting the bytes read and keeping the first error.
-type laneReader struct {
-	r    io.Reader
-	buf  []byte
-	read int
-	err  error
+// laneSizes is each lane's element size in bytes, in file order.
+var laneSizes = [laneCount]int{8, 8, 8, 2, 2, 2, 1}
+
+// putLane encodes the first k slots of one lane of c little-endian into
+// buf and returns the encoded bytes.
+func putLane(buf []byte, c *chunk, lane, k int) []byte {
+	b := buf[:k*laneSizes[lane]]
+	switch lane {
+	case 0, 1, 2:
+		for i, v := range [...]*[recChunk]uint64{&c.pc, &c.addr, &c.target}[lane][:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
+		}
+	case 3, 4, 5:
+		for i, v := range [...]*[recChunk]int16{&c.src1, &c.src2, &c.dst}[lane-3][:k] {
+			binary.LittleEndian.PutUint16(b[2*i:], uint16(v))
+		}
+	default:
+		copy(b, c.meta[:k])
+	}
+	return b
 }
 
-// readLane reads the next n-element little-endian lane, or returns nil
-// once lr has failed. A lane longer than the bytes read so far grows as
-// its bytes arrive, its capacity at most doubling per chunk and never
-// exceeding n; once the first lane has arrived, the others are allocated
-// whole.
-func readLane[T uint64 | int16 | uint8](lr *laneReader, n int) []T {
-	if lr.err != nil {
-		return nil
-	}
-	size := binary.Size(T(0))
-	c := n
-	if n*size > lr.read {
-		c = min(n, laneChunk)
-	}
-	lane := make([]T, 0, c)
-	for len(lane) < n {
-		if len(lane) == cap(lane) {
-			grown := make([]T, len(lane), min(n, 2*cap(lane)))
-			copy(grown, lane)
-			lane = grown
+// getLane decodes little-endian lane bytes b into the first slots of one
+// lane of c; the inverse of putLane.
+func getLane(b []byte, c *chunk, lane int) {
+	switch lane {
+	case 0, 1, 2:
+		dst := [...]*[recChunk]uint64{&c.pc, &c.addr, &c.target}[lane]
+		for i := range len(b) / 8 {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
-		k := min(cap(lane)-len(lane), laneChunk)
-		b := lr.buf[:k*size]
-		if _, lr.err = io.ReadFull(lr.r, b); lr.err != nil {
-			return nil
+	case 3, 4, 5:
+		dst := [...]*[recChunk]int16{&c.src1, &c.src2, &c.dst}[lane-3]
+		for i := range len(b) / 2 {
+			dst[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
 		}
-		switch part := any(lane[len(lane) : len(lane)+k]).(type) {
-		case []uint64:
-			for i := range part {
-				part[i] = binary.LittleEndian.Uint64(b[8*i:])
-			}
-		case []int16:
-			for i := range part {
-				part[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
-			}
-		case []uint8:
-			copy(part, b)
-		}
-		lane = lane[:len(lane)+k]
-		lr.read += len(b)
+	default:
+		copy(c.meta[:], b)
 	}
-	return lane
 }
 
 // SaveFile writes the recording to path durably and atomically: temp file,

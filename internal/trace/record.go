@@ -1,6 +1,6 @@
 // Record-once / replay-many trace capture. A Recording materialises the
 // deterministic instruction stream of one (Profile, seed, stream) triple
-// into a compact packed buffer exactly once; any number of Replayers —
+// into compact packed chunks exactly once; any number of Replayers —
 // one per sweep cell, across goroutines — then read the same immutable
 // snapshot instead of re-rolling the generator's rand stream per cell.
 //
@@ -8,21 +8,25 @@
 // uint64 lanes (PC, Addr, Target), three int16 lanes (Src1, Src2, Dst) and
 // one meta byte packing Kind (low 4 bits), Taken (bit 4) and Complex
 // (bit 5) — 31 bytes per instruction versus the 40-byte in-memory Inst
-// (and 48 bytes before the field reordering; see layout_test.go).
+// (and 48 bytes before the field reordering; see layout_test.go). The
+// lanes live in fixed-size chunks of recChunk instructions.
 //
 // Recordings extend on demand: the simulator frontend consumes more
 // instructions than it commits (squashed wrong-path fetches are discarded,
 // and how many depends on the design being swept), so no fixed length is
-// ever provably enough. Extension appends from the recording's generator
-// under a mutex and publishes a fresh immutable snapshot through an atomic
-// pointer; readers never lock, and a reader holding an old snapshot only
-// touches indices below its own n, so concurrent extension is race-free.
+// ever provably enough. Extension fills whole chunks from the recording's
+// generator under a mutex and publishes a fresh immutable snapshot through
+// an atomic pointer; readers never lock, and a reader holding an old
+// snapshot only touches slots below its own n, so concurrent extension is
+// race-free. Growth never copies recorded lanes, and it stops within one
+// chunk of the furthest instruction read.
 package trace
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // meta-byte layout for the packed encoding.
@@ -44,70 +48,85 @@ func packMeta(in Inst) uint8 {
 	return m
 }
 
-// packed is one immutable snapshot of a recording's struct-of-arrays
-// buffer. Every lane has length n; snapshots are only ever replaced, never
-// mutated below their own n, so sharing them across goroutines is safe.
-type packed struct {
-	n                int
-	pc, addr, target []uint64
-	src1, src2, dst  []int16
-	meta             []uint8
+// recChunk is the instruction count of one chunk, the unit a recording
+// grows by.
+const recChunk = 8192
+
+// chunk holds recChunk instructions in the packed struct-of-arrays
+// encoding. A chunk's slots are written once, before the snapshot that
+// first covers them is published, and never again.
+type chunk struct {
+	pc, addr, target [recChunk]uint64
+	src1, src2, dst  [recChunk]int16
+	meta             [recChunk]uint8
 }
 
-// inst decodes instruction i back into the in-memory representation. The
+// chunkBytes is the allocated size of one chunk (31 bytes per slot).
+const chunkBytes = int(unsafe.Sizeof(chunk{}))
+
+// inst decodes slot i back into the in-memory representation. The
 // round-trip is exact: every Inst field is stored at full width.
-func (p *packed) inst(i int) Inst {
-	m := p.meta[i]
+func (c *chunk) inst(i int) Inst {
+	m := c.meta[i]
 	return Inst{
-		PC:      p.pc[i],
-		Addr:    p.addr[i],
-		Target:  p.target[i],
-		Src1:    p.src1[i],
-		Src2:    p.src2[i],
-		Dst:     p.dst[i],
+		PC:      c.pc[i],
+		Addr:    c.addr[i],
+		Target:  c.target[i],
+		Src1:    c.src1[i],
+		Src2:    c.src2[i],
+		Dst:     c.dst[i],
 		Kind:    Kind(m & metaKindMask),
 		Taken:   m&metaTaken != 0,
 		Complex: m&metaComplex != 0,
 	}
 }
 
-// bytes reports the packed footprint of the snapshot's lanes.
-func (p *packed) bytes() int {
-	return p.n * (3*8 + 3*2 + 1) // 31 bytes per instruction
+// set packs in into slot i.
+func (c *chunk) set(i int, in Inst) {
+	c.pc[i], c.addr[i], c.target[i] = in.PC, in.Addr, in.Target
+	c.src1[i], c.src2[i], c.dst[i] = in.Src1, in.Src2, in.Dst
+	c.meta[i] = packMeta(in)
 }
 
-// Recorder incrementally packs instructions into the struct-of-arrays
-// buffer. Record and the binary file loader both build recordings through
-// it; tests use it to pack hand-written streams.
+// packed is one immutable snapshot of a recording: its first n
+// instructions, in chunks covering at least n slots. Growth fills slots
+// past n (in the last chunk or in new ones) and publishes a new snapshot;
+// a reader holding an old snapshot only reads slots below its own n, so
+// sharing snapshots and chunks across goroutines is safe and growth never
+// copies a chunk.
+type packed struct {
+	n      int
+	chunks []*chunk
+}
+
+// bytes reports the allocated footprint of the snapshot's chunks.
+func (p *packed) bytes() int { return len(p.chunks) * chunkBytes }
+
+// slot returns the chunk holding instruction i, growing the chunk list
+// when i is the first slot past it.
+func (p *packed) slot(i int) (*chunk, int) {
+	if i == len(p.chunks)*recChunk {
+		p.chunks = append(p.chunks, new(chunk))
+	}
+	return p.chunks[i/recChunk], i % recChunk
+}
+
+// Recorder incrementally packs instructions into chunks. Record and
+// tests build recordings through it.
 type Recorder struct {
 	p packed
 }
 
-// NewRecorder returns a recorder pre-sized for n instructions.
+// NewRecorder returns a recorder sized for n instructions.
 func NewRecorder(n int) *Recorder {
-	if n < 0 {
-		n = 0
-	}
-	return &Recorder{p: packed{
-		pc:     make([]uint64, 0, n),
-		addr:   make([]uint64, 0, n),
-		target: make([]uint64, 0, n),
-		src1:   make([]int16, 0, n),
-		src2:   make([]int16, 0, n),
-		dst:    make([]int16, 0, n),
-		meta:   make([]uint8, 0, n),
-	}}
+	n = max(n, 0)
+	return &Recorder{p: packed{chunks: make([]*chunk, 0, (n+recChunk-1)/recChunk)}}
 }
 
 // Append packs one instruction.
 func (r *Recorder) Append(in Inst) {
-	r.p.pc = append(r.p.pc, in.PC)
-	r.p.addr = append(r.p.addr, in.Addr)
-	r.p.target = append(r.p.target, in.Target)
-	r.p.src1 = append(r.p.src1, in.Src1)
-	r.p.src2 = append(r.p.src2, in.Src2)
-	r.p.dst = append(r.p.dst, in.Dst)
-	r.p.meta = append(r.p.meta, packMeta(in))
+	c, i := r.p.slot(r.p.n)
+	c.set(i, in)
 	r.p.n++
 }
 
@@ -135,7 +154,7 @@ func (r *Recorder) Finish(prof Profile, seed int64, stream int) *Recording {
 	rec := &Recording{prof: prof, seed: seed, stream: stream}
 	p := r.p
 	rec.snap.Store(&p)
-	r.p = packed{} // the recorder is spent; don't alias the sealed lanes
+	r.p = packed{} // the recorder is spent; don't alias the sealed chunks
 	return rec
 }
 
@@ -160,9 +179,7 @@ type Recording struct {
 // generator into a packed recording. The recording extends itself on
 // demand when replayed past n, so n is a sizing hint, not a hard limit.
 func Record(prof Profile, seed int64, stream int, n int) *Recording {
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	g := NewGenerator(prof, seed, stream)
 	rc := NewRecorder(n)
 	rc.RecordFrom(g, n)
@@ -183,8 +200,9 @@ func (r *Recording) Stream() int { return r.stream }
 // Len reports the currently materialised length.
 func (r *Recording) Len() int { return r.snap.Load().n }
 
-// Bytes reports the packed memory footprint of the current snapshot
-// (31 bytes per materialised instruction, excluding slice headers).
+// Bytes reports the memory the current snapshot's chunks occupy: 31 bytes
+// per slot of every allocated chunk, materialised or not, excluding the
+// chunk list itself.
 func (r *Recording) Bytes() int { return r.snap.Load().bytes() }
 
 // At returns instruction i, extending the recording if needed.
@@ -196,7 +214,8 @@ func (r *Recording) At(i int) Inst {
 
 // read copies instructions [pos, pos+len(dst)) into dst, extending the
 // recording when the window reaches past the current snapshot. The
-// lock-free fast path is a snapshot load plus seven lane copies.
+// lock-free fast path is a snapshot load plus seven lane reads per
+// instruction.
 func (r *Recording) read(pos int, dst []Inst) {
 	if len(dst) == 0 {
 		return
@@ -208,14 +227,19 @@ func (r *Recording) read(pos int, dst []Inst) {
 	if pos+len(dst) > p.n {
 		p = r.extend(pos + len(dst))
 	}
-	for i := range dst {
-		dst[i] = p.inst(pos + i)
+	for len(dst) > 0 {
+		c, off := p.chunks[pos/recChunk], pos%recChunk
+		k := min(len(dst), recChunk-off)
+		for i := range dst[:k] {
+			dst[i] = c.inst(off + i)
+		}
+		dst, pos = dst[k:], pos+k
 	}
 }
 
 // extend grows the recording to at least need instructions and returns the
-// new snapshot. Growth is geometric (≥1.5x) so a replayer that keeps
-// running past the initial hint pays amortised O(1) per instruction.
+// new snapshot. Growth fills whole chunks, so it never copies recorded
+// instructions and leaves less than one chunk unread past need.
 func (r *Recording) extend(need int) *packed {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -236,22 +260,17 @@ func (r *Recording) extend(need int) *packed {
 		}
 		r.gen = g
 	}
-	target := max(need, p.n+p.n/2, 4096)
-	np := &packed{
-		n:      target,
-		pc:     append(p.pc[:p.n:p.n], make([]uint64, target-p.n)...),
-		addr:   append(p.addr[:p.n:p.n], make([]uint64, target-p.n)...),
-		target: append(p.target[:p.n:p.n], make([]uint64, target-p.n)...),
-		src1:   append(p.src1[:p.n:p.n], make([]int16, target-p.n)...),
-		src2:   append(p.src2[:p.n:p.n], make([]int16, target-p.n)...),
-		dst:    append(p.dst[:p.n:p.n], make([]int16, target-p.n)...),
-		meta:   append(p.meta[:p.n:p.n], make([]uint8, target-p.n)...),
-	}
-	for i := p.n; i < target; i++ {
-		in := r.gen.Next()
-		np.pc[i], np.addr[i], np.target[i] = in.PC, in.Addr, in.Target
-		np.src1[i], np.src2[i], np.dst[i] = in.Src1, in.Src2, in.Dst
-		np.meta[i] = packMeta(in)
+	np := &packed{n: p.n, chunks: p.chunks}
+	target := (need + recChunk - 1) / recChunk * recChunk
+	var buf [256]Inst
+	for np.n < target {
+		k := min(target-np.n, len(buf))
+		r.gen.NextBatch(buf[:k])
+		for _, in := range buf[:k] {
+			c, i := np.slot(np.n)
+			c.set(i, in)
+			np.n++
+		}
 	}
 	r.snap.Store(np)
 	return np
@@ -297,21 +316,25 @@ func (r *Replayer) NextBatch(dst []Inst) int {
 
 // View returns read-only windows of the packed lanes needed by functional
 // consumers — PC, Addr, Target and the meta byte (Kind/Taken/Complex) —
-// for the next max instructions, extending the recording as needed. It
-// does not advance the replay position; call Advance after consuming.
-// Skipping the Inst decode this way is what makes fast-forward phases
-// cheap: the register lanes are never touched and no 40-byte structs are
+// for up to max instructions from the replay position, extending the
+// recording as needed. The windows end early at a chunk boundary, so they
+// may be shorter than max (never empty for max > 0). View does not advance
+// the replay position; call Advance with the length consumed. Skipping
+// the Inst decode this way is what makes fast-forward phases cheap: the
+// register lanes are never touched and no 40-byte structs are
 // materialised.
 func (r *Replayer) View(max int) (pc, addr, target []uint64, meta []uint8) {
 	if max <= 0 {
 		return nil, nil, nil, nil
 	}
+	off := r.pos % recChunk
+	k := min(max, recChunk-off)
 	p := r.rec.snap.Load()
-	if r.pos+max > p.n {
-		p = r.rec.extend(r.pos + max)
+	if r.pos+k > p.n {
+		p = r.rec.extend(r.pos + k)
 	}
-	end := r.pos + max
-	return p.pc[r.pos:end], p.addr[r.pos:end], p.target[r.pos:end], p.meta[r.pos:end]
+	c, end := p.chunks[r.pos/recChunk], off+k
+	return c.pc[off:end], c.addr[off:end], c.target[off:end], c.meta[off:end]
 }
 
 // Advance moves the replay position k instructions forward, past a window

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -84,8 +86,8 @@ func TestRecorderAppendRoundTrip(t *testing.T) {
 			t.Fatalf("instruction %d round-trip: got %+v want %+v", i, got, want)
 		}
 	}
-	if want := len(ins) * 31; rec.Bytes() != want {
-		t.Fatalf("Bytes() = %d, want %d (31 per instruction)", rec.Bytes(), want)
+	if want := recChunk * 31; rec.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d (one chunk of 31-byte slots)", rec.Bytes(), want)
 	}
 }
 
@@ -213,5 +215,95 @@ func TestFileNameDistinguishesProfiles(t *testing.T) {
 	}
 	if FileName(a, 1, 0) == FileName(a, 2, 0) || FileName(a, 1, 0) == FileName(a, 1, 1) {
 		t.Fatal("seed/stream not reflected in the file name")
+	}
+}
+
+// TestChunkBoundaryReplayMatchesGenerator replays a recording whose hint
+// ends mid-chunk through NextBatch and through View windows that straddle
+// chunk boundaries; both must reproduce a fresh generator. View may cut a
+// window at a chunk boundary, so the consumer advances by what it got.
+func TestChunkBoundaryReplayMatchesGenerator(t *testing.T) {
+	const n = 4*recChunk + 123
+	p := testProfile()
+	ref := make([]Inst, n)
+	NewGenerator(p, 13, 4).NextBatch(ref)
+	rec := Record(p, 13, 4, recChunk+recChunk/2)
+
+	r := NewReplayer(rec)
+	buf := make([]Inst, 3000) // 3000 does not divide recChunk
+	for pos := 0; pos < n; {
+		k := min(len(buf), n-pos)
+		r.NextBatch(buf[:k])
+		for i := range buf[:k] {
+			if buf[i] != ref[pos+i] {
+				t.Fatalf("NextBatch: instruction %d differs", pos+i)
+			}
+		}
+		pos += k
+	}
+
+	v := NewReplayer(rec)
+	v.Seek(recChunk - 700)
+	for pos := v.Pos(); pos < n; {
+		want := min(1000, n-pos)
+		pc, addr, target, meta := v.View(want)
+		if len(pc) == 0 || len(pc) < want && (pos+len(pc))%recChunk != 0 {
+			t.Fatalf("View at %d returned %d instructions", pos, len(pc))
+		}
+		for i := range pc {
+			want := ref[pos+i]
+			if pc[i] != want.PC || addr[i] != want.Addr || target[i] != want.Target ||
+				MetaKind(meta[i]) != want.Kind || MetaTaken(meta[i]) != want.Taken {
+				t.Fatalf("View: instruction %d differs", pos+i)
+			}
+		}
+		v.Advance(len(pc))
+		pos += len(pc)
+	}
+	if got, want := rec.Len(), (n+recChunk-1)/recChunk*recChunk; got != want {
+		t.Fatalf("recording grew to %d instructions, want %d (whole chunks, none past the last read)", got, want)
+	}
+	if got, want := rec.Bytes(), rec.Len()/recChunk*chunkBytes; got != want {
+		t.Fatalf("Bytes() = %d, want %d allocated chunk bytes", got, want)
+	}
+}
+
+// TestSaveFileFormatPinned pins the bytes SaveFile writes for multi-chunk
+// recordings — one ending mid-chunk, one grown by extension — to digests
+// taken before recordings were chunked: the .m3dtrace format is
+// independent of the in-memory layout.
+func TestSaveFileFormatPinned(t *testing.T) {
+	p := testProfile()
+	grown := Record(p, 7, 1, 0)
+	grown.At(recChunk - 1)
+	grown.At(3*recChunk - 1)
+	for _, tc := range []struct {
+		name string
+		rec  *Recording
+		sha  string
+	}{
+		{"partial", Record(p, 9, 2, 20_000), "bf5350b09d49c6647c9edda3e74a1c05eab3dba3829ac2ffa4d8f1f699fbfbdf"},
+		{"grown", grown, "6bd4bf4a58833349aea7a49ac74b67d8a4443715644e743a336c32ebbc1190f7"},
+	} {
+		path := filepath.Join(t.TempDir(), FileName(p, tc.rec.Seed(), tc.rec.Stream()))
+		if err := SaveFile(path, tc.rec); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.sha {
+			t.Errorf("%s: SaveFile of %d instructions wrote sha256 %s, want %s", tc.name, tc.rec.Len(), got, tc.sha)
+		}
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, recChunk - 1, recChunk, tc.rec.Len() - 1} {
+			if loaded.At(i) != tc.rec.At(i) {
+				t.Fatalf("%s: instruction %d differs after a save and load", tc.name, i)
+			}
+		}
 	}
 }

@@ -294,9 +294,9 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 	fills, e2, e3 := w.fillsOK, w.latL2, w.latL3
 	w.obs.Instrs += n
 	for n > 0 {
-		k := int(min(n, 4096))
-		pc, addr, target, meta := rp.View(k)
-		addr, target, meta = addr[:len(pc)], target[:len(pc)], meta[:len(pc)]
+		pc, addr, target, meta := rp.View(int(min(n, 4096)))
+		k := len(pc) // the window may end early, at a chunk boundary
+		addr, target, meta = addr[:k], target[:k], meta[:k]
 		for i := range pc {
 			if line := pc[i] & w.lineMask; line != curLine {
 				curLine = line
