@@ -1,11 +1,12 @@
 // Package fsio is the filesystem seam of the persistence layers. The
-// write-ahead journal (internal/journal) and the packed trace files
-// (internal/trace) never call the os package directly; they go through the
-// FS interface, whose production implementation (OS) is a thin veneer over
-// the real filesystem and whose test implementation (Injector) injects
-// deterministic, seeded storage faults — ENOSPC, EIO, short writes, torn
-// renames, silent post-write bit flips — underneath unmodified production
-// code.
+// segment logs (internal/seglog under internal/journal and
+// internal/jobstore), the packed trace files (internal/trace) and the warm
+// snapshots (internal/warm) never call the os package directly; they go
+// through the FS interface, whose production implementation (OS) is a thin
+// veneer over the real filesystem and whose test implementation (Injector)
+// injects deterministic, seeded storage faults — ENOSPC, EIO, short
+// writes, torn renames, silent post-write bit flips — underneath
+// unmodified production code.
 //
 // The seam covers exactly the operations the persistence layers perform:
 // open for read, create-temp for the atomic tmp+fsync+rename pattern,
@@ -20,6 +21,9 @@ package fsio
 import (
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 )
 
 // File is the per-handle surface the persistence layers use: sequential
@@ -99,4 +103,62 @@ func SyncDir(fs FS, dir string) error {
 		return err
 	}
 	return d.Close()
+}
+
+// Publish writes path atomically: write fills a temp file created next to
+// path from pattern, which is fsync'd, closed and renamed onto path, then
+// the parent directory is fsync'd best-effort so the rename itself
+// survives a crash. A failure at any step removes the temp file and leaves
+// path untouched, so no reader ever trusts a torn file.
+func Publish(fs FS, path, pattern string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := fs.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	if err = write(tmp); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = fs.Remove(tmp.Name())
+		return err
+	}
+	_ = SyncDir(fs, dir)
+	return nil
+}
+
+// Seam is a swappable FS: the package-global hook behind each persistence
+// layer's SetFS, so the chaos campaigns can drive a whole sweep through an
+// *Injector without plumbing an FS through every layer. The zero value
+// routes to OS. Safe for concurrent use.
+type Seam struct{ fs atomic.Pointer[FS] }
+
+// Set overrides the filesystem; nil restores OS.
+func (s *Seam) Set(fs FS) { s.fs.Store(&fs) }
+
+// Get returns the current filesystem.
+func (s *Seam) Get() FS {
+	if fs := s.fs.Load(); fs != nil && *fs != nil {
+		return *fs
+	}
+	return OS
+}
+
+// SafeName maps s onto portable file-name runes: ASCII letters, digits,
+// '-' and '_' pass through, every other rune becomes '_'.
+func SafeName(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
+			return r
+		default:
+			return '_'
+		}
+	}, s)
 }

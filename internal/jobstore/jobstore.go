@@ -1,18 +1,13 @@
 // Package jobstore is the write-ahead job manifest behind the m3dd
-// daemon's crash-tolerant serving. The daemon's job table — which sweeps
-// were accepted, what they asked for, and how far they got — used to live
-// only in memory, so a crash or redeploy silently lost every queued and
-// running sweep even though the cell-level journal (internal/journal)
-// already makes the underlying simulations bit-identically resumable. The
-// manifest closes that gap: every accepted sweep spec and every state
-// transition is appended to disk before it is acted on, so a restarted
-// daemon replays the manifest, restores the ledger, and re-enqueues every
-// unfinished job. Re-run cells are then served from the journal/result
-// cache, so a kill -9 mid-sweep costs at most the in-flight cells — never
-// a job, never a completed cell.
+// daemon's crash-tolerant serving: every accepted sweep spec and every
+// state transition is appended to disk before it is acted on, so a
+// restarted daemon replays the manifest, restores the ledger, and
+// re-enqueues every unfinished job. Re-run cells are then served from the
+// journal/result cache, so a kill -9 mid-sweep costs at most the in-flight
+// cells — never a job, never a completed cell.
 //
 // On-disk layout: a manifest directory holds append-only segment files,
-// one per writing process:
+// one per writing process, in the internal/seglog format:
 //
 //	jobs-<unixnano>-<pid>.m3dq
 //
@@ -25,22 +20,11 @@
 //	                4  CRC32 (IEEE) of the payload
 //	                L  payload: JSON Record
 //
-// Durability and safety follow the .m3dj playbook:
-//
-//   - the segment header is written to a temp file, fsync'd and renamed
-//     into place, so no reader ever sees a torn header;
-//   - every append is fsync'd before it is acknowledged, so an
-//     acknowledged accept or transition survives any later crash;
-//   - on load, a torn tail (short frame, implausible length, CRC or JSON
-//     mismatch) ends the segment at the last good record, and stale torn
-//     segments are physically truncated back to that point;
-//   - a segment with a corrupt magic or header is quarantined
-//     (renamed to <name>.m3dq.quarantine) and counted, never trusted;
-//   - an append or segment-creation failure quarantines the active
-//     segment and degrades the store: the in-memory ledger keeps
-//     answering, Append stops touching the disk and returns the original
-//     cause — the daemon keeps serving with memory-only jobs instead of
-//     refusing traffic over a bookkeeping failure.
+// seglog owns durability and the degradation ladder: fsync'd appends,
+// torn-tail cuts, quarantine of corrupt headers, and degrade-to-memory on
+// a failed append — the in-memory ledger keeps answering while Append
+// returns the original cause, so the daemon keeps serving with
+// memory-only jobs instead of refusing traffic over a bookkeeping failure.
 //
 // Replay is last-writer-wins per job: records carry their wall-clock
 // nanos and a state update applies only when it is not older than the
@@ -49,49 +33,30 @@
 //
 // Compaction: Open folds each job's record chain into one record and,
 // when the manifest has accumulated enough dead weight, rewrites it as a
-// single compact segment (tmp+fsync+rename) before removing the old
+// single compact segment (seglog.Log.Rewrite) before removing the old
 // files — crash-safe at every step because replay of old+new together is
 // idempotent under the last-writer-wins rule. Jobs in the terminal
 // "evicted" state are dropped from the compact image entirely.
-//
-// All filesystem access goes through the internal/fsio seam, so the
-// serving chaos campaigns inject deterministic storage faults underneath
-// unmodified production code.
 package jobstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"vertical3d/internal/fsio"
+	"vertical3d/internal/seglog"
 )
 
 const (
 	segMagic = "M3DJOB01"
 	segExt   = ".m3dq"
 
-	// quarantineExt is appended to a bad segment's full name, so
-	// "x.m3dq" becomes "x.m3dq.quarantine" and no longer matches segExt.
-	quarantineExt = ".quarantine"
-
-	// maxHeader and maxPayload bound the length prefixes a loader will
-	// trust; anything larger is treated as corruption (torn tail).
-	maxHeader  = 1 << 20
-	maxPayload = 1 << 22
-
-	// tornTruncateAge guards physical truncation: a torn segment younger
-	// than this may still be appended to by a live sibling process.
-	tornTruncateAge = time.Minute
+	quarantineExt   = seglog.QuarantineExt
+	tornTruncateAge = seglog.TornTruncateAge
 
 	// compactSlack is how many dead records the manifest tolerates before
 	// Open rewrites it: a compact image is one record per job, so a
@@ -100,6 +65,9 @@ const (
 	// transitions before going stale).
 	compactSlack = 64
 )
+
+// format is the .m3dq segment format.
+var format = seglog.Format{Name: "jobstore", Magic: segMagic, Ext: segExt, MaxPayload: 1 << 22}
 
 // Job states, in lifecycle order. Accepted/Queued/Running/Interrupted are
 // unfinished — a restarted daemon re-enqueues them; Done/Failed/Evicted
@@ -191,121 +159,64 @@ type Stats struct {
 // *Store is valid and behaves as an empty, discard-all manifest, so the
 // daemon's memory-only mode needs no guards.
 type Store struct {
-	mu      sync.Mutex
-	fs      fsio.FS
-	dir     string
-	jobs    map[string]*Job
-	f       fsio.File // open segment; created lazily on first append
-	segPath string
-	cause   error // first fatal append error; non-nil once degraded
-	stats   Stats
-	now     func() time.Time // test seam
+	mu        sync.Mutex
+	jobs      map[string]*Job
+	log       *seglog.Log
+	compacted int
+	now       func() time.Time // test seam
 }
 
-// storeFS is the filesystem Open routes through — the real one in
+// seam is the filesystem Open routes through — the real one in
 // production, an *fsio.Injector under the serving chaos campaigns.
-var (
-	fsMu    sync.RWMutex
-	storeFS fsio.FS = fsio.OS
-)
+var seam fsio.Seam
 
 // SetFS overrides the filesystem Open uses; nil restores the real one.
 // Test-only: stores opened afterwards are unaffected by later calls.
-func SetFS(fs fsio.FS) {
-	fsMu.Lock()
-	defer fsMu.Unlock()
-	if fs == nil {
-		fs = fsio.OS
-	}
-	storeFS = fs
-}
-
-func getFS() fsio.FS {
-	fsMu.RLock()
-	defer fsMu.RUnlock()
-	return storeFS
-}
+func SetFS(fs fsio.FS) { seam.Set(fs) }
 
 // Open replays every manifest segment of dir (creating the directory if
 // needed), compacts the manifest when it has accumulated enough dead
 // records, and returns a store ready for Append on the default filesystem
 // (see SetFS). See OpenFS.
 func Open(dir string) (*Store, error) {
-	return OpenFS(getFS(), dir)
+	return OpenFS(seam.Get(), dir)
 }
 
 // OpenFS is Open over an explicit filesystem seam (chaos tests pass an
 // *fsio.Injector).
 func OpenFS(fsys fsio.FS, dir string) (*Store, error) {
-	if fsys == nil {
-		fsys = fsio.OS
-	}
-	if dir == "" {
-		return nil, errors.New("jobstore: empty directory")
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	s := &Store{fs: fsys, dir: dir, jobs: map[string]*Job{}, now: time.Now}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), segExt) {
-			names = append(names, e.Name())
-		}
-	}
+	s := &Store{jobs: map[string]*Job{}, now: time.Now}
 	// Name order is cosmetic: replay is last-writer-wins on record time,
 	// so any file order converges to the same ledger.
-	sort.Strings(names)
-	for _, name := range names {
-		s.loadSegment(filepath.Join(dir, name))
+	log, err := seglog.Open(fsys, seglog.Config{
+		Format: format,
+		Dir:    dir,
+		Prefix: "jobs",
+		Check: func(header []byte) seglog.Verdict {
+			if json.Valid(header) {
+				return seglog.Load
+			}
+			return seglog.Quarantine
+		},
+		Apply: s.replay,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.stats.Jobs = len(s.jobs)
-	s.compact(names)
+	s.log = log
+	s.compact()
 	return s, nil
 }
 
-// loadSegment replays one segment file into the ledger. A corrupt magic
-// or header quarantines the file; corruption past the header ends the
-// segment at the last good record.
-func (s *Store) loadSegment(path string) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		s.stats.SkippedSegments++
-		return
+// replay applies one loaded payload; one that does not decode to a record
+// with a job id ends the segment as a torn tail.
+func (s *Store) replay(payload []byte) bool {
+	var rec Record
+	if json.Unmarshal(payload, &rec) != nil || rec.ID == "" {
+		return false
 	}
-	dataStart, ok := readHeader(f)
-	if !ok {
-		_ = f.Close()
-		s.quarantineFile(path)
-		return
-	}
-	good := dataStart
-	recs := 0
-	torn := false
-	for {
-		rec, next, err := readRecord(f, good)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			torn = true
-			break
-		}
-		s.apply(rec)
-		good = next
-		recs++
-	}
-	_ = f.Close()
-	s.stats.Segments++
-	s.stats.Records += recs
-	if torn {
-		s.stats.TornTails++
-		s.truncateStale(path, good)
-	}
+	s.apply(rec)
+	return true
 }
 
 // apply merges one record into the ledger: a record with a spec
@@ -351,17 +262,16 @@ func (s *Store) apply(rec Record) {
 
 // compact rewrites the manifest as one compact segment when the replayed
 // record count has outgrown the ledger (every dead transition is a record
-// the next hundred restarts re-parse). The compact image is published
-// first (tmp+fsync+rename), the old segments removed after — a crash at
-// any point leaves a manifest that replays to the same ledger, because
-// old and compact records merge idempotently. Evicted jobs are dropped
+// the next hundred restarts re-parse), through seglog's Rewrite: old and
+// compact records merge idempotently, so a crash at any point leaves a
+// manifest that replays to the same ledger. Evicted jobs are dropped
 // from the image; their history dies with the old files.
-func (s *Store) compact(names []string) {
-	if s.stats.Records <= 2*len(s.jobs)+compactSlack {
+func (s *Store) compact() {
+	if s.log.Stats().Records <= 2*len(s.jobs)+compactSlack {
 		return
 	}
-	var recs []Record
-	for _, j := range s.jobs {
+	var frames [][]byte
+	for _, j := range s.sorted() {
 		if j.State == StateEvicted {
 			continue
 		}
@@ -377,146 +287,25 @@ func (s *Store) compact(names []string) {
 		if !j.Deadline.IsZero() {
 			rec.DeadlineUnixNano = j.Deadline.UnixNano()
 		}
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].Seq < recs[k].Seq })
-
-	tmp, err := s.fs.CreateTemp(s.dir, ".m3dq-tmp-*")
-	if err != nil {
-		return // compaction is best-effort; the fat manifest still replays
-	}
-	cleanup := func() {
-		_ = tmp.Close()
-		_ = s.fs.Remove(tmp.Name())
-	}
-	buf := headerBytes()
-	for _, rec := range recs {
 		frame, err := frameRecord(rec)
 		if err != nil {
-			cleanup()
-			return
+			return // compaction is best-effort; the fat manifest still replays
 		}
-		buf = append(buf, frame...)
+		frames = append(frames, frame)
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
+	if s.log.Rewrite("jobsc", frames) != nil {
 		return
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		_ = s.fs.Remove(tmp.Name())
-		return
-	}
-	path := filepath.Join(s.dir, segName("jobsc"))
-	if err := s.fs.Rename(tmp.Name(), path); err != nil {
-		_ = s.fs.Remove(tmp.Name())
-		return
-	}
-	_ = fsio.SyncDir(s.fs, s.dir)
-	// The compact image is durable; the old segments are now dead weight.
-	// A failed remove leaves files whose records merge idempotently.
-	for _, name := range names {
-		_ = s.fs.Remove(filepath.Join(s.dir, name))
 	}
 	for id, j := range s.jobs {
 		if j.State == StateEvicted {
 			delete(s.jobs, id)
 		}
 	}
-	s.stats.Jobs = len(s.jobs)
-	s.stats.Compacted++
-}
-
-// quarantineFile renames a bad segment to <path>.quarantine, best-effort.
-func (s *Store) quarantineFile(path string) {
-	if err := s.fs.Rename(path, path+quarantineExt); err != nil {
-		s.stats.SkippedSegments++
-		return
-	}
-	s.stats.Quarantined++
-}
-
-// truncateStale cuts a torn segment back to its last good record when the
-// file has been quiet long enough that no sibling can still be appending.
-func (s *Store) truncateStale(path string, good int64) {
-	info, err := s.fs.Stat(path)
-	if err != nil || s.now().Sub(info.ModTime()) < tornTruncateAge {
-		return
-	}
-	_ = s.fs.Truncate(path, good)
+	s.compacted++
 }
 
 // headerBytes renders the segment preamble: magic, header length, header.
-func headerBytes() []byte {
-	hdr, _ := json.Marshal(struct{ CreatedUnixNano int64 }{time.Now().UnixNano()})
-	buf := make([]byte, 0, len(segMagic)+4+len(hdr))
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
-	return append(buf, hdr...)
-}
-
-// readHeader verifies the magic and skips the JSON header, returning the
-// offset of the first record.
-func readHeader(f io.Reader) (int64, bool) {
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		return 0, false
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-		return 0, false
-	}
-	hlen := binary.LittleEndian.Uint32(lenBuf[:])
-	if hlen == 0 || hlen > maxHeader {
-		return 0, false
-	}
-	hdrBytes := make([]byte, hlen)
-	if _, err := io.ReadFull(f, hdrBytes); err != nil {
-		return 0, false
-	}
-	if !json.Valid(hdrBytes) {
-		return 0, false
-	}
-	return int64(len(segMagic)) + 4 + int64(hlen), true
-}
-
-// readRecord reads and verifies one frame starting at offset off. It
-// returns io.EOF at a clean end of file and a non-EOF error for any torn
-// or corrupt frame.
-func readRecord(f io.Reader, off int64) (Record, int64, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(f, pre[:1]); err == io.EOF {
-		return Record{}, 0, io.EOF
-	} else if err != nil {
-		return Record{}, 0, fmt.Errorf("jobstore: torn frame prefix: %w", err)
-	}
-	if _, err := io.ReadFull(f, pre[1:]); err != nil {
-		return Record{}, 0, fmt.Errorf("jobstore: torn frame prefix: %w", err)
-	}
-	plen := binary.LittleEndian.Uint32(pre[:4])
-	sum := binary.LittleEndian.Uint32(pre[4:])
-	if plen == 0 || plen > maxPayload {
-		return Record{}, 0, fmt.Errorf("jobstore: implausible payload length %d", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return Record{}, 0, fmt.Errorf("jobstore: torn payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, errors.New("jobstore: payload checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("jobstore: payload decode: %w", err)
-	}
-	if rec.ID == "" {
-		return Record{}, 0, errors.New("jobstore: record without a job id")
-	}
-	return rec, off + 8 + int64(plen), nil
-}
+func headerBytes() []byte { return format.Header(nil) }
 
 // frameRecord renders one CRC-framed record.
 func frameRecord(rec Record) ([]byte, error) {
@@ -524,14 +313,7 @@ func frameRecord(rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: encode record %q: %w", rec.ID, err)
 	}
-	if len(payload) > maxPayload {
-		return nil, fmt.Errorf("jobstore: record %q: payload %d exceeds %d bytes", rec.ID, len(payload), maxPayload)
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame, nil
+	return format.Frame(payload)
 }
 
 // Accept records a newly admitted job: its id, sequence number, sweep
@@ -564,7 +346,6 @@ func (s *Store) Accept(id string, seq int, spec any, deadline time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.apply(rec)
-	s.stats.Jobs = len(s.jobs)
 	return s.appendLocked(rec)
 }
 
@@ -592,85 +373,14 @@ func (s *Store) Transition(id, state, errMsg string) error {
 // held. A failed write, sync or segment creation quarantines the active
 // segment and degrades the store.
 func (s *Store) appendLocked(rec Record) error {
-	if s.cause != nil {
-		return s.cause
+	if err := s.log.Cause(); err != nil {
+		return err
 	}
 	frame, err := frameRecord(rec)
 	if err != nil {
-		s.stats.AppendErrors++
-		return err
+		return s.log.Fail(err)
 	}
-	if s.f == nil {
-		if err := s.createSegment(); err != nil {
-			s.stats.AppendErrors++
-			s.degrade(err)
-			return err
-		}
-	}
-	if _, err := s.f.Write(frame); err != nil {
-		s.stats.AppendErrors++
-		err = fmt.Errorf("jobstore: append %q: %w", rec.ID, err)
-		s.degrade(err)
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		s.stats.AppendErrors++
-		err = fmt.Errorf("jobstore: sync %q: %w", rec.ID, err)
-		s.degrade(err)
-		return err
-	}
-	s.stats.Appends++
-	return nil
-}
-
-// degrade quarantines the active segment (its tail is suspect) and flips
-// the store into memory-only mode. Called with s.mu held.
-func (s *Store) degrade(cause error) {
-	s.cause = cause
-	s.stats.Degraded = true
-	if s.f != nil {
-		_ = s.f.Close()
-		s.f = nil
-	}
-	if s.segPath != "" {
-		s.quarantineFile(s.segPath)
-		s.segPath = ""
-	}
-}
-
-// createSegment publishes a fresh append segment via tmp+fsync+rename.
-// Called with s.mu held.
-func (s *Store) createSegment() error {
-	tmp, err := s.fs.CreateTemp(s.dir, ".m3dq-tmp-*")
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	cleanup := func() {
-		_ = tmp.Close()
-		_ = s.fs.Remove(tmp.Name())
-	}
-	if _, err := tmp.Write(headerBytes()); err != nil {
-		cleanup()
-		return fmt.Errorf("jobstore: write header: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("jobstore: sync header: %w", err)
-	}
-	path := filepath.Join(s.dir, segName("jobs"))
-	if err := s.fs.Rename(tmp.Name(), path); err != nil {
-		cleanup()
-		return fmt.Errorf("jobstore: publish segment: %w", err)
-	}
-	_ = fsio.SyncDir(s.fs, s.dir)
-	s.f = tmp
-	s.segPath = path
-	return nil
-}
-
-// segName builds a collision-resistant segment file name.
-func segName(prefix string) string {
-	return fmt.Sprintf("%s-%d-%d%s", prefix, time.Now().UnixNano(), os.Getpid(), segExt)
+	return s.log.Append(frame)
 }
 
 // Jobs returns the replayed ledger sorted by sequence number (creation
@@ -682,6 +392,11 @@ func (s *Store) Jobs() []Job {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.sorted()
+}
+
+// sorted copies the ledger in (Seq, ID) order.
+func (s *Store) sorted() []Job {
 	out := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		out = append(out, *j)
@@ -717,9 +432,19 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Jobs = len(s.jobs)
-	return st
+	ls := s.log.Stats()
+	return Stats{
+		Segments:        ls.Segments,
+		SkippedSegments: ls.SkippedSegments,
+		Records:         ls.Records,
+		TornTails:       ls.TornTails,
+		Quarantined:     ls.Quarantined,
+		Degraded:        ls.Degraded,
+		Jobs:            len(s.jobs),
+		Compacted:       s.compacted,
+		Appends:         ls.Appends,
+		AppendErrors:    ls.AppendErrors,
+	}
 }
 
 // DegradedCause returns the error that degraded the store, or nil while
@@ -730,7 +455,7 @@ func (s *Store) DegradedCause() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cause
+	return s.log.Cause()
 }
 
 // Close flushes and closes the append segment (if one was created).
@@ -741,18 +466,5 @@ func (s *Store) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	f := s.f
-	s.f = nil
-	s.segPath = ""
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("jobstore: close: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobstore: close: %w", err)
-	}
-	return nil
+	return s.log.Close()
 }

@@ -10,7 +10,7 @@
 // bit-identically into the new sweep.
 //
 // On-disk layout: a journal directory holds append-only segment files, one
-// per writing process:
+// per writing process, in the internal/seglog format:
 //
 //	<experiment>-<identity fnv64>-<unixnano>-<pid>.m3dj
 //
@@ -23,80 +23,43 @@
 //	                4  CRC32 (IEEE) of the payload
 //	                L  payload: JSON {"K": cell key, "V": result}
 //
-// Durability and safety follow the .m3dtrace playbook plus a write-ahead
-// twist:
+// seglog owns durability and the degradation ladder: fsync'd appends,
+// torn-tail cuts, quarantine of corrupt headers, and degrade-to-memory on
+// a failed append (Lookup keeps serving the in-memory index while Record
+// returns the original cause, surfaced through Stats().Degraded and
+// DegradedCause()). The journal adds the identity check — segments of
+// other sweeps (or other sizings of the same sweep) in a shared directory
+// are skipped, never merged — and the cell index.
 //
-//   - the segment header is written to a temp file, fsync'd and renamed
-//     into place, so no reader ever sees a torn header;
-//   - every Record append is fsync'd before it is acknowledged, so an
-//     acknowledged cell survives any later crash;
-//   - on load, a torn tail (short frame, implausible length, CRC or JSON
-//     mismatch — the signature of a crash mid-append) ends the segment at
-//     the last good record; stale torn segments are physically truncated
-//     back to that point, recent ones (possibly being appended to by a
-//     live sibling process) are left alone;
-//   - the identity header is verified before a segment is trusted:
-//     segments of other sweeps (or other sizings of the same sweep) in a
-//     shared directory are skipped, never merged.
-//
-// The journal degrades rather than dies when the storage layer turns
-// hostile:
-//
-//   - a segment whose magic or header is corrupt (a bit-flipped publish —
-//     the tmp+fsync+rename protocol means no *torn* header is ever
-//     visible) is quarantined on load: renamed to <name>.m3dj.quarantine
-//     so later opens ignore it, and counted in Stats.Quarantined;
-//   - an append or segment-creation failure (ENOSPC, EIO, a failed fsync)
-//     quarantines the active segment the same way and flips the journal
-//     into degraded mode: Lookup keeps serving the in-memory index, but
-//     Record stops touching the disk and returns the original cause, so a
-//     sweep continues unjournaled instead of aborting. The experiments
-//     layer surfaces the downgrade through Stats().Degraded and
-//     DegradedCause().
-//
-// All filesystem access goes through the internal/fsio seam, so chaos
-// tests inject deterministic storage faults underneath this unmodified
-// production code. The package depends only on the standard library plus
-// fsio, so every layer of the pipeline (parallel, experiments, multicore,
-// the cmds) can import it without cycles.
+// The package depends only on the standard library plus fsio and seglog,
+// so every layer of the pipeline (parallel, experiments, multicore, the
+// cmds) can import it without cycles.
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"vertical3d/internal/fsio"
+	"vertical3d/internal/seglog"
 )
 
 const (
 	segMagic = "M3DJNL01"
 	segExt   = ".m3dj"
 
-	// quarantineExt is appended to a bad segment's full name, so
-	// "x.m3dj" becomes "x.m3dj.quarantine" and no longer matches segExt.
-	quarantineExt = ".quarantine"
-
-	// maxHeader and maxPayload bound the length prefixes a loader will
-	// trust; anything larger is treated as corruption (torn tail).
-	maxHeader  = 1 << 20
-	maxPayload = 1 << 26
-
-	// tornTruncateAge guards physical truncation: a torn segment younger
-	// than this may still be appended to by a live sibling process, so its
-	// tail is skipped logically but the file is left untouched.
-	tornTruncateAge = time.Minute
+	quarantineExt   = seglog.QuarantineExt
+	tornTruncateAge = seglog.TornTruncateAge
 )
+
+// format is the .m3dj segment format.
+var format = seglog.Format{Name: "journal", Magic: segMagic, Ext: segExt, MaxPayload: 1 << 26}
 
 // Param is one key/value pair of a sweep identity.
 type Param struct {
@@ -154,15 +117,7 @@ func (id Identity) String() string {
 // equal reports field-wise equality (order-sensitive: identities are
 // built from literals, so the order is canonical).
 func (id Identity) equal(o Identity) bool {
-	if id.Experiment != o.Experiment || len(id.Params) != len(o.Params) {
-		return false
-	}
-	for i := range id.Params {
-		if id.Params[i] != o.Params[i] {
-			return false
-		}
-	}
-	return true
+	return id.Experiment == o.Experiment && slices.Equal(id.Params, o.Params)
 }
 
 // segHeader is the JSON header of a segment file.
@@ -211,49 +166,28 @@ type Stats struct {
 // pool; a nil *Journal is valid and behaves as an always-miss, discard-all
 // journal, so call sites need no guards.
 type Journal struct {
-	mu      sync.Mutex
-	fs      fsio.FS
-	dir     string
-	id      Identity
-	cells   map[string]json.RawMessage
-	f       fsio.File // open segment; created lazily on first Record
-	segPath string    // published path of the open segment
-	cause   error     // first fatal append error; non-nil once degraded
-	stats   Stats
-	now     func() time.Time // test seam for torn-tail age checks
+	mu           sync.Mutex
+	id           Identity
+	cells        map[string]json.RawMessage
+	log          *seglog.Log
+	hits, misses int
 }
 
-// journalFS is the filesystem Open routes through — the real one in
+// seam is the filesystem Open routes through — the real one in
 // production, an *fsio.Injector under the chaos campaigns that drive the
 // whole sweep stack (experiments → journal) through injected storage
 // faults without plumbing an FS through every layer.
-var (
-	fsMu      sync.RWMutex
-	journalFS fsio.FS = fsio.OS
-)
+var seam fsio.Seam
 
 // SetFS overrides the filesystem Open uses; nil restores the real one.
 // Test-only: journals opened afterwards are unaffected by later calls.
-func SetFS(fs fsio.FS) {
-	fsMu.Lock()
-	defer fsMu.Unlock()
-	if fs == nil {
-		fs = fsio.OS
-	}
-	journalFS = fs
-}
-
-func getFS() fsio.FS {
-	fsMu.RLock()
-	defer fsMu.RUnlock()
-	return journalFS
-}
+func SetFS(fs fsio.FS) { seam.Set(fs) }
 
 // Open loads every matching segment of dir (creating the directory if
 // needed) and returns a journal ready for Lookup/Record on the default
 // filesystem (see SetFS). See OpenFS.
 func Open(dir string, id Identity) (*Journal, error) {
-	return OpenFS(getFS(), dir, id)
+	return OpenFS(seam.Get(), dir, id)
 }
 
 // OpenFS is Open over an explicit filesystem seam (chaos tests pass an
@@ -263,201 +197,67 @@ func Open(dir string, id Identity) (*Journal, error) {
 // on the first Record, so re-running a fully journaled sweep leaves the
 // directory untouched.
 func OpenFS(fsys fsio.FS, dir string, id Identity) (*Journal, error) {
-	if fsys == nil {
-		fsys = fsio.OS
-	}
-	if dir == "" {
-		return nil, errors.New("journal: empty directory")
-	}
 	if id.Experiment == "" {
 		return nil, errors.New("journal: identity needs an experiment name")
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	j := &Journal{fs: fsys, dir: dir, id: id, cells: map[string]json.RawMessage{}, now: time.Now}
-	entries, err := fsys.ReadDir(dir)
+	ident, _ := json.Marshal(id) // plain strings: cannot fail
+	j := &Journal{id: id, cells: map[string]json.RawMessage{}}
+	// Name order makes the merge deterministic; within one identity all
+	// values for a key are bit-identical by the determinism contract, so
+	// order only breaks ties between identical payloads.
+	var err error
+	j.log, err = seglog.Open(fsys, seglog.Config{
+		Format:   format,
+		Dir:      dir,
+		Prefix:   fmt.Sprintf("%s-%016x", fsio.SafeName(id.Experiment), id.Hash()),
+		Identity: ident,
+		Check:    j.check,
+		Apply:    j.apply,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), segExt) {
-			names = append(names, e.Name())
-		}
-	}
-	// Deterministic merge order; within one identity all values for a key
-	// are bit-identical by the determinism contract, so order only breaks
-	// ties between identical payloads.
-	sort.Strings(names)
-	for _, name := range names {
-		j.loadSegment(filepath.Join(dir, name))
+		return nil, err
 	}
 	return j, nil
 }
 
-// loadSegment reads one segment file into the cell index, verifying the
-// magic, the identity header and every record frame. A corrupt magic or
-// header quarantines the file; corruption past the header ends the
-// segment at the last good record (torn tail); stale torn segments are
-// truncated in place, best-effort.
-func (j *Journal) loadSegment(path string) {
-	f, err := j.fs.Open(path)
-	if err != nil {
-		j.stats.SkippedSegments++
-		return
-	}
-
-	hdr, dataStart, ok := readHeader(f)
-	if !ok {
-		// The publish protocol (tmp+fsync+rename) never exposes a torn
-		// header, so a visible segment that fails here is genuinely
-		// corrupt — quarantine it rather than reloading garbage forever.
-		_ = f.Close()
-		j.quarantineFile(path)
-		return
-	}
-	if !hdr.Identity.equal(j.id) {
-		_ = f.Close()
-		j.stats.SkippedSegments++
-		return
-	}
-
-	good := dataStart // offset just past the last verified record
-	recs := 0
-	torn := false
-	for {
-		rec, next, err := readRecord(f, good)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			torn = true
-			break
-		}
-		j.cells[rec.K] = rec.V
-		good = next
-		recs++
-	}
-	_ = f.Close()
-	j.stats.Segments++
-	j.stats.Records += recs
-	if torn {
-		j.stats.TornTails++
-		j.truncateStale(path, good)
-	}
-}
-
-// quarantineFile renames a bad segment to <path>.quarantine (best-effort;
-// a failed rename leaves the file to be retried on the next open) and
-// counts it. Quarantined files no longer match the segment suffix, so
-// later opens ignore them while an operator can still inspect the bytes.
-func (j *Journal) quarantineFile(path string) {
-	if err := j.fs.Rename(path, path+quarantineExt); err != nil {
-		j.stats.SkippedSegments++
-		return
-	}
-	j.stats.Quarantined++
-}
-
-// readHeader verifies the magic and decodes the JSON header, returning
-// the offset of the first record.
-func readHeader(f io.Reader) (segHeader, int64, bool) {
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		return segHeader{}, 0, false
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-		return segHeader{}, 0, false
-	}
-	hlen := binary.LittleEndian.Uint32(lenBuf[:])
-	if hlen == 0 || hlen > maxHeader {
-		return segHeader{}, 0, false
-	}
-	hdrBytes := make([]byte, hlen)
-	if _, err := io.ReadFull(f, hdrBytes); err != nil {
-		return segHeader{}, 0, false
-	}
+// check admits segments of this journal's identity, skips well-formed
+// foreign ones and quarantines headers that do not decode.
+func (j *Journal) check(header []byte) seglog.Verdict {
 	var hdr segHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return segHeader{}, 0, false
+	switch {
+	case json.Unmarshal(header, &hdr) != nil:
+		return seglog.Quarantine
+	case !hdr.Identity.equal(j.id):
+		return seglog.Skip
 	}
-	return hdr, int64(len(segMagic)) + 4 + int64(hlen), true
+	return seglog.Load
 }
 
-// readRecord reads and verifies one frame starting at offset off. It
-// returns io.EOF at a clean end of file and a non-EOF error for any torn
-// or corrupt frame.
-func readRecord(f io.Reader, off int64) (record, int64, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(f, pre[:1]); err == io.EOF {
-		return record{}, 0, io.EOF // clean end
-	} else if err != nil {
-		return record{}, 0, fmt.Errorf("journal: torn frame prefix: %w", err)
-	}
-	if _, err := io.ReadFull(f, pre[1:]); err != nil {
-		return record{}, 0, fmt.Errorf("journal: torn frame prefix: %w", err)
-	}
-	plen := binary.LittleEndian.Uint32(pre[:4])
-	sum := binary.LittleEndian.Uint32(pre[4:])
-	if plen == 0 || plen > maxPayload {
-		return record{}, 0, fmt.Errorf("journal: implausible payload length %d", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return record{}, 0, fmt.Errorf("journal: torn payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return record{}, 0, errors.New("journal: payload checksum mismatch")
-	}
+// apply indexes one replayed record; a payload that does not decode to a
+// keyed record ends the segment as a torn tail.
+func (j *Journal) apply(payload []byte) bool {
 	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return record{}, 0, fmt.Errorf("journal: payload decode: %w", err)
+	if json.Unmarshal(payload, &rec) != nil || rec.K == "" {
+		return false
 	}
-	if rec.K == "" {
-		return record{}, 0, errors.New("journal: record without a key")
-	}
-	return rec, off + 8 + int64(plen), nil
-}
-
-// truncateStale cuts a torn segment back to its last good record, but
-// only when the file has been quiet for tornTruncateAge — a fresh mtime
-// means a sibling process may still be appending, and truncating under a
-// live writer would corrupt its acknowledged records.
-func (j *Journal) truncateStale(path string, good int64) {
-	info, err := j.fs.Stat(path)
-	if err != nil || j.now().Sub(info.ModTime()) < tornTruncateAge {
-		return
-	}
-	_ = j.fs.Truncate(path, good) // best-effort cleanup
+	j.cells[rec.K] = rec.V
+	return true
 }
 
 // Lookup unmarshals the journaled result of a cell into out and reports
 // whether the cell was found. A nil journal (or an undecodable record)
 // misses. Concurrency-safe.
 func (j *Journal) Lookup(key string, out any) bool {
-	if j == nil {
-		return false
-	}
-	j.mu.Lock()
-	raw, ok := j.cells[key]
-	if !ok {
-		j.stats.Misses++
-		j.mu.Unlock()
-		return false
-	}
-	j.stats.Hits++
-	j.mu.Unlock()
+	raw, ok := j.LookupRaw(key)
 	// Unmarshal outside the lock: raw is never mutated once stored.
-	if err := json.Unmarshal(raw, out); err != nil {
+	if ok && json.Unmarshal(raw, out) != nil {
 		j.mu.Lock()
-		j.stats.Hits--
-		j.stats.Misses++
+		j.hits--
+		j.misses++
 		j.mu.Unlock()
 		return false
 	}
-	return true
+	return ok
 }
 
 // LookupRaw returns the journaled result of a cell as its canonical JSON
@@ -474,9 +274,9 @@ func (j *Journal) LookupRaw(key string) (json.RawMessage, bool) {
 	defer j.mu.Unlock()
 	raw, ok := j.cells[key]
 	if ok {
-		j.stats.Hits++
+		j.hits++
 	} else {
-		j.stats.Misses++
+		j.misses++
 	}
 	return raw, ok
 }
@@ -501,127 +301,33 @@ func (j *Journal) Record(key string, v any) error {
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return j.appendFailed(fmt.Errorf("journal: encode %q: %w", key, err))
+		return j.failed(fmt.Errorf("journal: encode %q: %w", key, err))
 	}
 	payload, err := json.Marshal(record{K: key, V: raw})
 	if err != nil {
-		return j.appendFailed(fmt.Errorf("journal: frame %q: %w", key, err))
+		return j.failed(fmt.Errorf("journal: frame %q: %w", key, err))
 	}
-	if len(payload) > maxPayload {
-		return j.appendFailed(fmt.Errorf("journal: %q: payload %d exceeds %d bytes", key, len(payload), maxPayload))
+	frame, err := format.Frame(payload)
+	if err != nil {
+		return j.failed(err)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.cause != nil {
-		return j.cause
-	}
-	if j.f == nil {
-		if err := j.createSegment(); err != nil {
-			j.stats.AppendErrors++
-			j.degrade(err)
-			return err
-		}
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		j.stats.AppendErrors++
-		err = fmt.Errorf("journal: append %q: %w", key, err)
-		j.degrade(err)
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.stats.AppendErrors++
-		err = fmt.Errorf("journal: sync %q: %w", key, err)
-		j.degrade(err)
+	if err := j.log.Append(frame); err != nil {
 		return err
 	}
 	j.cells[key] = raw
-	j.stats.Appends++
 	return nil
 }
 
-// degrade quarantines the active segment (its tail is suspect — a partial
-// frame or unsynced bytes) and flips the journal into degraded mode.
-// Called with j.mu held.
-func (j *Journal) degrade(cause error) {
-	j.cause = cause
-	j.stats.Degraded = true
-	if j.f != nil {
-		_ = j.f.Close()
-		j.f = nil
-	}
-	if j.segPath != "" {
-		j.quarantineFile(j.segPath)
-		j.segPath = ""
-	}
-}
-
-// appendFailed counts a failed append under the lock. Encoding failures
-// are per-value, not a sick disk, so they do not degrade the journal.
-func (j *Journal) appendFailed(err error) error {
+// failed counts an append that failed before reaching the log. Encoding
+// failures are per-value, not a sick disk, so they do not degrade the
+// journal.
+func (j *Journal) failed(err error) error {
 	j.mu.Lock()
-	j.stats.AppendErrors++
-	j.mu.Unlock()
-	return err
-}
-
-// createSegment writes the identity header to a temp file, fsyncs it and
-// renames it into place, keeping the handle open for appends. Called with
-// j.mu held.
-func (j *Journal) createSegment() error {
-	hdr, err := json.Marshal(segHeader{Identity: j.id, CreatedUnixNano: time.Now().UnixNano()})
-	if err != nil {
-		return fmt.Errorf("journal: encode header: %w", err)
-	}
-	tmp, err := j.fs.CreateTemp(j.dir, ".m3dj-tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	cleanup := func() {
-		_ = tmp.Close()
-		_ = j.fs.Remove(tmp.Name())
-	}
-	buf := make([]byte, 0, len(segMagic)+4+len(hdr))
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: write header: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: sync header: %w", err)
-	}
-	name := fmt.Sprintf("%s-%016x-%d-%d%s",
-		sanitize(j.id.Experiment), j.id.Hash(), time.Now().UnixNano(), os.Getpid(), segExt)
-	path := filepath.Join(j.dir, name)
-	if err := j.fs.Rename(tmp.Name(), path); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: publish segment: %w", err)
-	}
-	// Persist the directory entry too, best-effort: some filesystems need
-	// an explicit fsync of the parent for the rename to survive a crash.
-	_ = fsio.SyncDir(j.fs, j.dir)
-	j.f = tmp
-	j.segPath = path
-	return nil
-}
-
-// sanitize keeps file names portable.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
+	defer j.mu.Unlock()
+	return j.log.Fail(err)
 }
 
 // Len returns the number of distinct journaled cells currently indexed.
@@ -641,7 +347,19 @@ func (j *Journal) Stats() Stats {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.stats
+	ls := j.log.Stats()
+	return Stats{
+		Segments:        ls.Segments,
+		SkippedSegments: ls.SkippedSegments,
+		Records:         ls.Records,
+		TornTails:       ls.TornTails,
+		Quarantined:     ls.Quarantined,
+		Degraded:        ls.Degraded,
+		Hits:            j.hits,
+		Misses:          j.misses,
+		Appends:         ls.Appends,
+		AppendErrors:    ls.AppendErrors,
+	}
 }
 
 // DegradedCause returns the error that degraded the journal, or nil while
@@ -652,7 +370,7 @@ func (j *Journal) DegradedCause() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.cause
+	return j.log.Cause()
 }
 
 // Close flushes and closes the append segment (if one was created).
@@ -663,20 +381,7 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	f := j.f
-	j.f = nil
-	j.segPath = ""
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("journal: close: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: close: %w", err)
-	}
-	return nil
+	return j.log.Close()
 }
 
 // CellKey builds the canonical per-cell journal key: a readable

@@ -100,7 +100,7 @@ func ResetCache() {
 // layer. The directory is created if missing.
 func SetCacheDir(dir string) error {
 	if dir != "" {
-		if err := getFS().MkdirAll(dir, 0o755); err != nil {
+		if err := seam.Get().MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("trace: cache dir: %w", err)
 		}
 	}

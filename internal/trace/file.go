@@ -41,9 +41,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"path/filepath"
-	"strings"
-	"sync"
 
 	"vertical3d/internal/fsio"
 )
@@ -56,29 +53,13 @@ const fileMagic = "M3DTRC02"
 // file from a merely absent one.
 var ErrCorrupt = errors.New("corrupt recording")
 
-var (
-	fsMu    sync.RWMutex
-	traceFS fsio.FS = fsio.OS
-)
+// seam is the filesystem the trace file layer routes through.
+var seam fsio.Seam
 
 // SetFS routes the trace file layer through an explicit filesystem seam
 // (chaos tests pass an *fsio.Injector; nil restores the real filesystem).
 // Package-level because the recording cache is process-global.
-func SetFS(fs fsio.FS) {
-	if fs == nil {
-		fs = fsio.OS
-	}
-	fsMu.Lock()
-	traceFS = fs
-	fsMu.Unlock()
-}
-
-// getFS returns the current filesystem seam.
-func getFS() fsio.FS {
-	fsMu.RLock()
-	defer fsMu.RUnlock()
-	return traceFS
-}
+func SetFS(fs fsio.FS) { seam.Set(fs) }
 
 // fileHeader is the JSON header of a trace file.
 type fileHeader struct {
@@ -93,15 +74,7 @@ type fileHeader struct {
 func FileName(prof Profile, seed int64, stream int) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%d|%d", prof, seed, stream)
-	name := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, prof.Name)
-	return fmt.Sprintf("%s_s%d_t%d_%016x.m3dtrace", name, seed, stream, h.Sum64())
+	return fmt.Sprintf("%s_s%d_t%d_%016x.m3dtrace", fsio.SafeName(prof.Name), seed, stream, h.Sum64())
 }
 
 // Encode serialises the recording's current snapshot, appending the CRC32
@@ -260,39 +233,16 @@ func getLane(b []byte, c *chunk, lane int) {
 	}
 }
 
-// SaveFile writes the recording to path durably and atomically: temp file,
-// fsync, rename, then a best-effort fsync of the parent directory so the
-// rename itself survives a crash — the same contract as a journal segment
-// publish. A concurrent or crashed writer never leaves a torn file for a
-// later LoadFile to trust.
+// SaveFile writes the recording to path durably and atomically
+// (fsio.Publish): a concurrent or crashed writer never leaves a torn file
+// for a later LoadFile to trust.
 func SaveFile(path string, rec *Recording) error {
-	fsys := getFS()
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".m3dtrace-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = fsys.Remove(tmp.Name()) }() // no-op after successful rename
-	if err := rec.Encode(tmp); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	_ = fsio.SyncDir(fsys, filepath.Dir(path))
-	return nil
+	return fsio.Publish(seam.Get(), path, ".m3dtrace-*", rec.Encode)
 }
 
 // LoadFile reads a recording from path.
 func LoadFile(path string) (*Recording, error) {
-	f, err := getFS().Open(path)
+	f, err := seam.Get().Open(path)
 	if err != nil {
 		return nil, err
 	}

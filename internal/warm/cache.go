@@ -129,7 +129,7 @@ func HoldMC(id MCIdentity) (release func()) {
 // .m3dwarm files.
 func SetCacheDir(dir string) error {
 	if dir != "" {
-		if err := getFS().MkdirAll(dir, 0o755); err != nil {
+		if err := seam.Get().MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}

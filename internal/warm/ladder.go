@@ -27,7 +27,6 @@ package warm
 
 import (
 	"errors"
-	"path/filepath"
 	"sync"
 
 	"vertical3d/internal/config"
@@ -204,48 +203,22 @@ func (l *Ladder) checkpoint(p, q uint64) *Checkpoint {
 	return ck
 }
 
-// loadDisk tries to read rung pos from the cache directory. Corrupt or
-// foreign files are quarantined and counted; an absent file or disabled
-// disk layer is silent.
+// loadDisk tries to read rung pos from the cache directory (see loadFile).
 func (l *Ladder) loadDisk(pos uint64) *Checkpoint {
-	dir := CacheDir()
-	if dir == "" {
+	var st uarch.WarmState
+	hdr, ok := loadFile(ladderFileName(l.id, pos), &st, func(h fileHeader) bool {
+		return h.Kind == kindLadder && h.Ladder != nil && *h.Ladder == l.id && h.Pos == pos
+	})
+	if !ok {
 		return nil
 	}
-	path := filepath.Join(dir, ladderFileName(l.id, pos))
-	var st uarch.WarmState
-	hdr, err := loadSnapshot(path, &st)
-	switch {
-	case err == nil && hdr.Kind == kindLadder && hdr.Ladder != nil && *hdr.Ladder == l.id && hdr.Pos == pos:
-		counters.fileLoads.Add(1)
-		return &Checkpoint{Pos: pos, Cum: hdr.Cum, State: &st}
-	case err == nil:
-		// Readable but wrong identity under our canonical name.
-		counters.loadErrors.Add(1)
-		quarantine(path)
-	case errors.Is(err, ErrCorrupt):
-		counters.loadErrors.Add(1)
-		quarantine(path)
-	case fsNotExist(err):
-		// Cold cache; nothing to count.
-	default:
-		counters.loadErrors.Add(1)
-	}
-	return nil
+	return &Checkpoint{Pos: pos, Cum: hdr.Cum, State: &st}
 }
 
-// saveDisk persists a freshly built rung (best-effort: a failed save
-// degrades to rebuild-next-run, counted for the Health block).
+// saveDisk persists a freshly built rung (see saveFile).
 func (l *Ladder) saveDisk(ck *Checkpoint) {
-	dir := CacheDir()
-	if dir == "" {
-		return
-	}
 	id := l.id
-	hdr := fileHeader{Kind: kindLadder, Pos: ck.Pos, Cum: ck.Cum, Ladder: &id}
-	if err := saveSnapshot(filepath.Join(dir, ladderFileName(l.id, ck.Pos)), hdr, ck.State); err != nil {
-		counters.saveErrors.Add(1)
-	}
+	saveFile(ladderFileName(id, ck.Pos), fileHeader{Kind: kindLadder, Pos: ck.Pos, Cum: ck.Cum, Ladder: &id}, ck.State)
 }
 
 // Binding connects one sweep cell's core to its identity's ladder via the

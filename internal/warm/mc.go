@@ -7,8 +7,6 @@
 package warm
 
 import (
-	"path/filepath"
-
 	"vertical3d/internal/mem"
 	"vertical3d/internal/uarch"
 )
@@ -104,40 +102,18 @@ func mcRestore(backend *mem.Multicore, cores []*uarch.Core, s *mcSnapshot) bool 
 }
 
 // mcLoadDisk tries to read an identity's warmup snapshot from the cache
-// directory, quarantining corrupt or foreign files.
+// directory (see loadFile).
 func mcLoadDisk(id MCIdentity) *mcSnapshot {
-	dir := CacheDir()
-	if dir == "" {
+	var snap mcSnapshot
+	if _, ok := loadFile(mcFileName(id), &snap, func(h fileHeader) bool {
+		return h.Kind == kindMC && h.MC != nil && *h.MC == id
+	}); !ok {
 		return nil
 	}
-	path := filepath.Join(dir, mcFileName(id))
-	var snap mcSnapshot
-	hdr, err := loadSnapshot(path, &snap)
-	switch {
-	case err == nil && hdr.Kind == kindMC && hdr.MC != nil && *hdr.MC == id:
-		counters.fileLoads.Add(1)
-		return &snap
-	case err == nil:
-		counters.loadErrors.Add(1)
-		quarantine(path)
-	case errorsIsCorrupt(err):
-		counters.loadErrors.Add(1)
-		quarantine(path)
-	case fsNotExist(err):
-	default:
-		counters.loadErrors.Add(1)
-	}
-	return nil
+	return &snap
 }
 
-// mcSaveDisk persists a warmup snapshot (best-effort, counted on failure).
+// mcSaveDisk persists a warmup snapshot (see saveFile).
 func mcSaveDisk(id MCIdentity, snap *mcSnapshot) {
-	dir := CacheDir()
-	if dir == "" {
-		return
-	}
-	hdr := fileHeader{Kind: kindMC, Pos: id.Warmup, MC: &id}
-	if err := saveSnapshot(filepath.Join(dir, mcFileName(id)), hdr, snap); err != nil {
-		counters.saveErrors.Add(1)
-	}
+	saveFile(mcFileName(id), fileHeader{Kind: kindMC, Pos: id.Warmup, MC: &id}, snap)
 }

@@ -1,6 +1,7 @@
 package warm
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -179,6 +180,61 @@ func TestCorruptSnapshotQuarantinedAndRebuilt(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".quarantine"); err != nil {
 		t.Errorf("corrupt file not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(built.Cum, rebuilt.Cum) || !reflect.DeepEqual(built.State, rebuilt.State) {
+		t.Error("rebuilt rung differs from the original")
+	}
+}
+
+// TestHeaderDigitFlipQuarantined pins that the checksum covers the JSON
+// header: one changed digit of a Cum counter still decodes to a canonical
+// header, so only the checksum can catch it before the skewed observables
+// reprice every cell restored from the rung.
+func TestHeaderDigitFlipQuarantined(t *testing.T) {
+	resetAll(t)
+	dir := t.TempDir()
+	if err := SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	id, cfg := testIdentity(t)
+	built := Shared(id, cfg).checkpoint(0, 2_000)
+	if built == nil {
+		t.Fatal("initial build failed")
+	}
+
+	path := filepath.Join(dir, ladderFileName(id, 2_000))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := []byte(`"Cum":{"Instrs":`)
+	i := bytes.Index(raw, field)
+	if i < 0 {
+		t.Fatalf("no Cum.Instrs in the header: %.120q", raw)
+	}
+	d := i + len(field) // first digit of the counter
+	raw[d] = '0' + (raw[d]-'0'+1)%10
+	if raw[d] == '0' {
+		raw[d] = '9' // keep the number canonical: no leading zero
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st uarch.WarmState
+	if _, err := decodeSnapshot(bytes.NewReader(raw), &st); !errorsIsCorrupt(err) {
+		t.Fatalf("load of a header with a changed digit: err = %v, want ErrCorrupt", err)
+	}
+
+	ResetCache()
+	rebuilt := Shared(id, cfg).checkpoint(0, 2_000)
+	if rebuilt == nil {
+		t.Fatal("rebuild after header damage failed")
+	}
+	if s := Stats(); s.LoadErrors == 0 || s.Quarantines == 0 {
+		t.Errorf("damaged header not counted: %+v", s)
+	}
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Errorf("damaged file not quarantined: %v", err)
 	}
 	if !reflect.DeepEqual(built.Cum, rebuilt.Cum) || !reflect.DeepEqual(built.State, rebuilt.State) {
 		t.Error("rebuilt rung differs from the original")
