@@ -14,6 +14,7 @@ import (
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/multicore"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
@@ -52,7 +53,7 @@ func benchStrategy(b *testing.B, st sram.Strategy) {
 	var rows []experiments.PartRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.StrategyTable(st)
+		rows, _, err = experiments.StrategyTable(sweep.Env{}, st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func BenchmarkTable6(b *testing.B) {
 	var m3d []core.Choice
 	var err error
 	for i := 0; i < b.N; i++ {
-		m3d, _, err = experiments.Table6()
+		m3d, _, _, err = experiments.Table6(sweep.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func BenchmarkFig8(b *testing.B) {
 	var rows []experiments.Fig8Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Fig8(f)
+		rows, _, err = experiments.Fig8Health(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,9 +185,12 @@ func benchFig9(b *testing.B) *experiments.Fig9Result {
 	b.Helper()
 	opt := multicore.Options{TotalInstrs: 120_000, WarmupPerCore: 8_000, Phases: 2, Seed: 42}
 	var f *experiments.Fig9Result
-	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.Fig9(opt)
+		suite, err := config.Derive(tech.N22())
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err = experiments.Fig9With(suite, workload.Parallel(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +258,8 @@ func BenchmarkFig9Parallel(b *testing.B) {
 	}
 	list := workload.Parallel()
 	benchParallelSpeedup(b, func(workers int) error {
-		opt := multicore.Options{TotalInstrs: 80_000, WarmupPerCore: 5_000, Phases: 2, Seed: 42, Workers: workers}
+		opt := multicore.Options{TotalInstrs: 80_000, WarmupPerCore: 5_000, Phases: 2, Seed: 42}
+		opt.Workers = workers
 		_, err := experiments.Fig9With(suite, list, opt)
 		return err
 	})

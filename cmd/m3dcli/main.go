@@ -3,10 +3,10 @@
 //	m3dcli table1 table2 fig2 table3 table4 table5 table6 table7 table8
 //	m3dcli logic table10 table11
 //	m3dcli fig6 fig7 fig8 fig9 fig10
-//	m3dcli all        # everything (figures use -quick sizing unless -full)
+//	m3dcli all        # everything
 //
-// Use -quick for fast, small simulations and -full for the benchmark-scale
-// runs used in EXPERIMENTS.md.
+// Figures run at the benchmark-scale sizing used in EXPERIMENTS.md; use
+// -quick for fast, small simulations.
 //
 // Exit codes: 0 on success, 1 on runtime errors (including failed sweep
 // cells under -keep-going), 2 on flag/usage errors, 130 when interrupted
@@ -19,22 +19,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"vertical3d/internal/accel"
 	"vertical3d/internal/clocktree"
+	"vertical3d/internal/config"
 	"vertical3d/internal/core"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/floorplan"
 	"vertical3d/internal/multicore"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/pdn"
 	"vertical3d/internal/shutdown"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweepflag"
 	"vertical3d/internal/tech"
-	"vertical3d/internal/trace"
-	"vertical3d/internal/uarch"
-	"vertical3d/internal/warm"
+	"vertical3d/internal/workload"
 )
 
 // shut is the process-wide signal layer: installed at the top of main,
@@ -43,47 +41,22 @@ var shut *shutdown.Handler
 
 func main() {
 	quick := flag.Bool("quick", false, "small simulation sizes (fast, noisier)")
-	full := flag.Bool("full", false, "benchmark-scale simulation sizes")
-	workers := flag.Int("j", 0, "worker count for experiment sweeps (0 = GOMAXPROCS); results are identical at any value")
-	keepGoing := flag.Bool("keep-going", false, "complete figure sweeps when cells fail; failed cells render as ERR and the exit code is 1")
-	traceCache := flag.Bool("trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
-	traceDir := flag.String("trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-	warmCache := flag.Bool("warm-cache", true, "checkpoint sampled fast-forward state once per (benchmark, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample)")
-	warmDir := flag.String("warm-dir", "", "directory for .m3dwarm warm-state snapshots, reused across runs (created if missing)")
-	journalDir := flag.String("journal-dir", "", "checkpoint completed sweep cells to this write-ahead journal directory; a re-run with the same sizing resumes from it bit-identically (created if missing)")
-	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-cell attempt deadline (0 = unbounded)")
-	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-sweep deadline (0 = unbounded)")
-	sample := flag.Bool("sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
-	sampleInterval := flag.Uint64("sample-interval", 0, "sampling interval length in instructions (0 = default 100000)")
-	sampleWarmup := flag.Uint64("sample-warmup", 0, "detailed pipeline-warm instructions before each measured window (0 = default 1000)")
-	sampleUnit := flag.Uint64("sample-unit", 0, "measured-window length in instructions (0 = default 4000)")
-	sampleBudget := flag.Float64("sample-error-budget", 0, "warm-phase oracle bound for sampled cells: relative CPI deviation above this budget re-runs the cell under full simulation (0 = default 0.5, negative disables)")
+	sf := sweepflag.Register(flag.CommandLine, "m3dcli", sweepflag.Batch|sweepflag.SampleParams)
 	flag.Parse()
-	parallel.SetDefaultWorkers(*workers)
 
 	// First SIGINT/SIGTERM stops dispatching sweep cells and drains
 	// in-flight work (flushing the journal); a second one force-exits.
-	shut = shutdown.Install(context.Background(), shutdown.WithLog(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "m3dcli: "+format+"\n", args...)
-	}))
-	if err := trace.SetCacheDir(*traceDir); err != nil {
-		fmt.Fprintln(os.Stderr, "m3dcli:", err)
-		os.Exit(2)
-	}
-	if err := warm.SetCacheDir(*warmDir); err != nil {
-		fmt.Fprintln(os.Stderr, "m3dcli:", err)
-		os.Exit(2)
-	}
-	sp, err := uarch.SampleParamsFrom(*sample, *sampleInterval, *sampleWarmup, *sampleUnit)
+	shut = shutdown.Install(context.Background(), shutdown.WithLog(sf.Logf))
+	env, err := sf.Env()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "m3dcli:", err)
 		os.Exit(2)
 	}
+	env.Context = shut.Context()
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: m3dcli [-quick|-full] <table1|table2|fig2|table3|table4|table5|table6|table7|table8|logic|lp|table10|table11|fig6|fig7|fig8|fig9|fig10|all>")
+		fmt.Fprintln(os.Stderr, "usage: m3dcli [-quick] <table1|table2|fig2|table3|table4|table5|table6|table7|table8|logic|lp|table10|table11|fig6|fig7|fig8|fig9|fig10|all>")
 		os.Exit(2)
 	}
 
@@ -91,57 +64,44 @@ func main() {
 	mopt := multicore.DefaultOptions()
 	if *quick {
 		opt = experiments.QuickRunOptions()
-		mopt.TotalInstrs = 80_000
-		mopt.WarmupPerCore = 5_000
+		mopt = multicore.QuickOptions()
 	}
-	opt.Workers = *workers
-	mopt.Workers = *workers
-	opt.KeepGoing = *keepGoing
-	mopt.KeepGoing = *keepGoing
-	opt.NoTraceCache = !*traceCache
-	mopt.NoTraceCache = !*traceCache
-	opt.Context = shut.Context()
-	mopt.Context = shut.Context()
-	opt.JournalDir = *journalDir
-	mopt.JournalDir = *journalDir
-	opt.TaskTimeout = *taskTimeout
-	mopt.TaskTimeout = *taskTimeout
-	opt.SweepTimeout = *sweepTimeout
-	mopt.SweepTimeout = *sweepTimeout
-	opt.Retry = parallel.Retry{Attempts: *retries}
-	mopt.Retry = parallel.Retry{Attempts: *retries}
-	watchLog := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "m3dcli: "+format+"\n", args...)
-	}
-	opt.WatchdogGrace = 30 * time.Second
-	mopt.WatchdogGrace = 30 * time.Second
-	opt.WatchdogLog = watchLog
-	mopt.WatchdogLog = watchLog
-	opt.Sample = *sample
-	opt.SampleParams = sp
-	opt.SampleErrorBudget = *sampleBudget
-	mopt.Sample = *sample
-	opt.WarmCache = *warmCache
-	mopt.WarmCache = *warmCache
-	_ = full
+	opt.Env, mopt.Env = env, env
+	sf.Sampling(&opt)
+	mopt.Sample = opt.Sample
 
+	// ran collects the simulated sweeps for the end-of-run report.
+	var ran []sweepflag.Sweep
+	suite := func() *config.Suite {
+		s, err := config.Derive(tech.N22())
+		die(err)
+		return s
+	}
 	var fig6 *experiments.Fig6Result // cached between fig6/7/8
 	getFig6 := func() *experiments.Fig6Result {
 		if fig6 == nil {
-			f, err := experiments.Fig6(opt)
+			f, err := experiments.Fig6With(suite(), workload.SPEC2006(), opt)
 			die(err)
 			fig6 = f
+			ran = append(ran, sweepflag.Sweep{Journal: f.Journal, Health: f.Health})
 		}
 		return fig6
 	}
 	var fig9 *experiments.Fig9Result
 	getFig9 := func() *experiments.Fig9Result {
 		if fig9 == nil {
-			f, err := experiments.Fig9(mopt)
+			f, err := experiments.Fig9With(suite(), workload.Parallel(), mopt)
 			die(err)
 			fig9 = f
+			ran = append(ran, sweepflag.Sweep{Journal: f.Journal, Health: f.Health})
 		}
 		return fig9
+	}
+	strategy := func(st sram.Strategy) {
+		rows, h, err := experiments.StrategyTable(env, st)
+		die(err)
+		experiments.RenderPartitionTable(os.Stdout, rows)
+		experiments.RenderHealth(os.Stderr, h)
 	}
 
 	todo := args
@@ -161,22 +121,13 @@ func main() {
 		case "fig2":
 			experiments.RenderFig2(os.Stdout)
 		case "table3":
-			rows, h, err := experiments.StrategyTableHealth(shut.Context(), sram.BitPart, *journalDir)
-			die(err)
-			experiments.RenderPartitionTable(os.Stdout, rows)
-			experiments.RenderHealth(os.Stderr, h)
+			strategy(sram.BitPart)
 		case "table4":
-			rows, h, err := experiments.StrategyTableHealth(shut.Context(), sram.WordPart, *journalDir)
-			die(err)
-			experiments.RenderPartitionTable(os.Stdout, rows)
-			experiments.RenderHealth(os.Stderr, h)
+			strategy(sram.WordPart)
 		case "table5":
-			rows, h, err := experiments.StrategyTableHealth(shut.Context(), sram.PortPart, *journalDir)
-			die(err)
-			experiments.RenderPartitionTable(os.Stdout, rows)
-			experiments.RenderHealth(os.Stderr, h)
+			strategy(sram.PortPart)
 		case "table6":
-			m3d, tsv, h, err := experiments.Table6Health(shut.Context(), *journalDir)
+			m3d, tsv, h, err := experiments.Table6(env)
 			die(err)
 			experiments.RenderHealth(os.Stderr, h)
 			fmt.Println("M3D (iso-layer):")
@@ -199,7 +150,7 @@ func main() {
 			r, err := experiments.LPStudy([]string{"Gamess", "Mcf", "Povray", "Milc"}, opt)
 			die(err)
 			experiments.RenderLPStudy(os.Stdout, r)
-			experiments.RenderHealth(os.Stderr, r.Health)
+			ran = append(ran, sweepflag.Sweep{Journal: r.Journal, Health: r.Health})
 		case "logic":
 			r, err := experiments.LogicStage()
 			die(err)
@@ -229,26 +180,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if n := trace.CacheStats().SaveErrors; *traceDir != "" && n > 0 {
-		fmt.Fprintf(os.Stderr, "m3dcli: warning: %d trace recording(s) could not be saved to %s\n", n, *traceDir)
-	}
-	if n := warm.Stats().SaveErrors; *warmDir != "" && n > 0 {
-		fmt.Fprintf(os.Stderr, "m3dcli: warning: %d warm snapshot(s) could not be saved to %s\n", n, *warmDir)
-	}
-	if *journalDir != "" {
-		if fig6 != nil {
-			experiments.RenderJournalStats(os.Stderr, fig6.Journal)
-		}
-		if fig9 != nil {
-			experiments.RenderJournalStats(os.Stderr, fig9.Journal)
-		}
-	}
-	if fig6 != nil {
-		experiments.RenderHealth(os.Stderr, fig6.Health)
-	}
-	if fig9 != nil {
-		experiments.RenderHealth(os.Stderr, fig9.Health)
-	}
+	sf.Report(os.Stderr, ran...)
 	failed := 0
 	if fig6 != nil {
 		failed += fig6.FailedCells()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 )
 
@@ -263,7 +264,7 @@ func TestLoadShedPrefersCacheServiceable(t *testing.T) {
 		}
 	}
 
-	s, ts := newTestServer(t, serverConfig{JournalDir: jdir, MaxSweeps: 1, QueueDepth: 8, Logf: logf})
+	s, ts := newTestServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}, MaxSweeps: 1, QueueDepth: 8, Logf: logf})
 
 	// Warm the journal with the sweep the "warm" job will repeat.
 	warmReq := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}}

@@ -11,6 +11,7 @@ import (
 	"vertical3d/internal/fsio"
 	"vertical3d/internal/jobstore"
 	"vertical3d/internal/journal"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 )
 
@@ -88,7 +89,7 @@ func TestChaosJournalFaultsUnderServing(t *testing.T) {
 	}))
 	defer journal.SetFS(nil)
 
-	_, ts := newTestServer(t, serverConfig{JournalDir: jdir})
+	_, ts := newTestServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}})
 	v := waitDone(t, ts.URL, postSweep(t, ts.URL, refReq))
 	if !reflect.DeepEqual(stripMeta(t, ref.Result), stripMeta(t, v.Result)) {
 		t.Error("sweep under journal faults diverges from the reference")

@@ -11,6 +11,7 @@ import (
 
 	"vertical3d/internal/jobstore"
 	"vertical3d/internal/shutdown"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 )
 
@@ -72,7 +73,7 @@ func TestShutdownRecordsQueuedJobsInterrupted(t *testing.T) {
 	jobsDir := t.TempDir()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := serverConfig{JobDir: jobsDir, MaxSweeps: 1, QueueDepth: 4, Quick: true, Workers: 2, Logf: t.Logf}
+	cfg := serverConfig{Env: sweep.Env{Workers: 2}, JobDir: jobsDir, MaxSweeps: 1, QueueDepth: 4, Quick: true, Logf: t.Logf}
 	s := newServer(ctx, cfg)
 	defer func() {
 		if s.store != nil {
@@ -180,7 +181,7 @@ func TestDrainTimeoutReportsMidDrainJobs(t *testing.T) {
 	jobsDir := t.TempDir()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	s := newServer(ctx, serverConfig{JobDir: jobsDir, Quick: true, Workers: 1, Logf: t.Logf})
+	s := newServer(ctx, serverConfig{Env: sweep.Env{Workers: 1}, JobDir: jobsDir, Quick: true, Logf: t.Logf})
 	defer func() {
 		if s.store != nil {
 			_ = s.store.Close()

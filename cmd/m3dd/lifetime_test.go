@@ -10,6 +10,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/guard/faultinject"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/warm"
@@ -133,7 +134,7 @@ func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 			in := faultinject.New()
 			in.SlowAt(500*time.Millisecond, faultinject.Key("Mcf", config.TSV3D.String()))
 			ctx, cancel := context.WithCancel(context.Background())
-			s := newServer(ctx, serverConfig{Quick: true, Workers: 2, Logf: t.Logf, faultHook: in.Hook()})
+			s := newServer(ctx, serverConfig{Env: sweep.Env{Workers: 2}, Quick: true, Logf: t.Logf, faultHook: in.Hook()})
 			ts := httptest.NewServer(s.routes())
 			t.Cleanup(func() {
 				ts.Close()

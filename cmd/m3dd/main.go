@@ -48,44 +48,39 @@ import (
 	"os"
 	"time"
 
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/shutdown"
-	"vertical3d/internal/trace"
-	"vertical3d/internal/warm"
+	"vertical3d/internal/sweepflag"
 )
+
+// sharedFlags are the sweep flags the daemon shares with the batch
+// commands; every other shared setting keeps its default, which turns the
+// warm-state snapshot cache on.
+const sharedFlags = sweepflag.Workers | sweepflag.Journal | sweepflag.Retries | sweepflag.CacheDirs
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address")
-	workers := flag.Int("j", 0, "default worker count per sweep (0 = GOMAXPROCS); results are identical at any value")
 	quick := flag.Bool("quick", false, "default sweeps to small simulation sizes (requests can still size explicitly)")
-	journalDir := flag.String("journal-dir", "", "journal completed cells here and serve previously journaled cells from disk (created if missing)")
 	jobDir := flag.String("job-dir", "", "persist the job ledger here as a write-ahead manifest; a restarted daemon resumes unfinished jobs (created if missing)")
-	traceDir := flag.String("trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-	warmDir := flag.String("warm-dir", "", "directory for .m3dwarm warm-state snapshots, reused across runs (created if missing)")
+	sf := sweepflag.Register(flag.CommandLine, "m3dd", sharedFlags)
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes, also bounding retained job results (<= 0 = unbounded)")
 	maxSweeps := flag.Int("max-sweeps", 2, "sweeps simulating concurrently; further accepted sweeps queue")
 	queueDepth := flag.Int("queue-depth", 64, "accepted sweeps waiting for a slot before POSTs are shed with 429")
 	keepJobs := flag.Int("keep-jobs", 64, "finished sweeps retained for GET before the oldest are evicted")
 	eventBuffer := flag.Int("event-buffer", 256, "progress events retained per job for SSE replay; older events collapse into a lost marker")
-	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures retry with jittered exponential backoff")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open HTTP connections")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	parallel.SetDefaultWorkers(*workers)
-	if err := trace.SetCacheDir(*traceDir); err != nil {
-		logger.Fatalf("m3dd: -trace-dir: %v", err)
-	}
-	if err := warm.SetCacheDir(*warmDir); err != nil {
-		logger.Fatalf("m3dd: -warm-dir: %v", err)
+	env, err := sf.Env()
+	if err != nil {
+		logger.Fatalf("m3dd: %v", err)
 	}
 
 	shut := shutdown.Install(context.Background(), shutdown.WithLog(logger.Printf))
 	defer shut.Stop()
 
 	srv := newServer(shut.Context(), serverConfig{
-		Workers:     *workers,
-		JournalDir:  *journalDir,
+		Env:         env,
 		JobDir:      *jobDir,
 		CacheBudget: *cacheBytes,
 		MaxSweeps:   *maxSweeps,
@@ -93,7 +88,6 @@ func main() {
 		KeepJobs:    *keepJobs,
 		EventCap:    *eventBuffer,
 		Quick:       *quick,
-		Retry:       parallel.Retry{Attempts: *retries},
 		Logf:        logger.Printf,
 	})
 

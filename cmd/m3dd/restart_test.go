@@ -10,6 +10,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/jobstore"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 )
 
@@ -75,7 +76,7 @@ func TestRestartResumesUnfinishedJobs(t *testing.T) {
 	req := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}}
 
 	// Reference run fills the journal and pins the expected measurements.
-	_, ts1, stop1 := startServer(t, serverConfig{JournalDir: jdir})
+	_, ts1, stop1 := startServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}})
 	refID := postSweep(t, ts1.URL, req)
 	ref := waitDone(t, ts1.URL, refID)
 	if ref.Simulated == 0 {
@@ -99,7 +100,7 @@ func TestRestartResumesUnfinishedJobs(t *testing.T) {
 	}
 
 	// The restarted daemon must re-enqueue and finish it from the journal.
-	s2, ts2, _ := startServer(t, serverConfig{JournalDir: jdir, JobDir: jobsDir})
+	s2, ts2, _ := startServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}, JobDir: jobsDir})
 	resumed := waitDone(t, ts2.URL, "s000001")
 	if resumed.Simulated != 0 {
 		t.Errorf("resumed job re-simulated %d cells, want 0 (journal holds them all)", resumed.Simulated)
@@ -125,7 +126,7 @@ func TestRestartResumesUnfinishedJobs(t *testing.T) {
 
 	// The manifest now records the job done: a third boot restores it as a
 	// terminal ledger entry, not a queued one.
-	s3, ts3, _ := startServer(t, serverConfig{JournalDir: jdir, JobDir: jobsDir})
+	s3, ts3, _ := startServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}, JobDir: jobsDir})
 	var v3 jobView
 	if code := getJSON(t, ts3.URL+"/sweeps/s000001", &v3); code != 200 || v3.State != "done" || !v3.Restored {
 		t.Errorf("third boot ledger entry: %d %+v, want restored done", code, v3)
@@ -152,7 +153,7 @@ func TestRestartResumeMidSweep(t *testing.T) {
 	// lands mid-run, not after it.
 	req := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf", "Milc"}, Workers: 1}
 
-	_, ts1, stop1 := startServer(t, serverConfig{JournalDir: jdir, JobDir: jobsDir})
+	_, ts1, stop1 := startServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}, JobDir: jobsDir})
 	id := postSweep(t, ts1.URL, req)
 
 	// Wait for the sweep to make some progress, then pull the plug.
@@ -187,7 +188,7 @@ func TestRestartResumeMidSweep(t *testing.T) {
 		t.Skip("sweep completed before the interrupt landed; nothing to resume")
 	}
 
-	s2, ts2, _ := startServer(t, serverConfig{JournalDir: jdir, JobDir: jobsDir})
+	s2, ts2, _ := startServer(t, serverConfig{Env: sweep.Env{JournalDir: jdir}, JobDir: jobsDir})
 	resumed := waitDone(t, ts2.URL, id)
 
 	// Zero re-execution: every cell is simulated exactly once across the
@@ -204,7 +205,7 @@ func TestRestartResumeMidSweep(t *testing.T) {
 	// The resumed result must match a clean single-daemon run byte for byte
 	// (modulo per-run journal/health bookkeeping).
 	cleanDir := t.TempDir()
-	_, ts3, _ := startServer(t, serverConfig{JournalDir: cleanDir})
+	_, ts3, _ := startServer(t, serverConfig{Env: sweep.Env{JournalDir: cleanDir}})
 	cleanID := postSweep(t, ts3.URL, req)
 	clean := waitDone(t, ts3.URL, cleanID)
 	if !reflect.DeepEqual(stripMeta(t, clean.Result), stripMeta(t, resumed.Result)) {

@@ -13,9 +13,9 @@ import (
 	"vertical3d/internal/jobstore"
 	"vertical3d/internal/journal"
 	"vertical3d/internal/multicore"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/resultcache"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/workload"
@@ -24,12 +24,13 @@ import (
 // serverConfig sizes the daemon. The zero value is usable; newServer fills
 // the defaults in.
 type serverConfig struct {
-	// Workers is the default per-sweep worker count (0 =
-	// parallel.DefaultWorkers()); a request's "workers" field overrides it.
-	Workers int
+	// Env is every sweep's base environment. Workers is the default
+	// per-sweep worker count (a request's "workers" field overrides it);
 	// JournalDir, when non-empty, journals every sweep there and serves
 	// cells of previously journaled sweeps through the cache's disk tier.
-	JournalDir string
+	// The server fills in each sweep's Context, Cache, CellHook and
+	// KeepGoing.
+	sweep.Env
 	// JobDir, when non-empty, persists the job ledger there as a
 	// write-ahead manifest (internal/jobstore): accepted specs and state
 	// transitions survive a crash, and a restarted daemon re-enqueues
@@ -55,9 +56,6 @@ type serverConfig struct {
 	// Quick sizes sweeps with the unit-test sizing instead of the harness
 	// defaults (a request's explicit sizing always wins).
 	Quick bool
-	// Retry re-runs transiently failed cells; the zero value runs each cell
-	// once.
-	Retry parallel.Retry
 	// Logf receives the daemon's progress lines; nil discards.
 	Logf func(format string, args ...any)
 
@@ -552,8 +550,24 @@ func (s *server) cellHook(j *job) func(bench, design string) {
 	}
 }
 
-// runOptions builds the single-core sweep options for a request. A nil job
-// builds identity-only options (no hooks) for the admission layer.
+// env builds a request's sweep environment from the server's base Env.
+// A nil job builds identity-only options (no hook) for the admission
+// layer.
+func (s *server) env(ctx context.Context, req sweepRequest, j *job) sweep.Env {
+	env := s.cfg.Env
+	if req.Workers != 0 {
+		env.Workers = req.Workers
+	}
+	env.KeepGoing = req.KeepGoing
+	env.Context = ctx
+	env.Cache = s.cache
+	if j != nil {
+		env.CellHook = s.cellHook(j)
+	}
+	return env
+}
+
+// runOptions builds the single-core sweep options for a request (see env).
 func (s *server) runOptions(ctx context.Context, req sweepRequest, j *job) experiments.RunOptions {
 	opt := experiments.DefaultRunOptions()
 	if s.cfg.Quick {
@@ -569,27 +583,15 @@ func (s *server) runOptions(ctx context.Context, req sweepRequest, j *job) exper
 		opt.Seed = *req.Seed
 	}
 	opt.Sample = req.Sample
-	opt.KeepGoing = req.KeepGoing
-	opt.Workers = req.Workers
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.Workers
-	}
-	opt.Context = ctx
-	opt.JournalDir = s.cfg.JournalDir
-	opt.Cache = s.cache
-	opt.Retry = s.cfg.Retry
-	if j != nil {
-		opt.CellHook = s.cellHook(j)
-	}
+	opt.Env = s.env(ctx, req, j)
 	return opt
 }
 
-// mcOptions builds the fig9 sweep options for a request. A nil job builds
-// identity-only options for the admission layer.
+// mcOptions builds the fig9 sweep options for a request (see env).
 func (s *server) mcOptions(ctx context.Context, req sweepRequest, j *job) multicore.Options {
 	opt := multicore.DefaultOptions()
 	if s.cfg.Quick {
-		opt.TotalInstrs, opt.WarmupPerCore = 80_000, 5_000
+		opt = multicore.QuickOptions()
 	}
 	if req.Instrs > 0 {
 		opt.TotalInstrs = req.Instrs
@@ -604,18 +606,7 @@ func (s *server) mcOptions(ctx context.Context, req sweepRequest, j *job) multic
 		opt.Seed = *req.Seed
 	}
 	opt.Sample = req.Sample
-	opt.KeepGoing = req.KeepGoing
-	opt.Workers = req.Workers
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.Workers
-	}
-	opt.Context = ctx
-	opt.JournalDir = s.cfg.JournalDir
-	opt.Cache = s.cache
-	opt.Retry = s.cfg.Retry
-	if j != nil {
-		opt.CellHook = s.cellHook(j)
-	}
+	opt.Env = s.env(ctx, req, j)
 	return opt
 }
 
@@ -652,7 +643,7 @@ func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) 
 		if err != nil {
 			return nil, err
 		}
-		return fig6View(f), nil
+		return matrixView("fig6", &f.Matrix), nil
 	case "fig9":
 		suite, err := config.Derive(tech.N22())
 		if err != nil {
@@ -666,7 +657,7 @@ func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) 
 		if err != nil {
 			return nil, err
 		}
-		return fig9View(f), nil
+		return matrixView("fig9", &f.Matrix), nil
 	case "lpstudy":
 		names := j.req.Benchmarks
 		if len(names) == 0 {
@@ -678,13 +669,13 @@ func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) 
 		}
 		return lpView(r), nil
 	case "table3", "table4", "table5":
-		rows, h, err := experiments.StrategyTableCached(ctx, strategyFor(j.req.Experiment), s.cfg.JournalDir, s.cache)
+		rows, h, err := experiments.StrategyTable(s.env(ctx, j.req, j), strategyFor(j.req.Experiment))
 		if err != nil {
 			return nil, err
 		}
 		return &sweepResultView{Experiment: j.req.Experiment, Rows: rows, Health: h}, nil
 	case "table6":
-		m3d, tsv, h, err := experiments.Table6Cached(ctx, s.cfg.JournalDir, s.cache)
+		m3d, tsv, h, err := experiments.Table6(s.env(ctx, j.req, j))
 		if err != nil {
 			return nil, err
 		}

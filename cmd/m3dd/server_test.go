@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,8 +18,11 @@ import (
 	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/resultcache"
+	"vertical3d/internal/sweep"
+	"vertical3d/internal/sweepflag"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
+	"vertical3d/internal/warm"
 	"vertical3d/internal/workload"
 )
 
@@ -176,7 +181,7 @@ func TestSweepOracleMatchesDirectRun(t *testing.T) {
 	if err := json.Unmarshal(v.Result, &got); err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, err := json.Marshal(fig6View(direct))
+	wantBytes, err := json.Marshal(matrixView("fig6", &direct.Matrix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +306,7 @@ func TestDiskTierServesAcrossDaemonRestart(t *testing.T) {
 	defer trace.ResetCache()
 	dir := t.TempDir()
 
-	_, ts1 := newTestServer(t, serverConfig{JournalDir: dir})
+	_, ts1 := newTestServer(t, serverConfig{Env: sweep.Env{JournalDir: dir}})
 	id := postSweep(t, ts1.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}})
 	first := waitDone(t, ts1.URL, id)
 	if first.Simulated == 0 {
@@ -309,7 +314,7 @@ func TestDiskTierServesAcrossDaemonRestart(t *testing.T) {
 	}
 	ts1.Close()
 
-	s2, ts2 := newTestServer(t, serverConfig{JournalDir: dir})
+	s2, ts2 := newTestServer(t, serverConfig{Env: sweep.Env{JournalDir: dir}})
 	id2 := postSweep(t, ts2.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}})
 	second := waitDone(t, ts2.URL, id2)
 	if second.Simulated != 0 {
@@ -391,5 +396,73 @@ func TestTableSweeps(t *testing.T) {
 		if len(view.M3DChoices) == 0 || len(view.TSVChoices) == 0 {
 			t.Errorf("%s: empty choices", exp)
 		}
+	}
+}
+
+// TestSampledSweepServesCLIJournal checks that the daemon's shared-flag
+// defaults match the CLI's: a sampled fig6 sweep runs under the identity
+// m3dcli -sample journals under, so the CLI's journal serves every cell,
+// and a fresh sampled sweep writes its warm-state snapshots to -warm-dir.
+func TestSampledSweepServesCLIJournal(t *testing.T) {
+	trace.ResetCache()
+	warm.ResetCache()
+	t.Cleanup(func() {
+		_ = trace.SetCacheDir("")
+		_ = warm.SetCacheDir("")
+		trace.ResetCache()
+		warm.ResetCache()
+	})
+	jdir, wdir := t.TempDir(), t.TempDir()
+
+	// m3dcli -quick -sample -journal-dir jdir fig6, over one benchmark.
+	cfs := flag.NewFlagSet("m3dcli", flag.ContinueOnError)
+	cli := sweepflag.Register(cfs, "m3dcli", sweepflag.Batch|sweepflag.SampleParams)
+	if err := cfs.Parse([]string{"-sample", "-journal-dir", jdir}); err != nil {
+		t.Fatal(err)
+	}
+	cenv, err := cli.Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := experiments.QuickRunOptions()
+	opt.Env = cenv
+	cli.Sampling(&opt)
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcf, err := workload.ByName("Mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.Fig6With(suite, []trace.Profile{mcf}, opt); err != nil {
+		t.Fatal(err)
+	}
+
+	dfs := flag.NewFlagSet("m3dd", flag.ContinueOnError)
+	daemon := sweepflag.Register(dfs, "m3dd", sharedFlags)
+	if err := dfs.Parse([]string{"-journal-dir", jdir, "-warm-dir", wdir}); err != nil {
+		t.Fatal(err)
+	}
+	env, err := daemon.Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, serverConfig{Env: env})
+	req := sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Sample: true}
+	if v := waitDone(t, ts.URL, postSweep(t, ts.URL, req)); v.Simulated != 0 {
+		t.Errorf("sampled sweep simulated %d cells over the CLI's journal, want 0", v.Simulated)
+	}
+
+	req.Seed = seedPtr(7)
+	if v := waitDone(t, ts.URL, postSweep(t, ts.URL, req)); v.Simulated == 0 {
+		t.Fatal("fresh sampled sweep simulated nothing")
+	}
+	snaps, err := filepath.Glob(filepath.Join(wdir, "*.m3dwarm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) == 0 {
+		t.Error("-warm-dir holds no .m3dwarm snapshot after a sampled sweep")
 	}
 }

@@ -44,69 +44,34 @@ type sweepResultView struct {
 	Health  experiments.Health `json:"health"`
 }
 
-// fig6View flattens a Fig6Result.
-func fig6View(f *experiments.Fig6Result) *sweepResultView {
+// matrixView flattens a fig6 or fig9 study.
+func matrixView[D experiments.DesignAxis, R any](experiment string, m *experiments.Matrix[D, R]) *sweepResultView {
 	v := &sweepResultView{
-		Experiment: "fig6",
-		Benchmarks: f.Benchmarks,
+		Experiment: experiment,
+		Benchmarks: m.Benchmarks,
 		Speedup:    map[string]map[string]float64{},
 		NormEnergy: map[string]map[string]float64{},
-		Journal:    f.Journal,
-		Health:     f.Health,
+		Journal:    m.Journal,
+		Health:     m.Health,
 	}
-	for _, d := range f.Designs {
+	for _, d := range m.Designs {
 		v.Designs = append(v.Designs, d.String())
 	}
-	for _, b := range f.Benchmarks {
+	for _, b := range m.Benchmarks {
 		v.Speedup[b] = map[string]float64{}
 		v.NormEnergy[b] = map[string]float64{}
-		for _, d := range f.Designs {
+		for _, d := range m.Designs {
 			cv := cellView{Benchmark: b, Design: d.String()}
-			if err := f.Errors[b][d]; err != nil {
+			if err := m.Errors[b][d]; err != nil {
 				cv.Error = err.Error()
 			} else {
-				cv.Result = f.Runs[b][d]
+				cv.Result = m.Runs[b][d]
 			}
 			v.Cells = append(v.Cells, cv)
-			if sp, ok := f.Speedup[b][d]; ok {
+			if sp, ok := m.Speedup[b][d]; ok {
 				v.Speedup[b][d.String()] = sp
 			}
-			if ne, ok := f.NormEnergy[b][d]; ok {
-				v.NormEnergy[b][d.String()] = ne
-			}
-		}
-	}
-	return v
-}
-
-// fig9View flattens a Fig9Result.
-func fig9View(f *experiments.Fig9Result) *sweepResultView {
-	v := &sweepResultView{
-		Experiment: "fig9",
-		Benchmarks: f.Benchmarks,
-		Speedup:    map[string]map[string]float64{},
-		NormEnergy: map[string]map[string]float64{},
-		Journal:    f.Journal,
-		Health:     f.Health,
-	}
-	for _, d := range f.Designs {
-		v.Designs = append(v.Designs, d.String())
-	}
-	for _, b := range f.Benchmarks {
-		v.Speedup[b] = map[string]float64{}
-		v.NormEnergy[b] = map[string]float64{}
-		for _, d := range f.Designs {
-			cv := cellView{Benchmark: b, Design: d.String()}
-			if err := f.Errors[b][d]; err != nil {
-				cv.Error = err.Error()
-			} else {
-				cv.Result = f.Runs[b][d]
-			}
-			v.Cells = append(v.Cells, cv)
-			if sp, ok := f.Speedup[b][d]; ok {
-				v.Speedup[b][d.String()] = sp
-			}
-			if ne, ok := f.NormEnergy[b][d]; ok {
+			if ne, ok := m.NormEnergy[b][d]; ok {
 				v.NormEnergy[b][d.String()] = ne
 			}
 		}

@@ -16,18 +16,15 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
-	"vertical3d/internal/guard"
 	"vertical3d/internal/multicore"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/profutil"
 	"vertical3d/internal/shutdown"
+	"vertical3d/internal/sweepflag"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
-	"vertical3d/internal/warm"
 	"vertical3d/internal/workload"
 )
 
@@ -55,21 +52,10 @@ func run() int {
 	phases := flag.Int("phases", 4, "barrier-delimited phases")
 	seed := flag.Int64("seed", 42, "trace seed")
 	streamBase := flag.Int("stream-base", 0, "trace stream id of core 0 (core i uses stream-base+i); pick a base so streams cannot collide with single-core runs at the same seed")
-	traceCache := flag.Bool("trace-cache", true, "record each core's instruction stream once and replay it in every design cell (identical results; disable to re-generate per cell)")
-	traceDir := flag.String("trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-	warmCache := flag.Bool("warm-cache", true, "capture the sampled per-core warmup once per (benchmark, topology, geometry) and restore it in every other design cell (identical results; implies nothing without -sample)")
-	warmDir := flag.String("warm-dir", "", "directory for .m3dwarm warm-state snapshots, reused across runs (created if missing)")
-	workers := flag.Int("j", 0, "worker count for the design sweep (0 = GOMAXPROCS); results are identical at any value")
-	keepGoing := flag.Bool("keep-going", false, "complete the sweep when cells fail; failed cells print ERR and the exit code is 1")
-	journalDir := flag.String("journal-dir", "", "checkpoint completed sweep cells to this write-ahead journal directory; a re-run with the same sizing resumes from it bit-identically (created if missing)")
-	retries := flag.Int("retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
-	sweepTimeout := flag.Duration("sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
-	sample := flag.Bool("sample", false, "fast-forward per-core warmup functionally (caches + predictor only); measured phases stay detailed — per-phase budgets are too small to sample soundly over a shared memory system")
+	sf := sweepflag.Register(flag.CommandLine, "mcsim", sweepflag.Batch)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	flag.Parse()
-	parallel.SetDefaultWorkers(*workers)
 
 	if *instrs == 0 {
 		return usageErr("-instrs must be > 0")
@@ -84,10 +70,8 @@ func run() int {
 	if err != nil {
 		return usageErr(err.Error())
 	}
-	if err := trace.SetCacheDir(*traceDir); err != nil {
-		return usageErr(err.Error())
-	}
-	if err := warm.SetCacheDir(*warmDir); err != nil {
+	env, err := sf.Env()
+	if err != nil {
 		return usageErr(err.Error())
 	}
 	stopProf, err := profutil.Start(*cpuprofile, *memprofile)
@@ -103,26 +87,16 @@ func run() int {
 	// First SIGINT/SIGTERM stops dispatching cells and drains in-flight
 	// work (flushing the journal); a second one force-exits. An
 	// interrupted run exits 130 so scripts can distinguish it and resume.
-	shut := shutdown.Install(context.Background(), shutdown.WithLog(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "mcsim: "+format+"\n", args...)
-	}))
+	shut := shutdown.Install(context.Background(), shutdown.WithLog(sf.Logf))
 	defer shut.Stop()
 
 	suite, err := config.Derive(tech.N22())
 	if err != nil {
 		return fail(err)
 	}
+	env.Context = shut.Context()
 	opt := multicore.Options{TotalInstrs: *instrs, WarmupPerCore: *warmup, Phases: *phases,
-		Seed: *seed, StreamBase: *streamBase, NoTraceCache: !*traceCache, WarmCache: *warmCache,
-		Workers: *workers, KeepGoing: *keepGoing, Sample: *sample,
-		Context:     shut.Context(),
-		JournalDir:  *journalDir,
-		TaskTimeout: *taskTimeout, SweepTimeout: *sweepTimeout,
-		Retry:         parallel.Retry{Attempts: *retries},
-		WatchdogGrace: 30 * time.Second,
-		WatchdogLog: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "mcsim: "+format+"\n", args...)
-		}}
+		Seed: *seed, StreamBase: *streamBase, Sample: sf.Sampled(), Env: env}
 	f, err := experiments.Fig9With(suite, []trace.Profile{prof}, opt)
 	if err != nil {
 		return shut.ExitCode(fail(err))
@@ -143,23 +117,10 @@ func run() int {
 			r.MemStats.NoCHops, r.MemStats.Invalidations, r.MemStats.Forwards)
 	}
 	tw.Flush()
-	if n := trace.CacheStats().SaveErrors; *traceDir != "" && n > 0 {
-		fmt.Fprintf(os.Stderr, "mcsim: warning: %d trace recording(s) could not be saved to %s\n", n, *traceDir)
-	}
-	if n := warm.Stats().SaveErrors; *warmDir != "" && n > 0 {
-		fmt.Fprintf(os.Stderr, "mcsim: warning: %d warm snapshot(s) could not be saved to %s\n", n, *warmDir)
-	}
-	if *journalDir != "" {
-		experiments.RenderJournalStats(os.Stderr, f.Journal)
-	}
-	experiments.RenderHealth(os.Stderr, f.Health)
-	if n := f.FailedCells(); n > 0 {
-		fmt.Fprintf(os.Stderr, "mcsim: %d failed cell(s):\n", n)
-		for _, d := range config.MulticoreDesigns() {
-			if err := f.Errors[prof.Name][d]; err != nil {
-				fmt.Fprintf(os.Stderr, "  %s/%s: [%s] %v\n", prof.Name, d, guard.Classify(err), err)
-			}
-		}
+	sf.Report(os.Stderr, sweepflag.Sweep{Journal: f.Journal, Health: f.Health})
+	if f.FailedCells() > 0 {
+		fmt.Fprint(os.Stderr, "mcsim: ")
+		f.RenderErrors(os.Stderr)
 		return shut.ExitCode(1)
 	}
 	return shut.ExitCode(0)

@@ -17,9 +17,10 @@ import (
 	"vertical3d/internal/core"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/guard"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/shutdown"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
+	"vertical3d/internal/sweepflag"
 	"vertical3d/internal/tech"
 )
 
@@ -63,18 +64,18 @@ func fail(err error) {
 func main() {
 	table := flag.String("table", "all", "which table to print: 3, 4, 5, 6, 8 or all")
 	compare := flag.Bool("compare", true, "print paper values next to modelled values")
-	workers := flag.Int("j", 0, "worker count for the partition sweeps (0 = GOMAXPROCS); results are identical at any value")
-	kg := flag.Bool("keep-going", false, "complete the tables when rows fail; failed rows print ERR and the exit code is 1")
-	journalDir := flag.String("journal-dir", "", "checkpoint completed table cells to this write-ahead journal directory; a re-run merges them bit-identically, and an unusable directory degrades to unjournaled execution (reported below the tables)")
+	sf := sweepflag.Register(flag.CommandLine, "sramstudy", sweepflag.Workers|sweepflag.KeepGoing|sweepflag.Journal)
 	flag.Parse()
-	parallel.SetDefaultWorkers(*workers)
-	keepGoing = *kg
+	env, err := sf.Env()
+	if err != nil {
+		usageErr(err.Error())
+	}
+	keepGoing = env.KeepGoing
 
 	// SIGINT/SIGTERM maps the final status onto exit 130; the tables here
 	// are sub-second, so there is no dispatch to drain.
-	shut = shutdown.Install(context.Background(), shutdown.WithLog(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "sramstudy: "+format+"\n", args...)
-	}))
+	shut = shutdown.Install(context.Background(), shutdown.WithLog(sf.Logf))
+	env.Context = shut.Context()
 
 	n := tech.N22()
 	// With -journal-dir, tables 3-6 route through the journaled experiments
@@ -82,15 +83,15 @@ func main() {
 	// they finish, and an unusable journal degrades the run to unjournaled
 	// execution — reported via the Health block — instead of aborting it.
 	strat := func(st sram.Strategy, paper map[string]map[string]core.PaperRow) {
-		if *journalDir != "" {
-			strategyTableJournaled(st, *compare, *journalDir)
+		if env.JournalDir != "" {
+			strategyTableJournaled(env, st, *compare)
 			return
 		}
 		strategyTable(n, st, paper, *compare)
 	}
 	t6 := func() {
-		if *journalDir != "" {
-			table6Journaled(*compare, *journalDir)
+		if env.JournalDir != "" {
+			table6Journaled(env, *compare)
 			return
 		}
 		table6(n, *compare)
@@ -169,8 +170,8 @@ func strategyTable(n *tech.Node, st sram.Strategy, paper map[string]map[string]c
 // strategyTableJournaled prints one strategy table through the journaled
 // experiments layer (see -journal-dir): fail-fast rather than per-row ERR,
 // with the degradation ladder reported below the table.
-func strategyTableJournaled(st sram.Strategy, compare bool, dir string) {
-	rows, h, err := experiments.StrategyTableHealth(shut.Context(), st, dir)
+func strategyTableJournaled(env sweep.Env, st sram.Strategy, compare bool) {
+	rows, h, err := experiments.StrategyTable(env, st)
 	if err != nil {
 		fail(err)
 		return
@@ -203,8 +204,8 @@ func table6(n *tech.Node, compare bool) {
 }
 
 // table6Journaled is table6 through the journaled experiments layer.
-func table6Journaled(compare bool, dir string) {
-	m3d, tsv, h, err := experiments.Table6Health(shut.Context(), dir)
+func table6Journaled(env sweep.Env, compare bool) {
+	m3d, tsv, h, err := experiments.Table6(env)
 	if err != nil {
 		fail(err)
 		return

@@ -8,6 +8,7 @@ import (
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/workload"
@@ -30,7 +31,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestStrategyTablesRun(t *testing.T) {
 	for _, st := range []sram.Strategy{sram.BitPart, sram.WordPart, sram.PortPart} {
-		rows, err := StrategyTable(st)
+		rows, _, err := StrategyTable(sweep.Env{}, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestStrategyTablesRun(t *testing.T) {
 }
 
 func TestTable6And8Consistent(t *testing.T) {
-	m3d, tsv, err := Table6()
+	m3d, tsv, _, err := Table6(sweep.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFig6QuickShape(t *testing.T) {
 	RenderFig7(&buf, f)
 
 	// Figure 8 on the same runs.
-	rows, err := Fig8(f)
+	rows, _, err := Fig8Health(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,16 +54,6 @@ func TestFig8HealthReportsDroppedRows(t *testing.T) {
 		t.Error("event carries no cause")
 	}
 
-	// The legacy entry point stays behaviour-compatible: same rows, no
-	// error, just without the report.
-	legacy, err := Fig8(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(rows) {
-		t.Errorf("Fig8 and Fig8Health disagree: %d vs %d rows", len(legacy), len(rows))
-	}
-
 	// A fault-free source sweep reports a clean bill.
 	clean, err := Fig6With(s, profiles, QuickRunOptions())
 	if err != nil {

@@ -120,59 +120,45 @@ func journalHealth(h *healthRecorder, jn *journal.Journal) {
 	}
 }
 
-// traceWatch snapshots the process-global recording-cache counters around
-// a sweep so their deltas can be attributed to it. The counters are
-// process-wide: concurrent sweeps in one process may cross-attribute
-// events, but never invent or lose one.
-type traceWatch struct {
-	before trace.CacheCounters
+// cacheWatch snapshots the process-global trace-recording and warm
+// snapshot cache counters around a sweep so their deltas can be attributed
+// to it. The counters are process-wide: concurrent sweeps in one process
+// may cross-attribute events, but never invent or lose one.
+type cacheWatch struct {
+	trace trace.CacheCounters
+	warm  warm.Counters
 }
 
-func watchTrace() traceWatch {
-	return traceWatch{before: trace.CacheStats()}
+func watchCaches() cacheWatch {
+	return cacheWatch{trace: trace.CacheStats(), warm: warm.Stats()}
 }
 
-// harvest records events for cache files that failed to load or save
+// harvest records events for cache files, saves and restores that failed
 // while the watch was open.
-func (t traceWatch) harvest(h *healthRecorder) {
-	after := trace.CacheStats()
-	if n := after.LoadErrors - t.before.LoadErrors; n > 0 {
+func (c cacheWatch) harvest(h *healthRecorder) {
+	tr := trace.CacheStats()
+	if n := tr.LoadErrors - c.trace.LoadErrors; n > 0 {
 		h.add("trace", "",
 			fmt.Sprintf("regenerated %d recording(s) in memory (cache file unreadable, corrupt or foreign)", n), nil)
 	}
-	if n := after.SaveErrors - t.before.SaveErrors; n > 0 {
+	if n := tr.SaveErrors - c.trace.SaveErrors; n > 0 {
 		h.add("trace", "",
 			fmt.Sprintf("%d recording save(s) failed, cache directory left stale", n), nil)
 	}
-}
-
-// warmWatch snapshots the process-global snapshot-cache counters around a
-// sweep, mirroring traceWatch.
-type warmWatch struct {
-	before warm.Counters
-}
-
-func watchWarm() warmWatch {
-	return warmWatch{before: warm.Stats()}
-}
-
-// harvest records events for snapshot files and restores that failed
-// while the watch was open.
-func (t warmWatch) harvest(h *healthRecorder) {
-	after := warm.Stats()
-	if n := after.LoadErrors - t.before.LoadErrors; n > 0 {
+	wm := warm.Stats()
+	if n := wm.LoadErrors - c.warm.LoadErrors; n > 0 {
 		h.add("warm", "",
 			fmt.Sprintf("regenerated %d warm snapshot(s) from the trace (snapshot file unreadable, corrupt or foreign)", n), nil)
 	}
-	if n := after.Quarantines - t.before.Quarantines; n > 0 {
+	if n := wm.Quarantines - c.warm.Quarantines; n > 0 {
 		h.add("warm", "",
 			fmt.Sprintf("quarantined %d damaged snapshot file(s)", n), nil)
 	}
-	if n := after.SaveErrors - t.before.SaveErrors; n > 0 {
+	if n := wm.SaveErrors - c.warm.SaveErrors; n > 0 {
 		h.add("warm", "",
 			fmt.Sprintf("%d snapshot save(s) failed, snapshot directory left stale", n), nil)
 	}
-	if n := after.RestoreErrors - t.before.RestoreErrors; n > 0 {
+	if n := wm.RestoreErrors - c.warm.RestoreErrors; n > 0 {
 		h.add("warm", "",
 			fmt.Sprintf("%d cell(s) fell back to local warming (snapshot restore refused)", n), nil)
 	}

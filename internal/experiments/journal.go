@@ -1,18 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"vertical3d/internal/journal"
 	"vertical3d/internal/multicore"
-	"vertical3d/internal/parallel"
 )
 
 // This file is the glue between the sweeps and the crash-safety layers:
-// it maps run options onto the worker pool's retry/timeout/watchdog knobs
-// and onto a per-sweep write-ahead journal (see the journal package).
+// it maps run options onto a per-sweep write-ahead journal identity (see
+// the journal package; sweep.Env opens the journal and maps the pool).
 //
 // The journaling contract every sweep follows:
 //
@@ -29,32 +27,13 @@ import (
 //   - only successful cells are recorded: failed cells stay un-journaled
 //     and are re-attempted by the next run.
 
-// ctx returns the sweep context (Background when unset).
-func (opt RunOptions) ctx() context.Context {
-	if opt.Context != nil {
-		return opt.Context
-	}
-	return context.Background()
-}
-
-// pool maps the options onto the sweep worker pool.
-func (opt RunOptions) pool() parallel.Pool {
-	return parallel.Pool{
-		Workers:       opt.Workers,
-		TaskTimeout:   opt.TaskTimeout,
-		SweepTimeout:  opt.SweepTimeout,
-		Retry:         opt.Retry,
-		WatchdogGrace: opt.WatchdogGrace,
-		WatchdogLog:   opt.WatchdogLog,
-	}
-}
-
-// identity canonicalises the sweep definition: the experiment name plus
-// every sizing parameter that changes cell results. It is shared by the
-// journal layer (segment identity headers) and the result cache (content
-// addresses), so a cached cell and a journaled cell agree on what "the
-// same sweep" means by construction.
-func (opt RunOptions) identity(experiment string) journal.Identity {
+// Identity canonicalises the sweep definition: the experiment name plus
+// every sizing parameter that changes cell results. It is the content
+// address of the journal layer (segment identity headers), the result
+// cache, and m3dd's admission control (resultcache.KnownCells), so a
+// cached cell, a journaled cell and a queued job agree on what "the same
+// sweep" means by construction.
+func (opt RunOptions) Identity(experiment string) journal.Identity {
 	kv := []string{
 		"warmup", fmt.Sprint(opt.Warmup),
 		"measure", fmt.Sprint(opt.Measure),
@@ -90,59 +69,12 @@ func (opt RunOptions) identity(experiment string) journal.Identity {
 	return journal.Identity{Experiment: experiment, Params: journal.Params(kv...)}
 }
 
-// openJournal opens the sweep's checkpoint journal, or returns a nil
-// (inert) journal when JournalDir is empty.
-func (opt RunOptions) openJournal(experiment string) (*journal.Journal, error) {
-	if opt.JournalDir == "" {
-		return nil, nil
-	}
-	j, err := journal.Open(opt.JournalDir, opt.identity(experiment))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", experiment, err)
-	}
-	return j, nil
-}
-
-// openJournalHealth is openJournal on the degradation ladder: a journal
-// that cannot open (read-only directory, full disk, unreadable entries)
-// downgrades the sweep to unjournaled execution — recorded as a ladder
-// event — instead of aborting it. Results stay bit-identical; only
-// crash-resumability is lost.
-func (opt RunOptions) openJournalHealth(experiment string, h *healthRecorder) *journal.Journal {
-	jn, err := opt.openJournal(experiment)
-	if err != nil {
-		h.add("journal", "", "journaling disabled for this run (journal could not open)", err)
-		return nil
-	}
-	return jn
-}
-
-// mcCtx returns a multicore sweep's context (Background when unset).
-func mcCtx(opt multicore.Options) context.Context {
-	if opt.Context != nil {
-		return opt.Context
-	}
-	return context.Background()
-}
-
-// mcPool maps multicore options onto the sweep worker pool.
-func mcPool(opt multicore.Options) parallel.Pool {
-	return parallel.Pool{
-		Workers:       opt.Workers,
-		TaskTimeout:   opt.TaskTimeout,
-		SweepTimeout:  opt.SweepTimeout,
-		Retry:         opt.Retry,
-		WatchdogGrace: opt.WatchdogGrace,
-		WatchdogLog:   opt.WatchdogLog,
-	}
-}
-
-// mcIdentity canonicalises a multicore sweep definition, pinning every
+// MCIdentity canonicalises a multicore sweep definition, pinning every
 // Options field that changes cell results; Lockstep is included because it
 // changes the shared-memory interleaving and thus the contention
-// statistics. Shared by the journal and the result cache like
-// RunOptions.identity.
-func mcIdentity(opt multicore.Options, experiment string) journal.Identity {
+// statistics. Shared by the journal, the result cache and m3dd's
+// admission control like RunOptions.Identity.
+func MCIdentity(opt multicore.Options, experiment string) journal.Identity {
 	kv := []string{
 		"instrs", fmt.Sprint(opt.TotalInstrs),
 		"warmup", fmt.Sprint(opt.WarmupPerCore),
@@ -162,30 +94,6 @@ func mcIdentity(opt multicore.Options, experiment string) journal.Identity {
 		}
 	}
 	return journal.Identity{Experiment: experiment, Params: journal.Params(kv...)}
-}
-
-// mcJournal opens a multicore sweep's checkpoint journal (nil when
-// disabled).
-func mcJournal(opt multicore.Options, experiment string) (*journal.Journal, error) {
-	if opt.JournalDir == "" {
-		return nil, nil
-	}
-	j, err := journal.Open(opt.JournalDir, mcIdentity(opt, experiment))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", experiment, err)
-	}
-	return j, nil
-}
-
-// mcJournalHealth is mcJournal on the degradation ladder (see
-// openJournalHealth).
-func mcJournalHealth(opt multicore.Options, experiment string, h *healthRecorder) *journal.Journal {
-	jn, err := mcJournal(opt, experiment)
-	if err != nil {
-		h.add("journal", "", "journaling disabled for this run (journal could not open)", err)
-		return nil
-	}
-	return jn
 }
 
 // RenderJournalStats writes a one-line resume summary when a sweep ran

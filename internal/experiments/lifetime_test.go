@@ -75,7 +75,8 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	requireEmpty(t, "after Fig6")
 
-	mopt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 5, Sample: true, WarmCache: true}
+	mopt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 5, Sample: true}
+	mopt.WarmCache = true
 	var p9 residentPeak
 	mopt.CellHook = p9.hook
 	if _, err := Fig9With(s, oracleProfiles(t, "Fft"), mopt); err != nil {
@@ -173,8 +174,8 @@ func fig9LifetimeSweep(t *testing.T, retry parallel.Retry, hook func(bench, desi
 	}
 	streams *= len(profiles)
 
-	mopt := multicore.Options{TotalInstrs: 24_000, WarmupPerCore: 1_000, Phases: 2, Seed: 5,
-		Sample: true, WarmCache: true, Workers: 1, Retry: retry}
+	mopt := multicore.Options{TotalInstrs: 24_000, WarmupPerCore: 1_000, Phases: 2, Seed: 5, Sample: true}
+	mopt.WarmCache, mopt.Workers, mopt.Retry = true, 1, retry
 	var stale []string
 	mopt.CellHook = func(bench, design string) {
 		if design == designs[0].String() {

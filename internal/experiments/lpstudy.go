@@ -8,7 +8,6 @@ import (
 	"vertical3d/internal/config"
 	"vertical3d/internal/journal"
 	"vertical3d/internal/parallel"
-	"vertical3d/internal/resultcache"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
@@ -58,21 +57,12 @@ func LPStudy(names []string, opt RunOptions) (*LPStudyResult, error) {
 	}
 	defer opt.holdCaches(suite, profs, lpDesigns[:])()
 
-	hr := &healthRecorder{}
-	tw := watchTrace()
-	ww := watchWarm()
-	opt.health = hr
-	jn := opt.openJournalHealth("lpstudy", hr)
-	defer jn.Close()
-	cr := cellRunner{
-		cache: opt.Cache,
-		key:   resultcache.Key{ID: opt.identity("lpstudy")},
-		jn:    jn,
-		hook:  opt.CellHook,
-	}
+	opt.health = &healthRecorder{}
+	cw := watchCaches()
+	cr := openCells(opt.Env, opt.Identity("lpstudy"), opt.health)
+	defer cr.jn.Close()
 	nd := len(lpDesigns)
-	pool := opt.pool()
-	cells, err := parallel.Map(opt.ctx(), pool, len(profiles)*nd,
+	cells, err := parallel.Map(opt.Ctx(), opt.Pool(), len(profiles)*nd,
 		func(_ context.Context, i int) (float64, error) {
 			p, d := profiles[i/nd], lpDesigns[i%nd]
 			key := journal.CellKey(p.name, d.String(), suite.Configs[d], p.prof)
@@ -109,11 +99,10 @@ func LPStudy(names []string, opt RunOptions) (*LPStudyResult, error) {
 		return nil, err
 	}
 	res.ExtraSavingPP = m
-	res.Journal = jn.Stats()
-	journalHealth(hr, jn)
-	tw.harvest(hr)
-	ww.harvest(hr)
-	res.Health = hr.health()
+	res.Journal = cr.jn.Stats()
+	journalHealth(opt.health, cr.jn)
+	cw.harvest(opt.health)
+	res.Health = opt.health.health()
 	return res, nil
 }
 

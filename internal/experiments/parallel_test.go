@@ -13,6 +13,7 @@ import (
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 )
 
@@ -56,7 +57,8 @@ func TestFig9DeterministicAcrossWorkers(t *testing.T) {
 	}
 	list := workloadSubset(t, []string{"Blackscholes"})
 	run := func(workers int) *Fig9Result {
-		opt := multicore.Options{TotalInstrs: 40_000, WarmupPerCore: 3_000, Phases: 2, Seed: 7, Workers: workers}
+		opt := multicore.Options{TotalInstrs: 40_000, WarmupPerCore: 3_000, Phases: 2, Seed: 7}
+		opt.Workers = workers
 		f, err := Fig9With(suite, list, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -152,11 +154,11 @@ func TestFig9ShuffledDesignOrder(t *testing.T) {
 // identical rows.
 func TestStrategyTableCacheHits(t *testing.T) {
 	sram.ResetModelCache()
-	first, err := StrategyTable(sram.BitPart)
+	first, _, err := StrategyTable(sweep.Env{}, sram.BitPart)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := StrategyTable(sram.BitPart)
+	second, _, err := StrategyTable(sweep.Env{}, sram.BitPart)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/multicore"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 )
 
@@ -315,11 +316,11 @@ func TestTablesJournaledResume(t *testing.T) {
 	t.Run("strategy", func(t *testing.T) {
 		dir := t.TempDir()
 		ctx := context.Background()
-		first, err := StrategyTableJournaled(ctx, sram.BitPart, dir)
+		first, _, err := StrategyTable(sweep.Env{Context: ctx, JournalDir: dir}, sram.BitPart)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := StrategyTableJournaled(ctx, sram.BitPart, dir)
+		second, _, err := StrategyTable(sweep.Env{Context: ctx, JournalDir: dir}, sram.BitPart)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,11 +343,11 @@ func TestTablesJournaledResume(t *testing.T) {
 	t.Run("table6", func(t *testing.T) {
 		dir := t.TempDir()
 		ctx := context.Background()
-		m1, t1, err := Table6Journaled(ctx, dir)
+		m1, t1, _, err := Table6(sweep.Env{Context: ctx, JournalDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, t2, err := Table6Journaled(ctx, dir)
+		m2, t2, _, err := Table6(sweep.Env{Context: ctx, JournalDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ package experiments
 //
 //	result cache → checkpoint journal → simulation
 //
-// The cache tier (RunOptions.Cache / multicore.Options.Cache) is optional
+// The cache tier (sweep.Env.Cache) is optional
 // and nil for the command-line one-shot runs; the m3dd daemon installs a
 // process-wide cache so repeated and concurrent sweeps serve finished
 // cells in O(1) and coalesce identical in-flight ones. The journal tier is
@@ -21,6 +21,7 @@ package experiments
 import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/resultcache"
+	"vertical3d/internal/sweep"
 )
 
 // cellRunner carries the per-sweep serving state into each cell task.
@@ -29,6 +30,17 @@ type cellRunner struct {
 	key   resultcache.Key    // ID filled per sweep; Cell per call
 	jn    *journal.Journal   // the sweep's journal (nil-safe)
 	hook  func(bench, design string)
+}
+
+// openCells opens a sweep's serving tiers under id: env's result cache
+// and checkpoint journal, and its CellHook. A journal that cannot open is
+// recorded on h and the sweep runs unjournaled. The caller closes the
+// runner's journal.
+func openCells(env sweep.Env, id journal.Identity, h *healthRecorder) cellRunner {
+	jn := env.OpenJournal(id, func(err error) {
+		h.add("journal", "", "journaling disabled for this run (journal could not open)", err)
+	})
+	return cellRunner{cache: env.Cache, key: resultcache.Key{ID: id}, jn: jn, hook: env.CellHook}
 }
 
 // runCell executes one sweep cell through the serving seam. sim runs the

@@ -17,8 +17,8 @@ import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/logic3d"
 	"vertical3d/internal/parallel"
-	"vertical3d/internal/resultcache"
 	"vertical3d/internal/sram"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/thermal"
 )
@@ -127,48 +127,18 @@ type PartRow struct {
 
 // StrategyTable evaluates one fixed strategy on the RF and BPT for both via
 // technologies — Tables 3 (BP), 4 (WP) and 5 (PP). The structure × via
-// cells fan out on the default worker pool; rows come back in the fixed
-// (structure, via) order regardless of scheduling.
-func StrategyTable(st sram.Strategy) ([]PartRow, error) {
-	return StrategyTableJournaled(context.Background(), st, "")
-}
-
-// StrategyTableJournaled is StrategyTable with graceful shutdown (ctx) and
-// crash-safe checkpointing: with a non-empty journal directory, completed
-// structure × via cells are journaled as they finish and merged
-// bit-identically on re-run. An empty dir disables journaling.
-func StrategyTableJournaled(ctx context.Context, st sram.Strategy, dir string) ([]PartRow, error) {
-	rows, _, err := StrategyTableHealth(ctx, st, dir)
-	return rows, err
-}
-
-// StrategyTableHealth is StrategyTableJournaled on the degradation ladder:
-// a journal that cannot open or append downgrades the run to unjournaled
-// execution instead of aborting it, and the returned Health block reports
-// every downgrade taken.
-func StrategyTableHealth(ctx context.Context, st sram.Strategy, dir string) ([]PartRow, Health, error) {
-	return StrategyTableCached(ctx, st, dir, nil)
-}
-
-// StrategyTableCached is StrategyTableHealth with the result-cache tier in
-// front of the journal (nil cache skips the tier) — the entry point the
-// m3dd daemon serves the strategy tables through. Results are bit-identical
-// with or without the cache.
-func StrategyTableCached(ctx context.Context, st sram.Strategy, dir string, cache *resultcache.Cache) ([]PartRow, Health, error) {
+// cells fan out on env's worker pool and come back in the fixed
+// (structure, via) order regardless of scheduling. Every cell goes through
+// env's result cache and checkpoint journal (see runCell): with a
+// JournalDir, completed cells are journaled as they finish and merged
+// bit-identically on re-run, and a journal that cannot open or append
+// downgrades the run to unjournaled execution, reported in the returned
+// Health block. The table always fails fast; KeepGoing does not apply.
+func StrategyTable(env sweep.Env, st sram.Strategy) ([]PartRow, Health, error) {
 	n := tech.N22()
 	hr := &healthRecorder{}
-	id := StrategyTableIdentity(st)
-	var jn *journal.Journal
-	if dir != "" {
-		var err error
-		jn, err = journal.Open(dir, id)
-		if err != nil {
-			hr.add("journal", "", "journaling disabled for this run (journal could not open)", err)
-			jn = nil
-		}
-	}
-	defer jn.Close()
-	cr := cellRunner{cache: cache, key: resultcache.Key{ID: id}, jn: jn}
+	cr := openCells(env, StrategyTableIdentity(st), hr)
+	defer cr.jn.Close()
 	paper := map[sram.Strategy]map[string]map[string]core.PaperRow{
 		sram.BitPart:  core.PaperTable3,
 		sram.WordPart: core.PaperTable4,
@@ -198,7 +168,7 @@ func StrategyTableCached(ctx context.Context, st sram.Strategy, dir string, cach
 			cells = append(cells, cell{stc: stc, name: name, label: v.label, via: v.via})
 		}
 	}
-	rows, err := parallel.Map(ctx, parallel.Default(), len(cells),
+	rows, err := parallel.Map(env.Ctx(), env.Pool(), len(cells),
 		func(_ context.Context, i int) (PartRow, error) {
 			cl := cells[i]
 			key := journal.CellKey(cl.name, cl.label, st.String(), cl.via, *n)
@@ -219,62 +189,50 @@ func StrategyTableCached(ctx context.Context, st sram.Strategy, dir string, cach
 				return row, nil
 			})
 		})
-	journalHealth(hr, jn)
+	journalHealth(hr, cr.jn)
 	return rows, hr.health(), err
 }
 
 // Table6 selects the best iso-layer partition per structure for M3D and
-// TSV3D. The two via technologies are selected concurrently (and each
-// SelectAll fans out over the catalog itself).
-func Table6() (m3d, tsv []core.Choice, err error) {
-	return Table6Journaled(context.Background(), "")
-}
-
-// Table6Journaled is Table6 with graceful shutdown (ctx) and crash-safe
-// checkpointing: with a non-empty journal directory, each via's completed
-// selection is journaled and merged bit-identically on re-run. An empty
-// dir disables journaling.
-func Table6Journaled(ctx context.Context, dir string) (m3d, tsv []core.Choice, err error) {
-	m3d, tsv, _, err = Table6Health(ctx, dir)
-	return m3d, tsv, err
-}
-
-// Table6Health is Table6Journaled on the degradation ladder (see
-// StrategyTableHealth).
-func Table6Health(ctx context.Context, dir string) (m3d, tsv []core.Choice, h Health, err error) {
-	return Table6Cached(ctx, dir, nil)
-}
-
-// Table6Cached is Table6Health with the result-cache tier in front of the
-// journal (nil cache skips the tier) — the m3dd serving entry point.
-func Table6Cached(ctx context.Context, dir string, cache *resultcache.Cache) (m3d, tsv []core.Choice, h Health, err error) {
+// TSV3D. The two via technologies are selected concurrently on env's pool
+// (and each SelectAll fans out over the catalog itself), through env's
+// result cache and journal like StrategyTable.
+func Table6(env sweep.Env) (m3d, tsv []core.Choice, h Health, err error) {
 	n := tech.N22()
 	hr := &healthRecorder{}
-	id := Table6Identity()
-	var jn *journal.Journal
-	if dir != "" {
-		jn, err = journal.Open(dir, id)
-		if err != nil {
-			hr.add("journal", "", "journaling disabled for this run (journal could not open)", err)
-			jn = nil
-		}
-	}
-	defer jn.Close()
-	cr := cellRunner{cache: cache, key: resultcache.Key{ID: id}, jn: jn}
+	cr := openCells(env, Table6Identity(), hr)
+	defer cr.jn.Close()
 	vias := []tech.Via{tech.MIV(), tech.TSVAggressive()}
-	out, err := parallel.Map(ctx, parallel.Default(), len(vias),
+	out, err := parallel.Map(env.Ctx(), env.Pool(), len(vias),
 		func(_ context.Context, i int) ([]core.Choice, error) {
 			key := journal.CellKey("table6", vias[i].Name, vias[i], *n)
 			return runCell(cr, "table6", vias[i].Name, key, func() ([]core.Choice, error) {
 				return core.SelectAll(n, core.IsoLayer, vias[i])
 			})
 		})
-	journalHealth(hr, jn)
+	journalHealth(hr, cr.jn)
 	h = hr.health()
 	if err != nil {
 		return nil, nil, h, err
 	}
 	return out[0], out[1], h, nil
+}
+
+// StrategyTableIdentity is the journal identity StrategyTable runs
+// the given partitioning strategy's table under.
+func StrategyTableIdentity(st sram.Strategy) journal.Identity {
+	return journal.Identity{
+		Experiment: "strategy",
+		Params:     journal.Params("strategy", st.String(), "node", tech.N22().Name),
+	}
+}
+
+// Table6Identity is the journal identity Table6 runs under.
+func Table6Identity() journal.Identity {
+	return journal.Identity{
+		Experiment: "table6",
+		Params:     journal.Params("node", tech.N22().Name),
+	}
 }
 
 // Table8 selects the best hetero-layer partition per structure.

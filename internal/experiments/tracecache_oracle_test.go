@@ -174,7 +174,8 @@ func TestStreamIDPlumbing(t *testing.T) {
 	mcs := config.DeriveMulticore(s)
 	mrun := func(streamBase int, noCache bool) multicore.RunResult {
 		o := multicore.Options{TotalInstrs: 20_000, WarmupPerCore: 1_000, Phases: 2, Seed: 5,
-			StreamBase: streamBase, NoTraceCache: noCache}
+			StreamBase: streamBase}
+		o.NoTraceCache = noCache
 		r, err := multicore.Run(mcs[config.MCBase], prof, o)
 		if err != nil {
 			t.Fatal(err)

@@ -5,17 +5,14 @@
 package multicore
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/mem"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/power"
 	"vertical3d/internal/registry"
-	"vertical3d/internal/resultcache"
+	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
 	"vertical3d/internal/warm"
@@ -56,54 +53,6 @@ type Options struct {
 	// with experiments.RunOptions.StreamID.
 	StreamBase int
 
-	// NoTraceCache disables the shared trace-recording cache and
-	// regenerates each core's instruction stream inside every sweep cell
-	// (the pre-replay behaviour). Results are bit-identical either way;
-	// see experiments/tracecache_oracle_test.go.
-	NoTraceCache bool
-
-	// Workers bounds the worker pool of experiment sweeps that fan out
-	// multiple Runs (experiments.Fig9With). Run itself is single-threaded;
-	// 0 means parallel.DefaultWorkers(). Results are bit-identical at any
-	// worker count.
-	Workers int
-
-	// Context, when non-nil, bounds an experiment sweep that fans out
-	// multiple Runs: cancelling it stops dispatching new cells while
-	// in-flight cells drain (the graceful-shutdown path). Run itself does
-	// not consult it. Nil means context.Background().
-	Context context.Context
-
-	// JournalDir enables crash-safe checkpointing for experiment sweeps:
-	// completed (benchmark × design) cells are appended to a write-ahead
-	// journal there and merged bit-identically on resume. Empty disables
-	// journaling. See the journal package.
-	JournalDir string
-
-	// TaskTimeout bounds each sweep-cell attempt and SweepTimeout the
-	// whole sweep (zero = unbounded); Retry re-runs transiently failed
-	// cells with jittered exponential backoff (zero value = one attempt).
-	TaskTimeout  time.Duration
-	SweepTimeout time.Duration
-	Retry        parallel.Retry
-
-	// WatchdogGrace and WatchdogLog arm the sweep pool's stuck-cell
-	// watchdog: cells still running WatchdogGrace past their TaskTimeout
-	// are reported to WatchdogLog once per attempt.
-	WatchdogGrace time.Duration
-	WatchdogLog   func(format string, args ...any)
-
-	// KeepGoing completes an experiment sweep even when individual
-	// (benchmark × design) cells fail or panic; failed cells are recorded
-	// in the sweep result's Errors map and rendered as ERR.
-	KeepGoing bool
-
-	// CellHook, when non-nil, is invoked at the start of every sweep cell
-	// with the cell's coordinates — the deterministic fault-injection seam
-	// used by the chaos tests (guard/faultinject). Production callers leave
-	// it nil.
-	CellHook func(bench, design string)
-
 	// Kernel selects the per-core simulation kernel. The zero value is
 	// uarch.KernelEvent; uarch.KernelReference keeps the original scan
 	// kernel for differential debugging. Both are bit-identical in every
@@ -123,27 +72,24 @@ type Options struct {
 	// Runs with and without it carry distinct journal identities.
 	Sample bool
 
-	// WarmCache enables the warm-state snapshot cache for sampled runs:
-	// the functional warmup of each (profile, seed, stream-base, topology,
-	// warmup, geometry) identity is captured once and every other design
-	// point restores the capture instead of re-warming every core (see
-	// internal/warm). Results are bit-identical either way. Ignored
-	// without Sample or with NoTraceCache (snapshots need replayer-backed
-	// streams).
-	WarmCache bool
-
-	// Cache, when non-nil, adds the content-addressed result-cache tier in
-	// front of the journal for experiment sweeps that fan out multiple
-	// Runs (experiments.Fig9With): each cell consults cache → journal →
-	// simulate and concurrent identical cells coalesce onto one
-	// simulation. Run itself does not consult it. Results are
-	// bit-identical with or without the tier. See internal/resultcache.
-	Cache *resultcache.Cache
+	// Env is the sweep environment of experiment sweeps that fan out
+	// multiple Runs (experiments.Fig9WithDesigns). Run itself reads only
+	// NoTraceCache and WarmCache: the warmup snapshot cache covers each
+	// (profile, seed, stream-base, topology, warmup, geometry) identity,
+	// and applies only to Sample runs.
+	sweep.Env
 }
 
 // DefaultOptions returns run options sized for the benchmark harness.
 func DefaultOptions() Options {
 	return Options{TotalInstrs: 600_000, WarmupPerCore: 30_000, Phases: 4, Seed: 42}
+}
+
+// QuickOptions returns the small sizing of the commands' -quick mode.
+func QuickOptions() Options {
+	opt := DefaultOptions()
+	opt.TotalInstrs, opt.WarmupPerCore = 80_000, 5_000
+	return opt
 }
 
 // coreSource returns core i's instruction source: by default a replayer
