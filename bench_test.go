@@ -110,7 +110,7 @@ func BenchmarkTable11(b *testing.B) {
 	var s *config.Suite
 	var err error
 	for i := 0; i < b.N; i++ {
-		s, err = experiments.Table11()
+		s, err = config.Derive(tech.N22())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,10 +72,14 @@ func main() {
 
 	// ran collects the simulated sweeps for the end-of-run report.
 	var ran []sweepflag.Sweep
+	var derived *config.Suite // shared by every experiment of the run
 	suite := func() *config.Suite {
-		s, err := config.Derive(tech.N22())
-		die(err)
-		return s
+		if derived == nil {
+			s, err := config.Derive(tech.N22())
+			die(err)
+			derived = s
+		}
+		return derived
 	}
 	var fig6 *experiments.Fig6Result // cached between fig6/7/8
 	getFig6 := func() *experiments.Fig6Result {
@@ -147,7 +151,7 @@ func main() {
 		case "accel":
 			renderAccel()
 		case "lp":
-			r, err := experiments.LPStudy([]string{"Gamess", "Mcf", "Povray", "Milc"}, opt)
+			r, err := experiments.LPStudy(suite(), []string{"Gamess", "Mcf", "Povray", "Milc"}, opt)
 			die(err)
 			experiments.RenderLPStudy(os.Stdout, r)
 			ran = append(ran, sweepflag.Sweep{Journal: r.Journal, Health: r.Health})
@@ -158,9 +162,7 @@ func main() {
 		case "table10":
 			experiments.RenderTable10(os.Stdout)
 		case "table11":
-			s, err := experiments.Table11()
-			die(err)
-			experiments.RenderTable11(os.Stdout, s)
+			experiments.RenderTable11(os.Stdout, suite())
 		case "fig6":
 			experiments.RenderFig6(os.Stdout, getFig6())
 		case "fig7":

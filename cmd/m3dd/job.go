@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +43,18 @@ var experimentNames = []string{"fig6", "fig9", "lpstudy", "table3", "table4", "t
 
 // lpDefaultBenchmarks is the LP study's benchmark subset (Section 7.1.2).
 var lpDefaultBenchmarks = []string{"Gamess", "Mcf", "Povray", "Milc"}
+
+// decodeSpec decodes and validates a POST /sweeps body: at most 1 MiB,
+// unknown fields refused, then validate.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (sweepRequest, error) {
+	var req sweepRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("bad request body: %w", err)
+	}
+	return req, req.validate()
+}
 
 // validate normalises the request and reports the first problem.
 func (r *sweepRequest) validate() error {

@@ -626,12 +626,17 @@ func profiles(names []string, def []trace.Profile) ([]trace.Profile, error) {
 	return out, nil
 }
 
+// n22Suite derives the configuration suite on the first sweep that needs
+// it, so daemon start-up does not pay for it, and shares it with every
+// later sweep of the process: a Suite is never mutated after Derive.
+var n22Suite = sync.OnceValues(func() (*config.Suite, error) { return config.Derive(tech.N22()) })
+
 // execute dispatches to the sweep library under ctx (the daemon context
 // tightened by the job's deadline).
 func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) {
 	switch j.req.Experiment {
 	case "fig6":
-		suite, err := config.Derive(tech.N22())
+		suite, err := n22Suite()
 		if err != nil {
 			return nil, err
 		}
@@ -645,7 +650,7 @@ func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) 
 		}
 		return matrixView("fig6", &f.Matrix), nil
 	case "fig9":
-		suite, err := config.Derive(tech.N22())
+		suite, err := n22Suite()
 		if err != nil {
 			return nil, err
 		}
@@ -663,7 +668,11 @@ func (s *server) execute(ctx context.Context, j *job) (*sweepResultView, error) 
 		if len(names) == 0 {
 			names = lpDefaultBenchmarks
 		}
-		r, err := experiments.LPStudy(names, s.runOptions(ctx, j.req, j))
+		suite, err := n22Suite()
+		if err != nil {
+			return nil, err
+		}
+		r, err := experiments.LPStudy(suite, names, s.runOptions(ctx, j.req, j))
 		if err != nil {
 			return nil, err
 		}

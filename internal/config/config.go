@@ -345,8 +345,9 @@ func Derive(n *tech.Node) (*Suite, error) {
 		return nil, err
 	}
 	// The three partition studies are independent; run them concurrently on
-	// the worker pool. Each SelectAll fans out over the catalog itself, and
-	// the memoized sram model cache deduplicates the shared 2D baselines.
+	// the worker pool. Each SelectAll fans out over the catalog itself.
+	// Long-lived callers derive a suite once and share it: a Suite is never
+	// mutated after Derive.
 	studies := []struct {
 		mode core.Mode
 		via  tech.Via

@@ -82,7 +82,7 @@ func TestLogicAndStacksRender(t *testing.T) {
 	if len(Table10()) != 3 {
 		t.Error("Table 10 has 3 stacks")
 	}
-	s, err := Table11()
+	s, err := config.Derive(tech.N22())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,11 @@ func workloadSubset(t *testing.T, names []string) []trace.Profile {
 }
 
 func TestLPStudy(t *testing.T) {
-	r, err := LPStudy([]string{"Gamess", "Mcf"}, QuickRunOptions())
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := LPStudy(suite, []string{"Gamess", "Mcf"}, QuickRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

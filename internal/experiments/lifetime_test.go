@@ -89,7 +89,7 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 
 	lopt := QuickRunOptions()
 	lopt.Warmup, lopt.Measure = 2_000, 8_000
-	if _, err := LPStudy([]string{"Mcf"}, lopt); err != nil {
+	if _, err := LPStudy(s, []string{"Mcf"}, lopt); err != nil {
 		t.Fatal(err)
 	}
 	requireEmpty(t, "after LPStudy")

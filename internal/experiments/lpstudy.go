@@ -9,7 +9,6 @@ import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/parallel"
 	"vertical3d/internal/stats"
-	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/workload"
 )
@@ -36,14 +35,11 @@ type LPStudyResult struct {
 // lpDesigns is the fixed design triple every LP-study cell sweeps.
 var lpDesigns = [...]config.Design{config.Base, config.M3DHet, config.M3DHetLP}
 
-// LPStudy runs the comparison on a benchmark subset. The benchmark ×
-// design cells fan out on the worker pool; normalisation is a second pass
-// after the join, so results are bit-identical at any opt.Workers.
-func LPStudy(names []string, opt RunOptions) (*LPStudyResult, error) {
-	suite, err := config.Derive(tech.N22())
-	if err != nil {
-		return nil, err
-	}
+// LPStudy runs the comparison on a benchmark subset of suite's designs.
+// The benchmark × design cells fan out on the worker pool; normalisation
+// is a second pass after the join, so results are bit-identical at any
+// opt.Workers.
+func LPStudy(suite *config.Suite, names []string, opt RunOptions) (*LPStudyResult, error) {
 	// Resolve the profiles up front so a bad name fails deterministically.
 	profiles := make([]workloadProfile, len(names))
 	profs := make([]trace.Profile, len(names))

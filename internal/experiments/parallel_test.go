@@ -149,11 +149,10 @@ func TestFig9ShuffledDesignOrder(t *testing.T) {
 	}
 }
 
-// TestStrategyTableCacheHits runs a partition table twice and requires the
-// second pass to be served (at least partly) from the SRAM model cache with
-// identical rows.
+// TestStrategyTableCacheHits runs a partition table twice and requires
+// identical rows: the SRAM model behind it is a pure function of its
+// inputs.
 func TestStrategyTableCacheHits(t *testing.T) {
-	sram.ResetModelCache()
 	first, _, err := StrategyTable(sweep.Env{}, sram.BitPart)
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +162,6 @@ func TestStrategyTableCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Error("StrategyTable rows changed between cached runs")
-	}
-	st := sram.CacheStats()
-	if st.Hits == 0 {
-		t.Errorf("second StrategyTable run should hit the model cache: %+v", st)
-	}
-	if st.Misses == 0 {
-		t.Errorf("first StrategyTable run should miss the empty cache: %+v", st)
+		t.Error("StrategyTable rows changed between runs")
 	}
 }

@@ -275,10 +275,14 @@ func TestFig9ResumeMergesBitIdentically(t *testing.T) {
 // re-runs it with every cell poisoned: the second run must be served
 // entirely from the journal and match the first bit for bit.
 func TestLPStudyResumeServedFromJournal(t *testing.T) {
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	opt := QuickRunOptions()
 	opt.JournalDir = dir
-	first, err := LPStudy([]string{"Gamess", "Mcf"}, opt)
+	first, err := LPStudy(suite, []string{"Gamess", "Mcf"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +295,7 @@ func TestLPStudyResumeServedFromJournal(t *testing.T) {
 	opt2.CellHook = func(bench, design string) {
 		panic("journaled LP cell " + bench + "/" + design + " was re-executed")
 	}
-	second, err := LPStudy([]string{"Gamess", "Mcf"}, opt2)
+	second, err := LPStudy(suite, []string{"Gamess", "Mcf"}, opt2)
 	if err != nil {
 		t.Fatalf("fully journaled LP study must execute nothing: %v", err)
 	}

@@ -344,11 +344,6 @@ func RenderTable10(w io.Writer) {
 	}
 }
 
-// Table11 derives the configuration suite.
-func Table11() (*config.Suite, error) {
-	return config.Derive(tech.N22())
-}
-
 // RenderTable11 writes the derived configurations against the paper's.
 func RenderTable11(w io.Writer, s *config.Suite) {
 	paper := map[config.Design]float64{

@@ -125,17 +125,6 @@ func (in *Injector) Fired(key string) int {
 	return in.fired[key]
 }
 
-// TotalFired returns the total number of cell starts observed.
-func (in *Injector) TotalFired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, c := range in.fired {
-		n += c
-	}
-	return n
-}
-
 // Pick deterministically selects k distinct victims from keys using the
 // seed: the same (seed, keys, k) always yields the same victims, in stable
 // (sorted) order, regardless of the caller's schedule. k is clamped to

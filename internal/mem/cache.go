@@ -19,14 +19,6 @@ type CacheStats struct {
 	Writebacks uint64
 }
 
-// MissRate returns misses per access.
-func (s CacheStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative, write-back, write-allocate cache.
 //
 // Line bookkeeping is packed into a single uint64 lane, tag<<32 | age:

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // CacheState is a deep copy of a Cache's mutable contents — the packed
 // tag/age lane, dirty bits, LRU clock, way memo and statistics — plus the
@@ -44,6 +47,9 @@ func (c *Cache) compatible(s *CacheState) error {
 		len(s.Words) != len(c.words) || len(s.Dirty) != len(c.dirty) {
 		return fmt.Errorf("mem: snapshot geometry %dx%d way (shift %d, %d words) does not match cache %dx%d way (shift %d, %d words)",
 			s.Sets, s.Ways, s.LineShift, len(s.Words), c.sets, c.ways, c.lineShift, len(c.words))
+	}
+	if int(s.LastIdx) >= len(c.words) {
+		return fmt.Errorf("mem: snapshot way memo %d is out of range (%d words)", s.LastIdx, len(c.words))
 	}
 	return nil
 }
@@ -98,6 +104,9 @@ func (h *Hierarchy) State() *HierState {
 // geometry compatibility before any level is mutated, so a mismatch never
 // leaves the hierarchy half-restored.
 func (h *Hierarchy) SetState(s *HierState) error {
+	if s == nil {
+		return errors.New("mem: nil hierarchy snapshot")
+	}
 	levels := []struct {
 		name string
 		dst  *Cache
@@ -188,6 +197,9 @@ func (m *Multicore) State() *MCState {
 // checked across every cache before any mutation; the directory is rebuilt
 // into a fresh table, so restoring cells never share one.
 func (m *Multicore) SetState(s *MCState) error {
+	if s == nil {
+		return errors.New("mem: nil multicore snapshot")
+	}
 	if len(s.IL1) != len(m.il1) || len(s.DL1) != len(m.dl1) || len(s.L2) != len(m.l2) ||
 		len(s.LastDataLine) != len(m.lastDataLine) {
 		return fmt.Errorf("mem: snapshot topology (%d IL1, %d DL1, %d L2) does not match %s",

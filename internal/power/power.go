@@ -105,11 +105,17 @@ func (b Breakdown) Validate() error {
 	return c.Err()
 }
 
+// dynScale is the dynamic-energy scale of cfg's supply voltage: switching
+// energy goes with Vdd².
+func dynScale(cfg config.Config) float64 {
+	return (cfg.Vdd / baseVdd) * (cfg.Vdd / baseVdd)
+}
+
 // Estimate computes the energy of a run: core event statistics st, memory
 // hierarchy statistics hs, over the given wall-clock duration.
 func Estimate(cfg config.Config, st uarch.Stats, hs mem.HierStats, seconds float64) Breakdown {
 	f := cfg.EnergyFactors
-	vScale := (cfg.Vdd / baseVdd) * (cfg.Vdd / baseVdd)
+	vScale := dynScale(cfg)
 	// Leakage drops steeply with voltage (DIBL + gate leakage).
 	v := cfg.Vdd / baseVdd
 	leakScale := v * v * v
@@ -182,7 +188,7 @@ func BlockPowers(cfg config.Config, st uarch.Stats, hs mem.HierStats, seconds fl
 	w := func(j float64) float64 { return j / seconds }
 
 	f := cfg.EnergyFactors
-	vScale := (cfg.Vdd / baseVdd) * (cfg.Vdd / baseVdd)
+	vScale := dynScale(cfg)
 	ev := func(count uint64, e float64) float64 {
 		return float64(count) * e * f.SRAM * vScale / seconds
 	}
@@ -205,15 +211,17 @@ func BlockPowers(cfg config.Config, st uarch.Stats, hs mem.HierStats, seconds fl
 		"LSU": ev(st.SQSearches, eSQSearch) + ev(hs.DL1.Accesses, eDL1) + logicW(memOps, eLSUOp),
 		"L2":  ev(hs.L2.Accesses, eL2),
 	}
-	// Distribute clock, wire and leakage over the blocks in proportion to a
-	// fixed area share (clock load and leakage track area).
-	share := map[string]float64{
-		"FE": 0.16, "RAT": 0.05, "IQ": 0.08, "RF": 0.08,
-		"ALU": 0.10, "FPU": 0.14, "LSU": 0.17, "L2": 0.22,
-	}
+	// Distribute clock, wire and leakage over the blocks in proportion to
+	// their area share (clock load and leakage track area).
 	spread := w(b.ClockJ) + w(b.WireJ) + w(b.LeakageJ)
 	for k := range blocks {
-		blocks[k] += spread * share[k]
+		blocks[k] += spread * blockShare[k]
 	}
 	return blocks
+}
+
+// blockShare is each floorplan block's fixed share of the core area.
+var blockShare = map[string]float64{
+	"FE": 0.16, "RAT": 0.05, "IQ": 0.08, "RF": 0.08,
+	"ALU": 0.10, "FPU": 0.14, "LSU": 0.17, "L2": 0.22,
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math"
 	"testing"
 
 	"vertical3d/internal/config"
@@ -97,26 +98,45 @@ func TestVoltageScaling(t *testing.T) {
 	}
 }
 
+// TestBlockPowersCoverFloorplan pins BlockPowers to Estimate's per-event
+// sums: the blocks carry every joule of the run except the L3 and DRAM
+// accesses and the NoC hops, which happen off the core floorplan, and the
+// area shares that spread clock, wire and leakage sum to one.
 func TestBlockPowersCoverFloorplan(t *testing.T) {
+	var shares float64
+	for _, v := range blockShare {
+		shares += v
+	}
+	if math.Abs(shares-1) > 1e-12 {
+		t.Errorf("block area shares sum to %.15f, want 1", shares)
+	}
 	s, err := config.Derive(tech.N22())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Configs[config.Base]
-	st, hs, sec := runOne(t, cfg, "Gobmk")
-	blocks := BlockPowers(cfg, st, hs, sec)
 	want := []string{"FE", "RAT", "IQ", "RF", "ALU", "FPU", "LSU", "L2"}
-	var sum float64
-	for _, name := range want {
-		v, ok := blocks[name]
-		if !ok || v <= 0 {
-			t.Errorf("block %q missing or non-positive: %v", name, v)
+	for _, d := range append(config.SingleCoreDesigns(), config.M3DHetLP) {
+		cfg := s.Configs[d]
+		st, hs, sec := runOne(t, cfg, "Mcf")
+		blocks := BlockPowers(cfg, st, hs, sec)
+		if len(blocks) != len(want) {
+			t.Errorf("%s: %d blocks, want %d", d, len(blocks), len(want))
 		}
-		sum += v
-	}
-	total := Estimate(cfg, st, hs, sec).AvgWatts()
-	if sum < total*0.5 || sum > total*1.3 {
-		t.Errorf("block powers (%.1fW) should roughly match total (%.1fW)", sum, total)
+		var watts float64
+		for _, name := range want {
+			v, ok := blocks[name]
+			if !ok || v <= 0 {
+				t.Errorf("%s: block %q missing or non-positive: %v", d, name, v)
+			}
+			watts += v
+		}
+		b := Estimate(cfg, st, hs, sec)
+		offCore := (float64(hs.L3.Accesses)*eL3 + float64(hs.DRAMAccesses)*eDRAM) * cfg.EnergyFactors.SRAM * dynScale(cfg)
+		got := watts*sec + offCore + b.NoCJ
+		if rel := math.Abs(got-b.TotalJ()) / b.TotalJ(); rel > 1e-12 {
+			t.Errorf("%s: blocks + off-core energy = %.9g J, Estimate total = %.9g J (relative error %.2g)",
+				d, got, b.TotalJ(), rel)
+		}
 	}
 }
 

@@ -55,10 +55,6 @@ func WithForceExit(fn func(code int)) Option {
 	return func(h *Handler) { h.forceExit = fn }
 }
 
-// withForceExit is the historical unexported spelling (this package's own
-// tests predate the export).
-func withForceExit(fn func(code int)) Option { return WithForceExit(fn) }
-
 // Install subscribes to SIGINT/SIGTERM and returns a handler whose
 // Context is cancelled on the first signal. The caller should run its
 // sweeps with h.Context() and exit with h.ExitCode(status).

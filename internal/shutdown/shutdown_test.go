@@ -71,7 +71,7 @@ func TestExitCodeMapsInterruptTo130(t *testing.T) {
 
 func TestSecondSignalForceExits(t *testing.T) {
 	exited := make(chan int, 1)
-	h := Install(context.Background(), withForceExit(func(code int) {
+	h := Install(context.Background(), WithForceExit(func(code int) {
 		exited <- code
 	}))
 	defer h.Stop()

@@ -10,19 +10,16 @@ import (
 )
 
 // Model evaluates the array described by s under partition p at node n with
-// the default calibration constants. Results are memoized (see cache.go):
-// the model is a pure function of its inputs, so the partition sweeps and
-// config.Derive hit the cache instead of re-running the Elmore/Horowitz
-// pipeline for identical specs.
+// the default calibration constants.
 func Model(n *tech.Node, s Spec, p Partition) (Result, error) {
-	return CachedModelWith(n, s, p, DefaultParams())
+	return ModelWith(n, s, p, DefaultParams())
 }
 
-// ModelWith is Model with explicit calibration parameters and no
-// memoization: it always runs the full pipeline. Inputs are guard-checked
-// before the pipeline runs (node constants, spec geometry, partition
-// parameters) and the result is guard-checked after, so callers get a
-// structured violation for a bad organisation rather than NaN figures.
+// ModelWith is Model with explicit calibration parameters. Inputs are
+// guard-checked before the pipeline runs (node constants, spec geometry,
+// partition parameters) and the result is guard-checked after, so callers
+// get a structured violation for a bad organisation rather than NaN
+// figures.
 func ModelWith(n *tech.Node, s Spec, p Partition, pm Params) (Result, error) {
 	if n == nil {
 		return Result{}, fmt.Errorf("sram: %s: nil tech node", s.Name)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSharedRecordingIdentityAndCounters checks the keyed cache returns
-// one shared recording per (profile, seed, stream) and counts hits/misses
-// like the sram model cache it is modelled on.
+// one shared recording per (profile, seed, stream) and counts hits and
+// misses.
 func TestSharedRecordingIdentityAndCounters(t *testing.T) {
 	ResetCache()
 	defer ResetCache()

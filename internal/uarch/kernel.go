@@ -33,6 +33,3 @@ func (k Kernel) String() string {
 		return fmt.Sprintf("Kernel(%d)", uint8(k))
 	}
 }
-
-// KernelKind reports which kernel the core runs.
-func (c *Core) KernelKind() Kernel { return c.kern }

@@ -3,6 +3,7 @@ package uarch
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"vertical3d/internal/mem"
 	"vertical3d/internal/trace"
@@ -73,16 +74,6 @@ func (p *Predictor) applyState(s *PredictorState) {
 	p.Stats = s.Stats
 }
 
-// SetState restores a snapshot taken by State, copying into the predictor's
-// existing tables. A geometry mismatch is rejected before any mutation.
-func (p *Predictor) SetState(s *PredictorState) error {
-	if err := p.compatibleState(s); err != nil {
-		return err
-	}
-	p.applyState(s)
-	return nil
-}
-
 // CoreWarmState is the functional, stream-position-dependent state of one
 // core outside the memory hierarchy: predictor tables, the store-forwarding
 // ring and its counting filter, the current fetch line and the data
@@ -114,97 +105,126 @@ type WarmState struct {
 // fill counts and is rejected at construction (see internal/warm).
 func (w *FunctionalWarmer) FillsSupported() bool { return w.fillsOK }
 
-// Snapshot captures the warmer's full functional state at its current
-// logical stream position. It requires a replayer-backed warmer over a
-// single-core hierarchy — the standalone builder configuration the snapshot
-// cache uses (see internal/warm).
-func (w *FunctionalWarmer) Snapshot() (*WarmState, error) {
+// streamPos returns the warmer's logical stream position — the number of
+// trace instructions consumed, exclusive of batched-ahead buffer entries,
+// which belong to the stream's future — when the source is a replayer.
+// Streams without random access (generators) report ok=false.
+func (w *FunctionalWarmer) streamPos() (pos uint64, ok bool) {
 	rp, ok := w.src.(*trace.Replayer)
+	if !ok {
+		return 0, false
+	}
+	return uint64(rp.Pos() - (len(w.buf) - w.pos)), true
+}
+
+// Snapshot captures the warmer's functional state at its current logical
+// stream position: predictor, store ring, fetch line and miss-run flag,
+// plus the memory hierarchy when the warmer probes a single-core one (a
+// multicore backend is captured separately, once for all its cores). It
+// requires a replayer-backed stream, so the position can be restored.
+func (w *FunctionalWarmer) Snapshot() (*WarmState, error) {
+	pos, ok := w.streamPos()
 	if !ok {
 		return nil, errors.New("uarch: warm snapshot requires a replayer-backed stream")
 	}
-	if w.hier == nil {
-		return nil, errors.New("uarch: warm snapshot requires a single-core hierarchy")
+	s := &WarmState{Core: CoreWarmState{
+		Pos:         pos,
+		Pred:        w.pred.State(),
+		StoreAddrs:  append([]uint64(nil), w.stAddrs...),
+		StoreHead:   w.stHead,
+		StoreCounts: w.stCounts,
+		CurLine:     w.curLine,
+		DataMissRun: w.dataMissRun,
+	}}
+	if w.hier != nil {
+		s.Mem = w.hier.State()
 	}
-	// Instructions batched into buf past pos belong to the stream's future:
-	// the logical position is the replayer position minus that lookahead.
-	buffered := len(w.buf) - w.pos
-	return &WarmState{
-		Core: CoreWarmState{
-			Pos:         uint64(rp.Pos() - buffered),
-			Pred:        w.pred.State(),
-			StoreAddrs:  append([]uint64(nil), w.stAddrs...),
-			StoreHead:   w.stHead,
-			StoreCounts: w.stCounts,
-			CurLine:     w.curLine,
-			DataMissRun: w.dataMissRun,
-		},
-		Mem: w.hier.State(),
-	}, nil
+	return s, nil
 }
 
 // Restore replaces the warmer's functional state with a snapshot taken by
 // Snapshot and repositions the replayer at the snapshot's stream position.
-// Everything is copied in (copy-on-restore); a geometry mismatch on any
-// component is rejected before any mutation.
+// Every part is validated before anything is mutated: the stream must be a
+// replayer, the snapshot must carry a hierarchy exactly when the warmer has
+// one, its position must be seekable, and the store ring, predictor and
+// cache geometries must match. The
+// snapshot is copied in (copy-on-restore) and never retained.
 func (w *FunctionalWarmer) Restore(s *WarmState) error {
 	rp, ok := w.src.(*trace.Replayer)
 	if !ok {
 		return errors.New("uarch: warm restore requires a replayer-backed stream")
 	}
-	if w.hier == nil {
-		return errors.New("uarch: warm restore requires a single-core hierarchy")
+	if (s.Mem != nil) != (w.hier != nil) {
+		return fmt.Errorf("uarch: snapshot carries a hierarchy (%t) but the warmer probes one (%t)",
+			s.Mem != nil, w.hier != nil)
 	}
-	if len(s.Core.StoreAddrs) != len(w.stAddrs) {
-		return fmt.Errorf("uarch: snapshot store ring size %d does not match %d",
-			len(s.Core.StoreAddrs), len(w.stAddrs))
+	cs := &s.Core
+	if cs.Pos > math.MaxInt {
+		return fmt.Errorf("uarch: snapshot stream position %d is out of range", cs.Pos)
 	}
-	if err := w.pred.compatibleState(&s.Core.Pred); err != nil {
+	if len(cs.StoreAddrs) != len(w.stAddrs) || cs.StoreHead < 0 || cs.StoreHead >= len(w.stAddrs) {
+		return fmt.Errorf("uarch: snapshot store ring (size %d, head %d) does not match size %d",
+			len(cs.StoreAddrs), cs.StoreHead, len(w.stAddrs))
+	}
+	if err := w.pred.compatibleState(&cs.Pred); err != nil {
 		return err
 	}
-	if err := w.hier.SetState(s.Mem); err != nil {
-		return err
+	if w.hier != nil {
+		// SetState validates every level before it mutates any, and it is
+		// the last check: nothing below can fail.
+		if err := w.hier.SetState(s.Mem); err != nil {
+			return err
+		}
 	}
-	w.pred.applyState(&s.Core.Pred)
-	copy(w.stAddrs, s.Core.StoreAddrs)
-	w.stHead = s.Core.StoreHead
-	w.stCounts = s.Core.StoreCounts
-	w.curLine = s.Core.CurLine
-	w.dataMissRun = s.Core.DataMissRun
+	w.pred.applyState(&cs.Pred)
+	copy(w.stAddrs, cs.StoreAddrs)
+	w.stHead = cs.StoreHead
+	w.stCounts = cs.StoreCounts
+	w.curLine = cs.CurLine
+	w.dataMissRun = cs.DataMissRun
 	w.buf = w.buf[:0]
 	w.pos = 0
-	rp.Seek(int(s.Core.Pos))
+	rp.Seek(int(cs.Pos))
 	return nil
 }
 
-// replayer returns the core's stream when it is a replayer.
-func (c *Core) replayer() (*trace.Replayer, bool) {
+// SnapshotWarm captures the core's functional state (Snapshot) at its
+// current stream position, handing the detailed frontend's miss-run flag
+// to the warmer first. A tape-fed core has no functional state to capture.
+func (c *Core) SnapshotWarm() (*WarmState, error) {
 	if c.fwd == nil {
-		return nil, false
+		return nil, errors.New("uarch: a tape-fed core has no warm state")
 	}
-	rp, ok := c.fwd.src.(*trace.Replayer)
-	return rp, ok
+	return c.warmer().Snapshot()
 }
 
-// hierarchy returns the core's memory backend when it is a single-core
-// hierarchy.
-func (c *Core) hierarchy() (*mem.Hierarchy, bool) {
-	if c.fwd == nil || c.fwd.hier == nil {
-		return nil, false
+// RestoreWarm restores a snapshot into this core (Restore) and discards
+// in-flight pipeline state. On success the core stands at the snapshot's
+// stream position with an empty pipeline, exactly as if it had
+// fast-forwarded there itself; timing state — clock, Stats, fetch gate —
+// is preserved, as a plain FastForward would preserve it. A refused
+// snapshot leaves the core untouched.
+func (c *Core) RestoreWarm(s *WarmState) error {
+	if c.fwd == nil {
+		return errors.New("uarch: a tape-fed core has no warm state")
 	}
-	return c.fwd.hier, true
+	if err := c.fwd.Restore(s); err != nil {
+		return err
+	}
+	c.resetPipeline()
+	c.dataMissRun = c.fwd.dataMissRun
+	return nil
 }
 
 // StreamPos returns the core's logical stream position — the number of
 // trace instructions consumed by fetch or fast-forward, exclusive of
 // batched-ahead buffer entries — when the source is a replayer. Streams
-// without random access (generators) report ok=false.
+// without random access (generators) and tape-fed cores report ok=false.
 func (c *Core) StreamPos() (pos uint64, ok bool) {
-	rp, ok := c.replayer()
-	if !ok {
+	if c.fwd == nil {
 		return 0, false
 	}
-	return uint64(rp.Pos() - (len(c.fwd.buf) - c.fwd.pos)), true
+	return c.fwd.streamPos()
 }
 
 // StreamCounters returns the cumulative functional observables of every
@@ -253,130 +273,15 @@ func (c *Core) SetFastForward(hook func(n uint64)) {
 	c.ffHook = hook
 }
 
-// FillsSupported reports whether miss-level classification is active: the
-// backend is a single-core hierarchy whose three fill latencies are
-// positive and strictly increasing, so every miss's extra latency
-// identifies its fill level unambiguously.
-func (c *Core) FillsSupported() bool { return c.fillsOK }
-
 // FillLatencies returns this design's three per-level fill prices (extra
 // cycles for an L2 hit, an L3 hit, and a DRAM fill) when classification is
 // supported. A snapshot binding prices the design-independent fill counts
 // of a skipped stretch with these values to reconstruct the exact
 // ExtraFetch/ExtraData sums this cell's own warming would have produced.
 func (c *Core) FillLatencies() (l2, l3, dram int, ok bool) {
-	h, hok := c.hierarchy()
-	if !hok || !c.fillsOK {
+	if c.fwd == nil || !c.fwd.fillsOK {
 		return 0, 0, 0, false
 	}
-	l2, l3, dram = h.FillLatencies()
+	l2, l3, dram = c.fwd.hier.FillLatencies()
 	return l2, l3, dram, true
-}
-
-// snapshotCoreWarm captures the core-side functional state at the given
-// stream position.
-func (c *Core) snapshotCoreWarm(pos uint64) CoreWarmState {
-	w := c.fwd
-	return CoreWarmState{
-		Pos:         pos,
-		Pred:        w.pred.State(),
-		StoreAddrs:  append([]uint64(nil), w.stAddrs...),
-		StoreHead:   w.stHead,
-		StoreCounts: w.stCounts,
-		CurLine:     w.curLine,
-		DataMissRun: c.dataMissRun,
-	}
-}
-
-// SnapshotCoreWarm captures the core's functional state WITHOUT its memory
-// backend — the multicore form, where the shared memory system is captured
-// separately (mem.Multicore.State) and per-core state is paired with it.
-func (c *Core) SnapshotCoreWarm() (*CoreWarmState, error) {
-	pos, ok := c.StreamPos()
-	if !ok {
-		return nil, errors.New("uarch: warm snapshot requires a replayer-backed stream")
-	}
-	s := c.snapshotCoreWarm(pos)
-	return &s, nil
-}
-
-// applyCoreWarm copies the validated core-side state in, discards in-flight
-// pipeline state and repositions the stream. The caller has already
-// validated ring size and predictor geometry.
-func (c *Core) applyCoreWarm(s *CoreWarmState, rp *trace.Replayer) {
-	c.resetPipeline()
-	w := c.fwd
-	w.pred.applyState(&s.Pred)
-	copy(w.stAddrs, s.StoreAddrs)
-	w.stHead = s.StoreHead
-	w.stCounts = s.StoreCounts
-	w.curLine = s.CurLine
-	c.dataMissRun = s.DataMissRun
-	w.buf = w.buf[:0]
-	w.pos = 0
-	rp.Seek(int(s.Pos))
-}
-
-// RestoreCoreWarm restores core-side functional state captured by
-// SnapshotCoreWarm: pipeline reset, predictor and store ring copied in,
-// prefill buffer dropped, replayer repositioned. The memory backend is the
-// caller's responsibility (multicore restores it once for all cores).
-// Timing state — clock, Stats, fetch gate — is preserved, exactly as a
-// plain FastForward would preserve it.
-func (c *Core) RestoreCoreWarm(s *CoreWarmState) error {
-	rp, ok := c.replayer()
-	if !ok {
-		return errors.New("uarch: warm restore requires a replayer-backed stream")
-	}
-	if len(s.StoreAddrs) != len(c.fwd.stAddrs) {
-		return fmt.Errorf("uarch: snapshot store ring size %d does not match %d",
-			len(s.StoreAddrs), len(c.fwd.stAddrs))
-	}
-	if err := c.fwd.pred.compatibleState(&s.Pred); err != nil {
-		return err
-	}
-	c.applyCoreWarm(s, rp)
-	return nil
-}
-
-// SnapshotWarm captures the core's functional state AND its single-core
-// hierarchy at the current stream position — the full equivalent of a
-// builder checkpoint, taken from a live core.
-func (c *Core) SnapshotWarm() (*WarmState, error) {
-	h, ok := c.hierarchy()
-	if !ok {
-		return nil, errors.New("uarch: warm snapshot requires a single-core hierarchy")
-	}
-	pos, ok := c.StreamPos()
-	if !ok {
-		return nil, errors.New("uarch: warm snapshot requires a replayer-backed stream")
-	}
-	return &WarmState{Core: c.snapshotCoreWarm(pos), Mem: h.State()}, nil
-}
-
-// RestoreWarm restores a full checkpoint — hierarchy and core-side state —
-// into this core, validating every component's geometry before mutating
-// any. On success the core stands at the snapshot's stream position with an
-// empty pipeline, exactly as if it had fast-forwarded there itself.
-func (c *Core) RestoreWarm(s *WarmState) error {
-	h, ok := c.hierarchy()
-	if !ok {
-		return errors.New("uarch: warm restore requires a single-core hierarchy")
-	}
-	rp, ok := c.replayer()
-	if !ok {
-		return errors.New("uarch: warm restore requires a replayer-backed stream")
-	}
-	if len(s.Core.StoreAddrs) != len(c.fwd.stAddrs) {
-		return fmt.Errorf("uarch: snapshot store ring size %d does not match %d",
-			len(s.Core.StoreAddrs), len(c.fwd.stAddrs))
-	}
-	if err := c.fwd.pred.compatibleState(&s.Core.Pred); err != nil {
-		return err
-	}
-	if err := h.SetState(s.Mem); err != nil {
-		return err
-	}
-	c.applyCoreWarm(&s.Core, rp)
-	return nil
 }

@@ -39,19 +39,22 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 	}
 	snap, first := mcSnaps.Do(id, func() *mcSnapshot {
 		counters.misses.Add(1)
-		if snap := mcLoadDisk(id); snap != nil && mcRestore(backend, cores, snap) {
-			counters.skippedInstrs.Add(uint64(len(cores)) * id.Warmup)
-			return snap
+		if snap := mcLoadDisk(id); snap != nil {
+			if mcRestore(backend, cores, snap) {
+				counters.skippedInstrs.Add(uint64(len(cores)) * id.Warmup)
+				return snap
+			}
+			counters.loadErrors.Add(1) // rebuilt below
 		}
 		doWarm()
 		counters.builtInstrs.Add(uint64(len(cores)) * id.Warmup)
 		snap := &mcSnapshot{Mem: backend.State(), Cores: make([]uarch.CoreWarmState, 0, len(cores))}
 		for _, c := range cores {
-			cs, err := c.SnapshotCoreWarm()
+			cs, err := c.SnapshotWarm()
 			if err != nil {
 				return nil // later callers warm themselves
 			}
-			snap.Cores = append(snap.Cores, *cs)
+			snap.Cores = append(snap.Cores, cs.Core)
 		}
 		mcSaveDisk(id, snap)
 		return snap
@@ -81,10 +84,11 @@ func mcEligible(cores []*uarch.Core) bool {
 }
 
 // mcRestore installs a snapshot into a run's backend and cores. The
-// snapshot is copied in everywhere (copy-on-restore); a topology or
-// geometry mismatch is rejected on the first component, before any core
-// state has been touched — and by identity construction the memory
-// topology was validated before the cores.
+// snapshot is copied in everywhere (copy-on-restore); a missing memory
+// state or a topology or geometry mismatch in it is rejected before
+// anything has been touched. The cores then restore through
+// Core.RestoreWarm with no hierarchy of their own; their geometry is
+// pinned by the identity the file header was matched against.
 func mcRestore(backend *mem.Multicore, cores []*uarch.Core, s *mcSnapshot) bool {
 	if len(s.Cores) != len(cores) {
 		return false
@@ -93,8 +97,7 @@ func mcRestore(backend *mem.Multicore, cores []*uarch.Core, s *mcSnapshot) bool 
 		return false
 	}
 	for i := range cores {
-		cs := s.Cores[i]
-		if err := cores[i].RestoreCoreWarm(&cs); err != nil {
+		if err := cores[i].RestoreWarm(&uarch.WarmState{Core: s.Cores[i]}); err != nil {
 			return false
 		}
 	}

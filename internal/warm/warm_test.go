@@ -2,6 +2,7 @@ package warm
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"vertical3d/internal/config"
+	"vertical3d/internal/mem"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
@@ -350,5 +352,130 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// writeSnapshot writes a snapshot file under name in dir, framed exactly as
+// the cache writes its own.
+func writeSnapshot(t *testing.T, dir, name string, hdr fileHeader, payload any) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := encodeSnapshot(&b, hdr, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLadderSnapshotWithBadPayloadRebuilt pins the rung loader against
+// well-formed files whose payload the builder cannot take: no hierarchy, a
+// store-ring head past the ring, an unseekable stream position, a cache way
+// memo past the cache. They pass
+// the checksum and structure checks, so the restore itself must refuse them
+// before mutating the builder — no panic, a counted load error, and rungs
+// equal to those a run with no cache directory builds, the rebuilt rung
+// and the one the builder extends from it alike.
+func TestLadderSnapshotWithBadPayloadRebuilt(t *testing.T) {
+	resetAll(t)
+	id, cfg := testIdentity(t)
+	l := Shared(id, cfg)
+	want, next := l.checkpoint(0, 2_000), l.checkpoint(0, 4_000)
+	if want == nil || next == nil {
+		t.Fatal("reference build failed")
+	}
+	badHead := want.State.Core
+	badHead.StoreHead = len(badHead.StoreAddrs)
+	badPos := want.State.Core
+	badPos.Pos = math.MaxUint64
+	badMemo := *want.State.Mem
+	badMemo.DL1.LastIdx = int32(len(badMemo.DL1.Words))
+
+	for name, bad := range map[string]*uarch.WarmState{
+		"no hierarchy": {Core: want.State.Core},
+		"store head":   {Core: badHead, Mem: want.State.Mem},
+		"position":     {Core: badPos, Mem: want.State.Mem},
+		"DL1 way memo": {Core: want.State.Core, Mem: &badMemo},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ResetCache()
+			dir := t.TempDir()
+			if err := SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			writeSnapshot(t, dir, ladderFileName(id, want.Pos),
+				fileHeader{Kind: kindLadder, Pos: want.Pos, Cum: want.Cum, Ladder: &id}, bad)
+			l := Shared(id, cfg)
+			got, gotNext := l.checkpoint(0, 2_000), l.checkpoint(0, 4_000)
+			if got == nil || gotNext == nil {
+				t.Fatal("rebuild past the rung failed")
+			}
+			if st := Stats(); st.LoadErrors != 1 || st.BuiltInstrs != next.Pos {
+				t.Errorf("stats = %+v, want 1 load error and both rungs built", st)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotNext, next) {
+				t.Error("rungs differ from those built without a cache directory")
+			}
+		})
+	}
+}
+
+// TestMCSnapshotWithoutMemRebuilt is the multicore form: a warmup
+// snapshot saved without its memory system is refused before any core or
+// cache is touched, counted, and warmed afresh to the state a run with no
+// cache directory reaches.
+func TestMCSnapshotWithoutMemRebuilt(t *testing.T) {
+	resetAll(t)
+	id, _ := testIdentity(t)
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := config.DeriveMulticore(s)[config.MCBase]
+	mcID := MCIdentity{Prof: id.Prof, Seed: id.Seed, Cores: mc.Cores, SharedL2: mc.SharedL2,
+		Warmup: 3_000, Geom: GeometryOf(mc.PerCore)}
+	run := func() (*mem.MCState, []uarch.CoreWarmState) {
+		backend, err := mem.NewMulticore(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores := make([]*uarch.Core, mc.Cores)
+		for i := range cores {
+			rp := trace.NewReplayer(trace.SharedRecording(mcID.Prof, mcID.Seed, i, 0))
+			if cores[i], err = uarch.NewCore(i, mc.PerCore, rp, backend); err != nil {
+				t.Fatal(err)
+			}
+		}
+		MCWarmup(mcID, backend, cores, func() {
+			for _, c := range cores {
+				c.FastForward(mcID.Warmup)
+			}
+		})
+		var states []uarch.CoreWarmState
+		for _, c := range cores {
+			st, err := c.SnapshotWarm()
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st.Core)
+		}
+		return backend.State(), states
+	}
+	wantMem, wantCores := run()
+
+	ResetCache()
+	dir := t.TempDir()
+	if err := SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	writeSnapshot(t, dir, mcFileName(mcID),
+		fileHeader{Kind: kindMC, Pos: mcID.Warmup, MC: &mcID},
+		&mcSnapshot{Cores: wantCores})
+	gotMem, gotCores := run()
+	if st := Stats(); st.LoadErrors != 1 || st.SkippedInstrs != 0 {
+		t.Errorf("stats = %+v, want 1 load error and nothing skipped", st)
+	}
+	if !reflect.DeepEqual(gotMem, wantMem) || !reflect.DeepEqual(gotCores, wantCores) {
+		t.Error("warm state differs from the run without a cache directory")
 	}
 }
