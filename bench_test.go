@@ -302,16 +302,18 @@ func BenchmarkFig6TraceCache(b *testing.B) {
 	}
 }
 
-// --- Warm-state snapshots (internal/warm) ----------------------------------
+// --- Sampled fast-forward over probe tapes ---------------------------------
 
-// BenchmarkFig6WarmCache compares a sampled Fig6 sweep's wall-time with the
-// warm-state snapshot cache on vs off. The warm variant resets the snapshot
-// cache every iteration, so each iteration pays one ladder build per
-// (profile, geometry) identity plus snapshot-served fast-forwards for all
-// remaining design cells — the honest cold-sweep cost a CLI run sees. The
-// trace cache is primed once outside the timer in both modes so the delta
-// isolates the snapshot layer. Both variants are bit-identical
-// (internal/experiments/warmcache_oracle_test.go); scripts/bench.sh parses
+// BenchmarkFig6WarmCache compares a sampled Fig6 sweep's wall-time on its
+// two fast-forward routes. warmoff is the NoTraceCache sweep: every cell
+// generates its stream and warms a hierarchy of its own. warmon is the
+// default sweep: cells replay one probe tape per (profile, geometry) and
+// fast-forward by summing tape words. Each iteration starts from empty
+// caches, so warmon pays its tape builds — the honest cold-sweep cost a
+// CLI run sees. The warm-state snapshot cache no longer changes a
+// single-core cell, so this is the gate of the route that replaced it.
+// Both variants are bit-identical
+// (internal/experiments/tape_oracle_test.go); scripts/bench.sh parses
 // ms_per_sweep into BENCH_warm.json and scripts/bench_gate.sh warm gates
 // the speedup at >=1.5x.
 func BenchmarkFig6WarmCache(b *testing.B) {
@@ -328,34 +330,24 @@ func BenchmarkFig6WarmCache(b *testing.B) {
 		list = append(list, p)
 	}
 	// Same 400k:1k:8k geometry the event kernel uses in BENCH_sample.json:
-	// at a 2.25% detailed fraction the fast-forward dominates the cell, which
-	// is exactly the regime the snapshot cache exists for.
+	// at a 2.25% detailed fraction the fast-forward dominates the cell.
 	opt := experiments.RunOptions{
 		Warmup: 100_000, Measure: 1_100_000, Seed: 42,
 		Sample:       true,
 		SampleParams: uarch.SampleParams{Interval: 400_000, Warmup: 1_000, Unit: 8_000},
 	}
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"warmoff", false}, {"warmon", true}} {
+		name    string
+		noCache bool
+	}{{"warmoff", true}, {"warmon", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			trace.ResetCache()
-			warm.ResetCache()
 			defer trace.ResetCache()
 			defer warm.ResetCache()
-			// Prime the trace cache outside the timer: both modes then
-			// measure replays, never recording.
-			prime := opt
-			prime.WarmCache = false
-			if _, err := experiments.Fig6With(suite, list, prime); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				trace.ResetCache()
 				warm.ResetCache()
 				o := opt
-				o.WarmCache = mode.on
+				o.NoTraceCache = mode.noCache
 				if _, err := experiments.Fig6With(suite, list, o); err != nil {
 					b.Fatal(err)
 				}

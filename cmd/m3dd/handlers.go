@@ -327,21 +327,18 @@ type residentView struct {
 	TraceBytes      int `json:"trace_bytes"`
 	ProbeTapes      int `json:"probe_tapes"`
 	ProbeTapeBytes  int `json:"probe_tape_bytes"`
-	WarmLadders     int `json:"warm_ladders"`
 	WarmMCSnapshots int `json:"warm_mc_snapshots"`
 }
 
 // resident reads the trace and warm registries.
 func resident() residentView {
-	ladders, snaps := warm.Resident()
 	tapes, tapeBytes := warm.ResidentTapes()
 	return residentView{
 		TraceRecordings: trace.CachedRecordings(),
 		TraceBytes:      trace.CachedBytes(),
 		ProbeTapes:      tapes,
 		ProbeTapeBytes:  tapeBytes,
-		WarmLadders:     ladders,
-		WarmMCSnapshots: snaps,
+		WarmMCSnapshots: warm.Resident(),
 	}
 }
 

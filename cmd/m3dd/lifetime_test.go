@@ -85,8 +85,8 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{faultHook: in.Hook()})
 
 	deadline := map[string]string{deadlineHeader: "300ms"}
-	// taped jobs run full-mode single-core cells, which build probe tapes
-	// and record no trace; the others record their streams.
+	// taped jobs run single-core cells, full or sampled, which build probe
+	// tapes and record no trace; multicore jobs record their streams.
 	cases := []struct {
 		name  string
 		req   sweepRequest
@@ -95,7 +95,7 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 		taped bool
 	}{
 		{"fig6", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(101)}, nil, "done", true},
-		{"fig6-sample", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(102), Sample: true}, nil, "done", false},
+		{"fig6-sample", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(102), Sample: true}, nil, "done", true},
 		{"fig9", sweepRequest{Experiment: "fig9", Benchmarks: []string{"Fft"}, Seed: seedPtr(103)}, nil, "done", false},
 		{"lpstudy", sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(104)}, nil, "done", true},
 		{"failed", sweepRequest{Experiment: "fig6", Benchmarks: []string{"Gobmk"}, Seed: seedPtr(105)}, nil, "failed", true},
@@ -113,7 +113,7 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 		case c.taped && taped == 0:
 			t.Errorf("%s: the job built no probe tape; the check below would be vacuous", c.name)
 		case c.taped && recorded != 0:
-			t.Errorf("%s: the full-mode job recorded %d trace(s), want none", c.name, recorded)
+			t.Errorf("%s: the single-core job recorded %d trace(s), want none", c.name, recorded)
 		case !c.taped && recorded == 0:
 			t.Errorf("%s: the job recorded no trace; the check below would be vacuous", c.name)
 		}
@@ -125,8 +125,8 @@ func TestResidentCachesReleasedPerJob(t *testing.T) {
 
 // TestResidentCachesReleasedOnShutdown cancels a running sweep by shutting
 // the daemon down: the interrupted sweep releases its entries too. A
-// running full-mode job holds probe tapes and no recording; a running
-// sampled job holds its recording.
+// running single-core job, full or sampled, holds probe tapes and no
+// recording.
 func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 	for _, sample := range []bool{false, true} {
 		t.Run(modeName(sample), func(t *testing.T) {
@@ -143,14 +143,9 @@ func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 			})
 
 			// The slow cell holds the sweep open while the other worker
-			// builds the profile's probe tape, or records its stream.
+			// builds the profile's probe tapes.
 			postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(111), Sample: sample})
-			held := func(r residentView) bool {
-				if sample {
-					return r.TraceRecordings > 0 && r.TraceBytes > 0
-				}
-				return r.ProbeTapes > 0 && r.ProbeTapeBytes > 0
-			}
+			held := func(r residentView) bool { return r.ProbeTapes > 0 && r.ProbeTapeBytes > 0 }
 			deadline := time.Now().Add(30 * time.Second)
 			r := statszResident(t, ts.URL)
 			for ; in.Fired(faultinject.Key("Mcf", config.TSV3D.String())) == 0 || !held(r); r = statszResident(t, ts.URL) {
@@ -159,8 +154,8 @@ func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			if !sample && (r.TraceRecordings != 0 || r.TraceBytes != 0) {
-				t.Errorf("a running full-mode job holds %d recording(s) of %d bytes, want none", r.TraceRecordings, r.TraceBytes)
+			if r.TraceRecordings != 0 || r.TraceBytes != 0 {
+				t.Errorf("a running single-core job holds %d recording(s) of %d bytes, want none", r.TraceRecordings, r.TraceBytes)
 			}
 			cancel()
 			s.wait()
@@ -172,11 +167,10 @@ func TestResidentCachesReleasedOnShutdown(t *testing.T) {
 }
 
 // TestConcurrentJobsShareResidentRecording runs jobs over one stream at
-// once. Full-mode jobs share one probe tape per geometry and record no
-// trace; sampled jobs record the stream once. Either way the shared entry
-// stays until the later job ends: an lpstudy job blocked in its last cell
-// keeps the tapes or recording a fig6 job over the same profile and seed
-// started and finished on.
+// once. Single-core jobs, full or sampled, share one probe tape per
+// geometry and record no trace. The shared tapes stay until the later job
+// ends: an lpstudy job blocked in its last cell keeps the tapes a fig6 job
+// over the same profile and seed started and finished on.
 func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 	suite, err := config.Derive(tech.N22())
 	if err != nil {
@@ -203,22 +197,16 @@ func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 				}
 			}
 			_, ts := newTestServer(t, serverConfig{MaxSweeps: 2, faultHook: hook})
-			// shared checks the builds so far: tapes full-mode jobs built
-			// and recordings any job made.
-			shared := func(when string, tapes, recs uint64) {
+			// shared checks the builds so far: the tapes the jobs built,
+			// and no recording.
+			shared := func(when string, tapes int) {
 				t.Helper()
-				if n := warm.TapeBuilds(); n != tapes {
+				if n := warm.TapeBuilds(); n != uint64(tapes) {
 					t.Errorf("%s: %d probe tape(s) built, want %d", when, n, tapes)
 				}
-				if n := trace.CacheStats().Misses; n != recs {
-					t.Errorf("%s: %d recording(s), want %d", when, n, recs)
+				if n := trace.CacheStats().Misses; n != 0 {
+					t.Errorf("%s: %d recording(s), want none", when, n)
 				}
-			}
-			pick := func(tapes, recs uint64) (uint64, uint64) {
-				if sample {
-					return 0, recs
-				}
-				return tapes, 0
 			}
 
 			// Two identical jobs at once: one set of entries between them.
@@ -226,8 +214,7 @@ func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 			a, b := postSweep(t, ts.URL, same), postSweep(t, ts.URL, same)
 			waitDone(t, ts.URL, a)
 			waitDone(t, ts.URL, b)
-			tapes, recs := pick(uint64(len(fig6Geoms)), 1)
-			shared("two identical jobs", tapes, recs)
+			shared("two identical jobs", len(fig6Geoms))
 			if r := statszResident(t, ts.URL); r != (residentView{}) {
 				t.Fatalf("resident after both jobs = %+v, want all zero", r)
 			}
@@ -239,7 +226,7 @@ func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 			warm.ResetCache()
 			lp := postSweep(t, ts.URL, sweepRequest{Experiment: "lpstudy", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202), Workers: 1, Sample: sample})
 			deadline := time.Now().Add(30 * time.Second)
-			for trace.CacheStats().Misses+warm.TapeBuilds() == 0 {
+			for warm.TapeBuilds() == 0 {
 				if time.Now().After(deadline) {
 					close(gate)
 					t.Fatal("the lpstudy job never built its shared entries")
@@ -249,12 +236,10 @@ func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 			waitDone(t, ts.URL, postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: []string{"Mcf"}, Seed: seedPtr(202), Sample: sample}))
 			r := statszResident(t, ts.URL)
 			close(gate)
-			tapes, recs = pick(uint64(len(both)), 1)
-			shared("overlapping jobs", tapes, recs)
-			wantTapes, wantRecs := pick(uint64(len(lpGeoms)), 1)
-			if uint64(r.ProbeTapes) != wantTapes || uint64(r.TraceRecordings) != wantRecs {
-				t.Errorf("after the first job ended: %d resident tape(s) and %d recording(s), want %d and %d (held by the running job)",
-					r.ProbeTapes, r.TraceRecordings, wantTapes, wantRecs)
+			shared("overlapping jobs", len(both))
+			if r.ProbeTapes != len(lpGeoms) || r.TraceRecordings != 0 {
+				t.Errorf("after the first job ended: %d resident tape(s) and %d recording(s), want %d and none (held by the running job)",
+					r.ProbeTapes, r.TraceRecordings, len(lpGeoms))
 			}
 			waitDone(t, ts.URL, lp)
 			if r := statszResident(t, ts.URL); r != (residentView{}) {

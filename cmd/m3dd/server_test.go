@@ -402,7 +402,8 @@ func TestTableSweeps(t *testing.T) {
 // TestSampledSweepServesCLIJournal checks that the daemon's shared-flag
 // defaults match the CLI's: a sampled fig6 sweep runs under the identity
 // m3dcli -sample journals under, so the CLI's journal serves every cell,
-// and a fresh sampled sweep writes its warm-state snapshots to -warm-dir.
+// and a fresh sampled fig9 sweep writes its multicore warm-state snapshots
+// to -warm-dir.
 func TestSampledSweepServesCLIJournal(t *testing.T) {
 	trace.ResetCache()
 	warm.ResetCache()
@@ -454,7 +455,7 @@ func TestSampledSweepServesCLIJournal(t *testing.T) {
 		t.Errorf("sampled sweep simulated %d cells over the CLI's journal, want 0", v.Simulated)
 	}
 
-	req.Seed = seedPtr(7)
+	req = sweepRequest{Experiment: "fig9", Benchmarks: []string{"Fft"}, Sample: true, Seed: seedPtr(7)}
 	if v := waitDone(t, ts.URL, postSweep(t, ts.URL, req)); v.Simulated == 0 {
 		t.Fatal("fresh sampled sweep simulated nothing")
 	}

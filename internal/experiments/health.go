@@ -14,12 +14,13 @@ package experiments
 //	sample layer    a sampled cell whose warm-phase oracle check exceeds
 //	                the error budget re-runs under full simulation —
 //	                slower, but exact;
-//	warm layer      a warm-state snapshot file that is unreadable, corrupt
-//	                (CRC) or foreign is quarantined and the checkpoint is
-//	                rebuilt from the trace; a refused in-memory restore
-//	                falls back to local warming; a failed save leaves the
-//	                snapshot directory stale; results are bit-identical in
-//	                every case.
+//	warm layer      a multicore warm-state snapshot file that is
+//	                unreadable, corrupt (CRC), foreign or unrestorable is
+//	                quarantined or replaced and the snapshot is rebuilt
+//	                from the trace; a refused in-memory restore falls back
+//	                to local warming; a failed save leaves the snapshot
+//	                directory stale; results are bit-identical in every
+//	                case.
 //
 // Every rung taken is recorded as a DegradationEvent in the result's
 // Health block, so an operator (or a service scraping the JSON) can tell a
@@ -148,7 +149,7 @@ func (c cacheWatch) harvest(h *healthRecorder) {
 	wm := warm.Stats()
 	if n := wm.LoadErrors - c.warm.LoadErrors; n > 0 {
 		h.add("warm", "",
-			fmt.Sprintf("regenerated %d warm snapshot(s) from the trace (snapshot file unreadable, corrupt or foreign)", n), nil)
+			fmt.Sprintf("regenerated %d warm snapshot(s) from the trace (snapshot file unreadable, corrupt, foreign or unrestorable)", n), nil)
 	}
 	if n := wm.Quarantines - c.warm.Quarantines; n > 0 {
 		h.add("warm", "",

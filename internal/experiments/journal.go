@@ -58,10 +58,10 @@ func (opt RunOptions) Identity(experiment string) journal.Identity {
 		if b := opt.sampleBudget(); b > 0 {
 			kv = append(kv, "budget", fmt.Sprint(b))
 		}
-		// The snapshot cache joins the identity defensively: its results
-		// are proven bit-identical to snapshot-off runs, but pinning it
-		// means a resume can never mix cells from runs that took different
-		// fast-forward paths.
+		// The snapshot cache joined the identity defensively when sampled
+		// single-core cells could restore warm snapshots. They no longer
+		// do — every sampled cell fast-forwards itself, bit-identically —
+		// but the pair stays so existing sampled journals keep resuming.
 		if opt.WarmCache && !opt.NoTraceCache {
 			kv = append(kv, "warm", "snapshot")
 		}

@@ -16,39 +16,39 @@ import (
 	"vertical3d/internal/warm"
 )
 
-// residentPeak is a CellHook that records the most trace recordings, warm
-// ladders, multicore snapshots and probe tapes resident at any cell start.
+// residentPeak is a CellHook that records the most trace recordings,
+// multicore snapshots and probe tapes resident at any cell start.
 type residentPeak struct {
-	mu                        sync.Mutex
-	recs, ladders, mcs, tapes int
+	mu               sync.Mutex
+	recs, mcs, tapes int
 }
 
 func (p *residentPeak) hook(string, string) {
-	l, m := warm.Resident()
+	m := warm.Resident()
 	tp, _ := warm.ResidentTapes()
 	r := trace.CachedRecordings()
 	p.mu.Lock()
-	p.recs, p.ladders, p.mcs, p.tapes = max(p.recs, r), max(p.ladders, l), max(p.mcs, m), max(p.tapes, tp)
+	p.recs, p.mcs, p.tapes = max(p.recs, r), max(p.mcs, m), max(p.tapes, tp)
 	p.mu.Unlock()
 }
 
 // requireEmpty fails unless the trace and warm registries hold nothing.
 func requireEmpty(t *testing.T, when string) {
 	t.Helper()
-	l, m := warm.Resident()
+	m := warm.Resident()
 	tp, tb := warm.ResidentTapes()
-	if r := trace.CachedRecordings(); r != 0 || l != 0 || m != 0 || tp != 0 || tb != 0 {
-		t.Errorf("%s: %d recording(s), %d ladder(s), %d multicore snapshot(s), %d probe tape(s) of %d bytes resident, want none",
-			when, r, l, m, tp, tb)
+	if r := trace.CachedRecordings(); r != 0 || m != 0 || tp != 0 || tb != 0 {
+		t.Errorf("%s: %d recording(s), %d multicore snapshot(s), %d probe tape(s) of %d bytes resident, want none",
+			when, r, m, tp, tb)
 	}
 }
 
 // TestTraceCacheReleasedAfterSweeps checks the sweep-scoped lifetime of
-// the trace and warm registries: every entry point keeps its recordings,
-// ladders and multicore snapshots resident while its cells run — each
+// the trace and warm registries: every entry point keeps its probe tapes,
+// recordings and multicore snapshots resident while its cells run — each
 // stream recorded once — and releases them when it returns, on success
-// and on failure. A full-mode sweep keeps no recording resident at all,
-// and a recording made outside any sweep stays.
+// and on failure. A single-core sweep, sampled or not, keeps no recording
+// resident at all, and a recording made outside any sweep stays.
 func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	trace.ResetCache()
 	warm.ResetCache()
@@ -67,11 +67,12 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	if _, err := Fig6With(s, profiles, opt); err != nil {
 		t.Fatal(err)
 	}
-	if st := trace.CacheStats(); st.Misses != uint64(len(profiles)) {
-		t.Errorf("Fig6 recorded %d streams, want %d (one per profile)", st.Misses, len(profiles))
+	if st := trace.CacheStats(); st.Misses != 0 {
+		t.Errorf("sampled Fig6 recorded %d streams, want none", st.Misses)
 	}
-	if p6.recs == 0 || p6.ladders == 0 {
-		t.Errorf("Fig6 cells saw %d recording(s) and %d ladder(s) resident, want both > 0", p6.recs, p6.ladders)
+	if p6.tapes == 0 || p6.recs != 0 || p6.mcs != 0 {
+		t.Errorf("sampled Fig6 cells saw %d tape(s), %d recording(s) and %d snapshot(s) resident, want only tapes",
+			p6.tapes, p6.recs, p6.mcs)
 	}
 	requireEmpty(t, "after Fig6")
 
@@ -94,8 +95,9 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	requireEmpty(t, "after LPStudy")
 
-	// Full-mode cells replay probe tapes, which leave with the sweep. The
-	// tapes generate their streams, so no cell sees a recording resident.
+	// Full-mode cells replay probe tapes too, which leave with the sweep.
+	// The tapes generate their streams, so no cell sees a recording
+	// resident.
 	var pf residentPeak
 	fullOpt := lopt
 	fullOpt.CellHook = pf.hook
@@ -139,13 +141,14 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	}
 	requireEmpty(t, "after a failed Fig6")
 
-	// A recording made outside any sweep outlives the sweeps that share it.
-	sopt := sampledOracleOptions()
-	pinned := trace.SharedRecording(profiles[0], sopt.Seed, sopt.StreamID, 1_000)
-	if _, err := Fig6WithDesigns(s, profiles[:1], []config.Design{config.Base}, sopt); err != nil {
+	// A recording made outside any sweep outlives the sweeps that share
+	// it: core 0 of a Fig9 cell replays stream 0.
+	fft := oracleProfiles(t, "Fft")
+	pinned := trace.SharedRecording(fft[0], mopt.Seed, 0, 1_000)
+	if _, err := Fig9WithDesigns(s, fft, []config.MulticoreDesign{config.MCBase}, mopt); err != nil {
 		t.Fatal(err)
 	}
-	if n := trace.CachedRecordings(); n != 1 || trace.SharedRecording(profiles[0], sopt.Seed, sopt.StreamID, 1_000) != pinned {
+	if n := trace.CachedRecordings(); n != 1 || trace.SharedRecording(fft[0], mopt.Seed, 0, 1_000) != pinned {
 		t.Errorf("the unscoped recording left the cache (%d resident)", n)
 	}
 }

@@ -139,38 +139,27 @@ func (opt RunOptions) traceHint() int {
 }
 
 // holdCaches holds, for the life of a single-core sweep over profiles ×
-// designs, every shared trace recording, probe tape and warm ladder its
-// cells replay and bind to (see traceSource, fullCore and
-// runSingleSampled), and returns the release that drops them. Entries the
+// designs, every probe tape and shared trace recording its cells replay
+// (see cellCore), and returns the release that drops them. Entries the
 // sweep was the last to hold leave the process-wide caches when it
-// returns. A profile's recording is held only when a cell reads it:
-// sampled cells and their full-simulation fallback, and full-simulation
-// cells that cannot replay a tape. Taped cells generate their stream.
+// returns. A profile's recording is held only when a cell reads it: one
+// whose design cannot replay a tape. Taped cells generate their stream.
 func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
 	var rs registry.Releases
 	for _, prof := range profiles {
-		recorded := opt.Sample
+		recorded := false
 		for _, d := range designs {
 			cfg := suite.Configs[d]
-			switch {
-			case opt.replaysTape(cfg):
-				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
-					Prof:   prof,
-					Seed:   opt.Seed,
-					Stream: opt.StreamID,
-					Geom:   warm.GeometryOf(cfg),
-				}))
-			case opt.Sample && opt.WarmCache:
-				rs = append(rs, warm.HoldLadder(warm.Identity{
-					Prof:   prof,
-					Seed:   opt.Seed,
-					Stream: opt.StreamID,
-					Sample: opt.sampleParams(),
-					Geom:   warm.GeometryOf(cfg),
-				}))
-			default:
+			if !opt.replaysTape(cfg) {
 				recorded = true
+				continue
 			}
+			rs = append(rs, warm.HoldTape(warm.TapeIdentity{
+				Prof:   prof,
+				Seed:   opt.Seed,
+				Stream: opt.StreamID,
+				Geom:   warm.GeometryOf(cfg),
+			}))
 		}
 		if recorded && !opt.NoTraceCache {
 			rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
@@ -206,7 +195,7 @@ func runSingle(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult
 // measure, no extrapolation. Every Stats and HierStats counter is the
 // delta over the measure window.
 func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppResult, error) {
-	c, memStats, err := fullCore(cfg, prof, opt)
+	c, memStats, err := cellCore(cfg, prof, opt)
 	if err != nil {
 		return AppResult{}, err
 	}
@@ -230,22 +219,23 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 	}, nil
 }
 
-// replaysTape reports whether a full-simulation cell of cfg replays its
-// geometry's shared probe tape instead of probing a hierarchy of its own:
-// an unsampled cell with the trace cache on whose fill levels can be
-// classified. It decides both fullCore's path and, in holdCaches, which
-// sweeps hold a tape rather than a recording, so the two cannot drift.
+// replaysTape reports whether a cell of cfg replays its geometry's shared
+// probe tape instead of probing a hierarchy of its own: a cell with the
+// trace cache on whose fill levels can be classified, sampled or not. It
+// decides both cellCore's path and, in holdCaches, which sweeps hold a
+// tape rather than a recording, so the two cannot drift.
 func (opt RunOptions) replaysTape(cfg config.Config) bool {
-	return !opt.NoTraceCache && !opt.Sample && uarch.FillsClassifiable(cfg)
+	return !opt.NoTraceCache && uarch.FillsClassifiable(cfg)
 }
 
-// fullCore builds a full-simulation cell's core and the reader of its
-// hierarchy counters. A cell that replaysTape replays its geometry's
-// shared probe tape (see internal/warm), so a profile's probes are made
-// once for every design. The rest probe a hierarchy of their own over
-// traceSource: NoTraceCache cells, sampled cells falling back to full
-// simulation, and designs whose fill levels cannot be classified.
-func fullCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Core, func() mem.HierStats, error) {
+// cellCore builds a single-core cell's core and the reader of its
+// hierarchy counters, for full and sampled simulation alike. A cell that
+// replaysTape replays its geometry's shared probe tape (see internal/warm),
+// so a profile's probes are made once for every design, and its sampled
+// fast-forwards sum tape words. The rest probe a hierarchy of their own
+// over traceSource: NoTraceCache cells, the reference the taped cells are
+// tested against, and designs whose fill levels cannot be classified.
+func cellCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Core, func() mem.HierStats, error) {
 	if opt.replaysTape(cfg) {
 		tp := warm.SharedTape(prof, opt.Seed, opt.StreamID, cfg)
 		if tp == nil {
@@ -255,7 +245,7 @@ func fullCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Cor
 		if err != nil {
 			return nil, nil, err
 		}
-		return c, func() mem.HierStats { return tp.HierStats(c.Stats.Fetched) }, nil
+		return c, func() mem.HierStats { return tp.HierStats(c.Cursor()) }, nil
 	}
 	h, err := mem.NewHierarchy(cfg)
 	if err != nil {
@@ -279,21 +269,9 @@ func runSingleSampled(cfg config.Config, prof trace.Profile, opt RunOptions) (Ap
 	if err := sp.Validate(); err != nil {
 		return AppResult{}, err
 	}
-	src := traceSource(prof, opt)
-	h, err := mem.NewHierarchy(cfg)
+	c, memStats, err := cellCore(cfg, prof, opt)
 	if err != nil {
 		return AppResult{}, err
-	}
-	c, err := uarch.NewCoreKernel(0, cfg, src, h, opt.Kernel)
-	if err != nil {
-		return AppResult{}, err
-	}
-	if opt.WarmCache && !opt.NoTraceCache {
-		if rp, ok := src.(*trace.Replayer); ok {
-			// Best-effort: a geometry that can't classify fills just keeps
-			// its plain local fast-forward.
-			_, _ = warm.Bind(c, rp, cfg, sp)
-		}
 	}
 	// Functional warmup: caches and predictor only — the pipeline state a
 	// detailed warmup would build is rebuilt by each interval's warm phase.
@@ -302,9 +280,9 @@ func runSingleSampled(cfg config.Config, prof trace.Profile, opt RunOptions) (Ap
 	var hsum, hwin mem.HierStats
 	res, err := c.RunSampled(opt.Measure, sp, func(begin bool) {
 		if begin {
-			hwin = h.Stats()
+			hwin = memStats()
 		} else {
-			hsum = hsum.Add(h.Stats().Sub(hwin))
+			hsum = hsum.Add(memStats().Sub(hwin))
 		}
 	})
 	if err != nil {
@@ -352,8 +330,8 @@ func Fig6With(suite *config.Suite, profiles []trace.Profile, opt RunOptions) (*F
 // re-run resumes from the checkpointed cells bit-identically — at any
 // worker count and in any design order, since both are merge-neutral.
 // Cells dispatch design-major (see designMajor), and the sweep holds every
-// recording, probe tape and warm ladder its cells use until it returns
-// (see holdCaches).
+// probe tape and recording its cells use until it returns (see
+// holdCaches).
 func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []config.Design, opt RunOptions) (*Fig6Result, error) {
 	defer opt.holdCaches(suite, profiles, designs)()
 	opt.health = &healthRecorder{}
@@ -381,9 +359,9 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 
 // designMajor is the dispatch order of a profile-major np × nd sweep that
 // starts every profile's first design before any profile's second: slot j
-// runs cell (j%np)*nd + j/np. Concurrent workers then record the trace and
-// build the warm ladder of different profiles instead of queueing on one
-// profile's single-flighted recording and ladder lock. Cells stay keyed by
+// runs cell (j%np)*nd + j/np. Concurrent workers then record the probe
+// tapes of different profiles instead of queueing on one profile's
+// single-flighted tape extension. Cells stay keyed by
 // index, so results, journal entries and the reported error are those of
 // index order.
 func designMajor(np, nd int) []int {

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"vertical3d/internal/config"
@@ -14,9 +12,8 @@ import (
 	"vertical3d/internal/warm"
 )
 
-// sampledOracleOptions returns sweep sizing small enough for a unit test
-// but large enough that every cell crosses many snapshot-stride boundaries
-// (stride = Interval/32 = 125).
+// sampledOracleOptions returns sampled sweep sizing small enough for a
+// unit test but large enough for several sampling intervals per cell.
 func sampledOracleOptions() RunOptions {
 	return RunOptions{
 		Warmup: 6_000, Measure: 24_000, Seed: 5,
@@ -25,17 +22,11 @@ func sampledOracleOptions() RunOptions {
 	}
 }
 
-// TestOracleFig6WarmCacheInvariant is the warm-state snapshot acceptance
-// gate for the single-core sweep: with the snapshot cache enabled and
-// disabled, at one, two and eight workers, on both kernels, every Run map
-// and derived ratio of a sampled sweep must deep-equal. Runs carry the full
-// Stats/HierStats/Energy of every cell, so this subsumes a per-cell
-// comparison of everything the pipeline measures — including the
-// repriced ExtraFetch/ExtraData sums the sampling estimator regresses on.
-// Every combination starts from cold trace and warm caches, so each
-// warm-on sweep builds its ladders itself, concurrently with the cells
-// that restore from them (two workers is the design-major schedule of a
-// 2-core host: two profiles' ladders built side by side).
+// TestOracleFig6WarmCacheInvariant pins that the warm-state snapshot
+// cache no longer touches a single-core cell: sampled cells fast-forward
+// over their probe tapes, so a sampled Fig6 sweep must deep-equal with the
+// cache on and off, on both kernels and at one and eight workers, and the
+// cache must neither build nor restore a snapshot for it.
 func TestOracleFig6WarmCacheInvariant(t *testing.T) {
 	defer trace.ResetCache()
 	defer warm.ResetCache()
@@ -48,7 +39,7 @@ func TestOracleFig6WarmCacheInvariant(t *testing.T) {
 
 	var results []*Fig6Result
 	for _, k := range []uarch.Kernel{uarch.KernelReference, uarch.KernelEvent} {
-		for _, w := range []int{1, 2, 8} {
+		for _, w := range []int{1, 8} {
 			for _, warmOn := range []bool{false, true} {
 				trace.ResetCache()
 				warm.ResetCache()
@@ -59,15 +50,8 @@ func TestOracleFig6WarmCacheInvariant(t *testing.T) {
 					t.Fatalf("kernel=%v workers=%d warm=%v: %v", k, w, warmOn, err)
 				}
 				results = append(results, f)
-				if !warmOn {
-					continue
-				}
-				// The ladders warmed instructions once and every reuse
-				// skipped a fast-forward prefix.
-				st := warm.Stats()
-				if st.BuiltInstrs == 0 || st.SkippedInstrs == 0 || st.Hits == 0 {
-					t.Errorf("kernel=%v workers=%d: cold warm-cache sweep built %d, skipped %d instrs with %d hits; want all > 0",
-						k, w, st.BuiltInstrs, st.SkippedInstrs, st.Hits)
+				if st := warm.Stats(); st != (warm.Counters{}) {
+					t.Errorf("kernel=%v workers=%d warm=%v: single-core sweep moved the snapshot cache: %+v", k, w, warmOn, st)
 				}
 			}
 		}
@@ -83,45 +67,50 @@ func TestOracleFig6WarmCacheInvariant(t *testing.T) {
 	}
 }
 
-// TestOracleWarmSnapshotNoRebuild is the poisoned-builder oracle: once a
-// sweep has populated the snapshot cache, an identical sweep must be
-// served entirely from snapshots — the ladder builders must never warm
-// another instruction. The build hook panicking inside a cell would fail
-// that cell (and the sweep), and the atomic counter gives a readable
-// failure even if a build happens outside any cell.
+// TestOracleWarmSnapshotNoRebuild is the no-rebuild oracle: once a sampled
+// Fig9 sweep has populated the snapshot cache, an identical sweep must be
+// served entirely from snapshots — no multicore warmup is built again, and
+// every cell restores — with results deep-equal to the sweep that built
+// them.
 func TestOracleWarmSnapshotNoRebuild(t *testing.T) {
 	trace.ResetCache()
 	warm.ResetCache()
 	defer trace.ResetCache()
 	defer warm.ResetCache()
-	defer warm.SetBuildHook(nil)
 	s, err := config.Derive(tech.N22())
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := oracleProfiles(t, "Mcf")
-	opt := sampledOracleOptions()
+	profiles := oracleProfiles(t, "Fft")
+	designs := config.MulticoreDesigns()
+	opt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 5, Sample: true}
 	opt.WarmCache = true
-	// Each sweep releases its ladders when it returns; holding them across
-	// both sweeps lets the second one be served from the first's rungs.
-	defer opt.holdCaches(s, profiles, config.SingleCoreDesigns())()
+	// Each sweep releases its snapshots when it returns; holding them
+	// across both sweeps lets the second one be served from the first's.
+	mcs := config.DeriveMulticore(s)
+	for _, d := range designs {
+		defer multicore.Hold(mcs[d], profiles[0], opt)()
+	}
 
-	first, err := Fig6With(s, profiles, opt)
+	first, err := Fig9WithDesigns(s, profiles, designs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var rebuilds atomic.Uint64
-	warm.SetBuildHook(func(id warm.Identity, from, to uint64) {
-		rebuilds.Add(1)
-		panic(fmt.Sprintf("warm builder re-ran for %s: [%d, %d)", id.Prof.Name, from, to))
-	})
-	second, err := Fig6With(s, profiles, opt)
+	built := warm.Stats()
+	if built.Misses == 0 || built.BuiltInstrs == 0 {
+		t.Fatalf("the first sweep built no snapshot: %+v", built)
+	}
+	second, err := Fig9WithDesigns(s, profiles, designs, opt)
 	if err != nil {
 		t.Fatalf("snapshot-served sweep failed: %v", err)
 	}
-	if n := rebuilds.Load(); n != 0 {
-		t.Errorf("ladder builders warmed %d stretch(es) on a fully populated cache, want 0", n)
+	st := warm.Stats()
+	if st.Misses != built.Misses || st.BuiltInstrs != built.BuiltInstrs {
+		t.Errorf("a fully populated cache built %d more snapshot(s), %d more instrs, want none",
+			st.Misses-built.Misses, st.BuiltInstrs-built.BuiltInstrs)
+	}
+	if st.Hits-built.Hits != uint64(len(designs)) {
+		t.Errorf("the second sweep restored %d cell(s), want all %d", st.Hits-built.Hits, len(designs))
 	}
 	if !reflect.DeepEqual(first.Runs, second.Runs) {
 		t.Error("snapshot-served sweep diverges from the sweep that built the snapshots")

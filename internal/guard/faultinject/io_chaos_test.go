@@ -15,11 +15,14 @@ import (
 	"strings"
 	"testing"
 
+	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/fsio"
 	"vertical3d/internal/journal"
+	"vertical3d/internal/multicore"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
+	"vertical3d/internal/workload"
 )
 
 // journalInjector routes journal.Open through an injector for the duration
@@ -234,21 +237,27 @@ func TestChaosReadOnlyJournalDir(t *testing.T) {
 }
 
 // TestChaosFlakyTraceDir runs sweeps against a trace-cache directory
-// whose writes fail. A sampled sweep records its streams: every recording
-// save errors out, the sweep falls back to the in-memory single-flight
-// cache, results stay bit-identical, and the Health block reports the
-// stale cache. A full-mode sweep generates its probe tapes and makes no
-// .m3dtrace I/O at all.
+// whose writes fail. Single-core sweeps, full and sampled, generate their
+// probe tapes and make no .m3dtrace I/O at all. A sampled Fig9 sweep
+// records its streams: every recording save errors out, the sweep falls
+// back to the in-memory single-flight cache, results stay bit-identical,
+// and the Health block reports the stale cache.
 func TestChaosFlakyTraceDir(t *testing.T) {
 	suite, profiles, full := fig6Fixture(t)
 	sampled := full
 	sampled.Sample = true
 	sampled.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
-	fullRef, err := experiments.Fig6With(suite, profiles, full)
-	if err != nil {
-		t.Fatal(err)
+	mcProfiles := workload.Parallel()[:1]
+	mopt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 42, Sample: true}
+	var refs []*experiments.Fig6Result
+	for _, opt := range []experiments.RunOptions{full, sampled} {
+		ref, err := experiments.Fig6With(suite, profiles, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
 	}
-	ref, err := experiments.Fig6With(suite, profiles, sampled)
+	mcRef, err := experiments.Fig9With(suite, mcProfiles, mopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,43 +270,49 @@ func TestChaosFlakyTraceDir(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = trace.SetCacheDir("") })
 
-	// Full mode: tripwires on every load, save and sync of a trace file.
+	// Single-core sweeps: tripwires on every load, save and sync of a
+	// trace file.
 	trip := fsio.NewInjector(13, nil,
 		fsio.Rule{Op: fsio.OpOpen, Match: ".m3dtrace"},
 		fsio.Rule{Op: fsio.OpCreate, Match: dir},
 		fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
 	trace.SetFS(trip)
 	t.Cleanup(func() { trace.SetFS(nil) })
-	f, err := experiments.Fig6With(suite, profiles, full)
-	if err != nil {
-		t.Fatalf("full-mode sweep over a trace dir must complete: %v", err)
-	}
-	if !reflect.DeepEqual(f.Runs, fullRef.Runs) {
-		t.Error("full-mode Runs over a trace dir differ from the run without one")
-	}
-	if n := trip.Injected(); n != 0 || f.Health.Degraded {
-		t.Errorf("full-mode sweep touched the trace dir: %d tripwire(s) fired, health %+v", n, f.Health)
+	for i, opt := range []experiments.RunOptions{full, sampled} {
+		f, err := experiments.Fig6With(suite, profiles, opt)
+		if err != nil {
+			t.Fatalf("sample=%v: sweep over a trace dir must complete: %v", opt.Sample, err)
+		}
+		if !reflect.DeepEqual(f.Runs, refs[i].Runs) {
+			t.Errorf("sample=%v: Runs over a trace dir differ from the run without one", opt.Sample)
+		}
+		if n := trip.Injected(); n != 0 || f.Health.Degraded {
+			t.Errorf("sample=%v: sweep touched the trace dir: %d tripwire(s) fired, health %+v", opt.Sample, n, f.Health)
+		}
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-		t.Errorf("full-mode sweep left %d file(s) in the trace dir (%v), want none", len(entries), err)
+		t.Errorf("single-core sweeps left %d file(s) in the trace dir (%v), want none", len(entries), err)
 	}
 	if st := trace.CacheStats(); st != (trace.CacheCounters{}) {
-		t.Errorf("full-mode sweep used the trace cache: %+v", st)
+		t.Errorf("single-core sweeps used the trace cache: %+v", st)
 	}
 
-	// Sampled mode: every recording's save fails at its sync.
+	// Sampled Fig9: every recording's save fails at its sync.
 	in := fsio.NewInjector(13, nil, fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
 	trace.SetFS(in)
-	f, err = experiments.Fig6With(suite, profiles, sampled)
+	f, err := experiments.Fig9With(suite, mcProfiles, mopt)
 	if err != nil {
 		t.Fatalf("sweep over a flaky trace dir must complete: %v", err)
 	}
-	if !reflect.DeepEqual(f.Runs, ref.Runs) {
+	if !reflect.DeepEqual(f.Runs, mcRef.Runs) {
 		t.Error("flaky-trace-dir Runs differ from the uninjected run")
 	}
-	if in.InjectedOp(fsio.OpSync) != len(profiles) {
-		t.Errorf("injected %d sync faults, want one per profile (%d)",
-			in.InjectedOp(fsio.OpSync), len(profiles))
+	streams := 0
+	for _, mc := range config.DeriveMulticore(suite) {
+		streams = max(streams, mc.Cores)
+	}
+	if n := in.InjectedOp(fsio.OpSync); n != streams*len(mcProfiles) {
+		t.Errorf("injected %d sync faults, want one per recorded stream (%d)", n, streams*len(mcProfiles))
 	}
 	if !f.Health.Degraded {
 		t.Fatal("Health does not report the failed cache saves")

@@ -21,21 +21,18 @@ import (
 	"vertical3d/internal/workload"
 )
 
-// sharedMode is one way a Fig6 sweep shares work between its cells:
-// full-mode cells replay one probe tape per (profile, geometry), sampled
-// cells one trace recording per profile. built counts the shared entries
-// made so far, want is how many one sweep over the fixture makes, and
-// hold keeps them resident across several sweeps.
+// sharedMode is one way a Fig6 sweep runs its cells, full or sampled.
+// Both replay one probe tape per (profile, geometry) — sampled cells
+// fast-forward over it too — and record no trace.
 type sharedMode struct {
-	name  string
-	opt   experiments.RunOptions
-	built func() uint64
-	want  uint64
-	hold  func() (release func())
+	name string
+	opt  experiments.RunOptions
 }
 
-// sharedModes returns the full-mode and sampled variants of fig6Fixture.
-func sharedModes(t *testing.T) (*config.Suite, []trace.Profile, []sharedMode) {
+// sharedModes returns the full-mode and sampled variants of fig6Fixture,
+// the number of probe tapes one sweep over the fixture builds, and a hold
+// that keeps those tapes resident across several sweeps.
+func sharedModes(t *testing.T) (*config.Suite, []trace.Profile, []sharedMode, uint64, func() (release func())) {
 	t.Helper()
 	suite, profiles, full := fig6Fixture(t)
 	var tapes []warm.TapeIdentity
@@ -50,34 +47,15 @@ func sharedModes(t *testing.T) (*config.Suite, []trace.Profile, []sharedMode) {
 	sampled := full
 	sampled.Sample = true
 	sampled.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
-	return suite, profiles, []sharedMode{
-		{
-			name:  "full",
-			opt:   full,
-			built: warm.TapeBuilds,
-			want:  uint64(len(profiles) * len(geoms)),
-			hold: func() func() {
-				var rs registry.Releases
-				for _, id := range tapes {
-					rs = append(rs, warm.HoldTape(id))
-				}
-				return rs.Release
-			},
-		},
-		{
-			name:  "sampled",
-			opt:   sampled,
-			built: func() uint64 { return trace.CacheStats().Misses },
-			want:  uint64(len(profiles)),
-			hold: func() func() {
-				var rs registry.Releases
-				for _, p := range profiles {
-					rs = append(rs, trace.Hold(p, sampled.Seed, sampled.StreamID))
-				}
-				return rs.Release
-			},
-		},
+	hold := func() func() {
+		var rs registry.Releases
+		for _, id := range tapes {
+			rs = append(rs, warm.HoldTape(id))
+		}
+		return rs.Release
 	}
+	modes := []sharedMode{{name: "full", opt: full}, {name: "sampled", opt: sampled}}
+	return suite, profiles, modes, uint64(len(profiles) * len(geoms)), hold
 }
 
 // resetShared empties the trace and warm registries now and when the test
@@ -92,36 +70,35 @@ func resetShared(t *testing.T) {
 }
 
 // TestChaosSharedRecordingsSurvivePanics runs the Fig6 chaos scenario with
-// the trace cache enabled (the default), in full mode (shared probe tapes)
-// and sampled mode (shared recordings), and checks the replay contract:
+// the trace cache enabled (the default), in full and sampled mode (shared
+// probe tapes either way), and checks the replay contract:
 //
 //  1. healthy cells of every poisoned keep-going sweep are bit-identical to
 //     a fault-free reference run,
 //  2. the panics never force a rebuild — across all chaos runs the caches
-//     still hold exactly one tape per profile and geometry, or one
-//     recording per profile, and
-//  3. a final fault-free run replaying from the chaos-survived tapes or
-//     recordings is bit-identical to the reference, proving the shared
-//     buffers were neither corrupted nor evicted by recovered panics.
+//     still hold exactly one tape per profile and geometry, and
+//  3. a final fault-free run replaying from the chaos-survived tapes is
+//     bit-identical to the reference, proving the shared buffers were
+//     neither corrupted nor evicted by recovered panics.
 //
-// Full-mode sweeps record no trace at all.
+// The sweeps record no trace at all.
 func TestChaosSharedRecordingsSurvivePanics(t *testing.T) {
-	suite, profiles, modes := sharedModes(t)
+	suite, profiles, modes, want, hold := sharedModes(t)
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			resetShared(t)
 			// Each sweep releases its entries when it returns; holding them
 			// across every sweep below lets them all replay the reference
 			// run's.
-			defer m.hold()()
+			defer hold()()
 			opt := m.opt
 
 			ref, err := experiments.Fig6With(suite, profiles, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := m.built(); n != m.want {
-				t.Fatalf("reference run built %d shared entries, want %d", n, m.want)
+			if n := warm.TapeBuilds(); n != want {
+				t.Fatalf("reference run built %d shared entries, want %d", n, want)
 			}
 			victimBench, victim := profiles[1].Name, victimDesign(t)
 
@@ -152,8 +129,8 @@ func TestChaosSharedRecordingsSurvivePanics(t *testing.T) {
 				}
 				// The chaos sweep must have replayed the reference run's
 				// entries, not rebuilt them: build count frozen since then.
-				if n := m.built(); n != m.want {
-					t.Fatalf("workers=%d: chaos run rebuilt shared entries: %d built, want %d", w, n, m.want)
+				if n := warm.TapeBuilds(); n != want {
+					t.Fatalf("workers=%d: chaos run rebuilt shared entries: %d built, want %d", w, n, want)
 				}
 			}
 
@@ -166,26 +143,25 @@ func TestChaosSharedRecordingsSurvivePanics(t *testing.T) {
 			if !reflect.DeepEqual(again.Runs, ref.Runs) {
 				t.Error("fault-free run after the chaos sweeps differs — shared entries were corrupted")
 			}
-			if n := m.built(); n != m.want {
-				t.Errorf("final run rebuilt shared entries: %d built, want %d (eviction under chaos?)", n, m.want)
+			if n := warm.TapeBuilds(); n != want {
+				t.Errorf("final run rebuilt shared entries: %d built, want %d (eviction under chaos?)", n, want)
 			}
-			if st := trace.CacheStats(); !opt.Sample && st.Misses != 0 {
-				t.Errorf("full-mode sweeps recorded %d trace(s), want none", st.Misses)
+			if st := trace.CacheStats(); st.Misses != 0 {
+				t.Errorf("taped sweeps recorded %d trace(s), want none", st.Misses)
 			}
 		})
 	}
 }
 
 // TestChaosPanicDuringRecordingDoesNotPoisonCache panics inside the very
-// first cell that would build a profile's shared entry — its probe tape in
-// full mode, its recording in sampled mode (at Workers=1 the victim is the
-// first cell to touch that key). The next cell of the same profile must
-// then build the entry itself and every healthy cell must stay
+// first cell that would build a profile's probe tape (at Workers=1 the
+// victim is the first cell to touch that key). The next cell of the same
+// profile must then build the tape itself and every healthy cell must stay
 // bit-identical to a fault-free run: a panicking first toucher may waste
-// its own cell but must never leave a broken, truncated or missing tape or
-// recording behind for the survivors.
+// its own cell but must never leave a broken, truncated or missing tape
+// behind for the survivors.
 func TestChaosPanicDuringRecordingDoesNotPoisonCache(t *testing.T) {
-	suite, profiles, modes := sharedModes(t)
+	suite, profiles, modes, want, _ := sharedModes(t)
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			resetShared(t)
@@ -223,8 +199,8 @@ func TestChaosPanicDuringRecordingDoesNotPoisonCache(t *testing.T) {
 					}
 				}
 			}
-			if n := m.built(); n != m.want {
-				t.Errorf("the sweep built %d shared entries, want %d", n, m.want)
+			if n := warm.TapeBuilds(); n != want {
+				t.Errorf("the sweep built %d shared entries, want %d", n, want)
 			}
 		})
 	}

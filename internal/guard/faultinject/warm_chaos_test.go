@@ -1,9 +1,9 @@
-// Warm-state snapshot chaos campaigns: drive sampled sweeps through
-// storage faults injected underneath the .m3dwarm cache (bit flips, full
-// disks, unwritable directories) and assert the degrade-don't-die
-// contract — the sweep completes, results stay bit-identical to an
-// uninjected run, and every downgrade appears in the Health block under
-// the "warm" layer.
+// Warm-state snapshot chaos campaigns: drive sampled multicore sweeps
+// through storage faults injected underneath the .m3dwarm cache (bit
+// flips, full disks, unwritable directories) and assert the
+// degrade-don't-die contract — the sweep completes, results stay
+// bit-identical to an uninjected run, and every downgrade appears in the
+// Health block under the "warm" layer.
 package faultinject_test
 
 import (
@@ -17,19 +17,25 @@ import (
 	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/fsio"
+	"vertical3d/internal/multicore"
+	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
-	"vertical3d/internal/uarch"
 	"vertical3d/internal/warm"
+	"vertical3d/internal/workload"
 )
 
-// sampledFixture builds on fig6Fixture: sampling on, snapshot cache on,
-// stride = 1000. Both caches are reset before and after the test so runs
-// inside one test share state only when the test wants them to.
-func sampledFixture(t *testing.T) (*config.Suite, []trace.Profile, experiments.RunOptions) {
+// sampledFixture is a small sampled Fig9 sweep with the snapshot cache on:
+// one multicore warmup snapshot per design's topology. Both caches are
+// reset before and after the test so runs inside one test share state
+// only when the test wants them to.
+func sampledFixture(t *testing.T) (*config.Suite, []trace.Profile, multicore.Options) {
 	t.Helper()
-	suite, profiles, opt := fig6Fixture(t)
-	opt.Sample = true
-	opt.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := workload.Parallel()[:1]
+	opt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 42, Sample: true}
 	opt.WarmCache = true
 	trace.ResetCache()
 	warm.ResetCache()
@@ -62,14 +68,14 @@ func warmDir(t *testing.T) string {
 }
 
 // TestChaosBitFlippedWarmSnapshot corrupts a persisted snapshot between
-// two sampled sweeps: the second sweep must quarantine the damaged file,
-// rebuild the checkpoint from the trace, produce bit-identical results,
-// and report the regeneration in the Health block.
+// two sampled Fig9 sweeps: the second sweep must quarantine the damaged
+// file, rebuild the snapshot from the trace, produce bit-identical
+// results, and report the regeneration in the Health block.
 func TestChaosBitFlippedWarmSnapshot(t *testing.T) {
 	suite, profiles, opt := sampledFixture(t)
 	dir := warmDir(t)
 
-	ref, err := experiments.Fig6With(suite, profiles, opt)
+	ref, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestChaosBitFlippedWarmSnapshot(t *testing.T) {
 	// A "fresh process" (in-memory cache dropped) must survive the
 	// damaged file: quarantine, rebuild, identical results.
 	warm.ResetCache()
-	f, err := experiments.Fig6With(suite, profiles, opt)
+	f, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatalf("sweep over a corrupt snapshot must complete: %v", err)
 	}
@@ -121,11 +127,11 @@ func TestChaosBitFlippedWarmSnapshot(t *testing.T) {
 
 // TestChaosDiskFullWarmDir fills the disk under the snapshot directory
 // mid-save: every snapshot write fails, the sweep keeps its in-memory
-// ladder (results bit-identical), and the Health block reports the stale
-// snapshot directory.
+// snapshots (results bit-identical), and the Health block reports the
+// stale snapshot directory.
 func TestChaosDiskFullWarmDir(t *testing.T) {
 	suite, profiles, opt := sampledFixture(t)
-	ref, err := experiments.Fig6With(suite, profiles, opt)
+	ref, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestChaosDiskFullWarmDir(t *testing.T) {
 	warm.ResetCache()
 	warmDir(t)
 	in := warmInjector(t, 17, fsio.Rule{Op: fsio.OpWrite, Match: ".m3dwarm", After: 2})
-	f, err := experiments.Fig6With(suite, profiles, opt)
+	f, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatalf("sweep over a full snapshot disk must complete: %v", err)
 	}
@@ -163,11 +169,12 @@ func TestChaosDiskFullWarmDir(t *testing.T) {
 
 // TestChaosReadOnlyWarmDir denies the snapshot layer its temp files (the
 // injected shape of a read-only snapshot directory): every save fails at
-// creation, the sweep runs from the in-memory ladder with bit-identical
-// results, and the Health block reports the stale directory.
+// creation, the sweep runs from the in-memory snapshots with
+// bit-identical results, and the Health block reports the stale
+// directory.
 func TestChaosReadOnlyWarmDir(t *testing.T) {
 	suite, profiles, opt := sampledFixture(t)
-	ref, err := experiments.Fig6With(suite, profiles, opt)
+	ref, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestChaosReadOnlyWarmDir(t *testing.T) {
 	warm.ResetCache()
 	dir := warmDir(t)
 	warmInjector(t, 19, fsio.Rule{Op: fsio.OpCreate, Match: dir})
-	f, err := experiments.Fig6With(suite, profiles, opt)
+	f, err := experiments.Fig9With(suite, profiles, opt)
 	if err != nil {
 		t.Fatalf("sweep with an unwritable snapshot dir must complete: %v", err)
 	}

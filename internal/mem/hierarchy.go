@@ -117,16 +117,15 @@ func NewHierarchy(c config.Config) (*Hierarchy, error) {
 // faster cores wait more cycles.
 func dramCycles(c config.Config) int { return int(c.Core.DRAMLatencyNs * c.FreqGHz) }
 
-// FillLatenciesOf returns the fill latencies a configuration's hierarchy
-// would report, without building one.
+// FillLatenciesOf returns the extra latencies an L1 miss of a
+// configuration's hierarchy can resolve with, each inclusive of the levels
+// above it: an L2 hit, an L3 hit and a DRAM fill. Every L1 miss resolves
+// with exactly one of the three, which lets a probe tape record fill
+// levels instead of latencies.
 func FillLatenciesOf(c config.Config) (l2, l3, dram int) {
-	return fillLatencies(c.Core, dramCycles(c))
-}
-
-func fillLatencies(p config.CoreParams, dram int) (l2, l3, dramFill int) {
-	l2 = p.L2.RTCycles
-	l3 = l2 + p.L3.RTCycles
-	return l2, l3, l3 + dram
+	l2 = c.Core.L2.RTCycles
+	l3 = l2 + c.Core.L3.RTCycles
+	return l2, l3, l3 + dramCycles(c)
 }
 
 // FetchExtra performs an instruction fetch; returns extra cycles beyond an

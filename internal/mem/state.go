@@ -7,11 +7,11 @@ import (
 
 // CacheState is a deep copy of a Cache's mutable contents — the packed
 // tag/age lane, dirty bits, LRU clock, way memo and statistics — plus the
-// geometry it was captured from. It is the unit of the warm-state snapshot
-// layer: a snapshot taken once per (profile, seed, stream, geometry)
-// identity is restored into many concurrently running sweep cells, so
-// State copies out and SetState copies in; neither ever aliases the
-// snapshot's slices (copy-on-restore).
+// geometry it was captured from. It is the unit of the multicore warm-state
+// snapshot (MCState): a snapshot taken once per warmup identity is
+// restored into many concurrently running sweep cells, so State copies out
+// and SetState copies in; neither ever aliases the snapshot's slices
+// (copy-on-restore).
 type CacheState struct {
 	Sets      int
 	Ways      int
@@ -76,70 +76,6 @@ func (c *Cache) SetState(s *CacheState) error {
 	return nil
 }
 
-// HierState is a deep snapshot of a single-core Hierarchy: all four cache
-// levels plus the stream-prefetcher state. Configuration (latencies,
-// frequency) is deliberately excluded — it is design-dependent, while the
-// state captured here depends only on the probe sequence and the cache
-// geometry, which is what lets one snapshot serve every design of a sweep.
-type HierState struct {
-	IL1, DL1, L2, L3 CacheState
-
-	LastDataLine uint64
-	Prefetches   uint64
-}
-
-// State returns a deep copy of the hierarchy's mutable state.
-func (h *Hierarchy) State() *HierState {
-	return &HierState{
-		IL1:          h.il1.State(),
-		DL1:          h.dl1.State(),
-		L2:           h.l2.State(),
-		L3:           h.l3.State(),
-		LastDataLine: h.lastDataLine,
-		Prefetches:   h.Prefetches,
-	}
-}
-
-// SetState restores a snapshot taken by State. Every level is checked for
-// geometry compatibility before any level is mutated, so a mismatch never
-// leaves the hierarchy half-restored.
-func (h *Hierarchy) SetState(s *HierState) error {
-	if s == nil {
-		return errors.New("mem: nil hierarchy snapshot")
-	}
-	levels := []struct {
-		name string
-		dst  *Cache
-		src  *CacheState
-	}{
-		{"IL1", h.il1, &s.IL1},
-		{"DL1", h.dl1, &s.DL1},
-		{"L2", h.l2, &s.L2},
-		{"L3", h.l3, &s.L3},
-	}
-	for _, l := range levels {
-		if err := l.dst.compatible(l.src); err != nil {
-			return fmt.Errorf("mem: %s: %w", l.name, err)
-		}
-	}
-	for _, l := range levels {
-		l.dst.setState(l.src)
-	}
-	h.lastDataLine = s.LastDataLine
-	h.Prefetches = s.Prefetches
-	return nil
-}
-
-// FillLatencies returns the three possible extra latencies an L1 miss can
-// resolve with in this hierarchy: an L2 hit, an L3 hit, and a DRAM fill
-// (each inclusive of the levels above it). Together with the guarantee that
-// fillFromL2 returns exactly one of these values, they let callers classify
-// every miss by fill level — the design-independent form of the warm-phase
-// observations (see uarch.WarmObs).
-func (h *Hierarchy) FillLatencies() (l2, l3, dram int) {
-	return fillLatencies(h.cfg, h.dramCycles)
-}
-
 // DirEntryState is the exported form of a directory entry in an MCState.
 type DirEntryState struct {
 	Sharers uint32
@@ -149,8 +85,8 @@ type DirEntryState struct {
 
 // MCState is a deep snapshot of a Multicore memory system: every private
 // and shared cache, the coherence directory, the per-core prefetcher state
-// and the NoC/coherence counters. Like HierState it carries no
-// configuration, only probe-sequence-dependent state.
+// and the NoC/coherence counters. It carries no configuration, only
+// probe-sequence-dependent state.
 type MCState struct {
 	IL1, DL1, L2 []CacheState
 	L3           CacheState

@@ -39,8 +39,8 @@
 // is exactly what makes "results depend only on (profile, design, seed),
 // never on scheduling order" enforceable. That is also why Order is a pure
 // throughput knob: a caller whose neighbouring cells contend on a shared,
-// single-flighted resource (one profile's trace recording and warm ladder
-// in a Fig6 sweep) spreads them apart, and every output stays identical.
+// single-flighted resource (one profile's probe tapes in a Fig6 sweep)
+// spreads them apart, and every output stays identical.
 package parallel
 
 import (

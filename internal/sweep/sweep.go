@@ -75,19 +75,21 @@ type Env struct {
 	// internal/resultcache.
 	Cache *resultcache.Cache
 
-	// NoTraceCache disables the shared trace-recording cache and
-	// regenerates every instruction stream inside each cell, as the
-	// pipeline behaved before record-once/replay-many. Results are
-	// bit-identical either way; the flag exists for differential
-	// debugging.
+	// NoTraceCache disables the shared trace recordings and probe tapes:
+	// every cell generates its own instruction stream and probes a memory
+	// hierarchy of its own, as the pipeline behaved before
+	// record-once/replay-many. Results are bit-identical either way; the
+	// flag exists for differential debugging, and its cells are the
+	// reference the shared paths are tested against.
 	NoTraceCache bool
 
-	// WarmCache enables the warm-state snapshot cache for sampled cells:
-	// the functional fast-forward of each warm identity is checkpointed
-	// once and every other cell restores it instead of re-warming (see
-	// internal/warm). Results are bit-identical either way. It is ignored
-	// without sampling, and with NoTraceCache (snapshots need
-	// replayer-backed streams).
+	// WarmCache enables the warm-state snapshot cache for sampled
+	// multicore cells: the functional warmup of each multicore identity is
+	// captured once and every other cell restores it instead of re-warming
+	// (see internal/warm). Results are bit-identical either way. It is
+	// ignored without sampling, with NoTraceCache (snapshots need
+	// replayer-backed streams) and by single-core cells, which fast-forward
+	// over their probe tapes.
 	WarmCache bool
 }
 

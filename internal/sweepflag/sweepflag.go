@@ -83,11 +83,11 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 	}
 	if groups&CacheDirs != 0 {
 		fs.StringVar(&f.traceDir, "trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-		fs.StringVar(&f.warmDir, "warm-dir", "", "directory for .m3dwarm warm-state snapshots, reused across runs (created if missing)")
+		fs.StringVar(&f.warmDir, "warm-dir", "", "directory for .m3dwarm multicore warm-state snapshots, reused across runs (created if missing)")
 	}
 	if groups&Caches != 0 {
 		fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
-		fs.BoolVar(&f.warmCache, "warm-cache", true, "checkpoint sampled warm state once per (benchmark, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample)")
+		fs.BoolVar(&f.warmCache, "warm-cache", true, "capture a sampled multicore warmup once per (benchmark, topology, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample or for single-core sweeps)")
 	}
 	if groups&Sample != 0 {
 		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")

@@ -152,7 +152,8 @@ type Core struct {
 	// tape, when set, replaces fwd: fetch reads each trace
 	// instruction's backend fields and recorded probe outcomes from it, and
 	// prices the recorded fill levels with fillLat (0, L2, L3, DRAM extra
-	// cycles). tapeBuf is the window of tape words ahead of fetch.
+	// cycles). tapeBuf is the window of tape words ahead of fetch, from the
+	// tape cursor (Cursor) on.
 	tape    *Tape
 	tapeBuf []uint64
 	tapePos int
@@ -213,23 +214,10 @@ type Core struct {
 	wakeFree  int32
 
 	// ffInstrs counts instructions fast-forwarded past the detailed
-	// pipeline (see sample.go).
+	// pipeline, and obs their functional observables since RunSampled last
+	// drained them (see sample.go).
 	ffInstrs uint64
-
-	// ffHook, when installed via SetFastForward, intercepts FastForward —
-	// the seam the warm-state snapshot cache binds through (internal/warm).
-	ffHook func(n uint64)
-
-	// latL2/latL3/fillsOK and fetchFills/dataFills classify detailed-path
-	// misses by fill level, mirroring WarmObs.FetchFills/DataFills — the
-	// design-independent form of the miss observables a snapshot binding
-	// needs to reprice skipped stretches exactly (see StreamCounters). They
-	// are deliberately kept out of Stats so existing journal records keep
-	// decoding unchanged.
-	latL2, latL3 int
-	fillsOK      bool
-	fetchFills   [3]uint64
-	dataFills    [3]uint64
+	obs      WarmObs
 
 	now   int64
 	Stats Stats
@@ -285,10 +273,9 @@ func NewCoreKernel(id int, cfg config.Config, src trace.Source, backend mem.Back
 	if err != nil {
 		return nil, err
 	}
-	if c.fwd, err = NewFunctionalWarmer(id, cfg, src, backend); err != nil {
+	if c.fwd, err = newFunctionalWarmer(id, cfg, src, backend); err != nil {
 		return nil, err
 	}
-	c.latL2, c.latL3, c.fillsOK = c.fwd.latL2, c.fwd.latL3, c.fwd.fillsOK
 	return c, nil
 }
 
@@ -722,9 +709,6 @@ func (c *Core) fetch() {
 			// Instruction miss: this group's tail is delayed.
 			c.fetchGate = c.now + int64(r.fetchExtra)
 			c.Stats.MemExtraFetch += uint64(r.fetchExtra)
-			if c.fillsOK {
-				c.fetchFills[fillClass(int(r.fetchExtra), c.latL2, c.latL3)]++
-			}
 		}
 		f.readyAt = c.now + c.frontDepth
 		if f.complex {
@@ -769,17 +753,13 @@ func (c *Core) fetch() {
 }
 
 // dataProbe accounts one data-cache probe's extra latency, with the
-// functional warmer's exact MissRuns accounting (see
-// FunctionalWarmer.dataProbe).
+// functional warmer's exact MissRuns accounting (see WarmObs.observe).
 func (c *Core) dataProbe(extra int32) {
 	if extra == 0 {
 		c.dataMissRun = false
 		return
 	}
 	c.Stats.MemExtraData += uint64(extra)
-	if c.fillsOK {
-		c.dataFills[fillClass(int(extra), c.latL2, c.latL3)]++
-	}
 	if !c.dataMissRun {
 		c.Stats.MissRuns++
 		c.dataMissRun = true

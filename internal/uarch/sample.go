@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -24,7 +23,8 @@ import (
 // frontend performs all cache/predictor probes in program order (see
 // Core.fetch), the warmer's probe sequence is bit-identical to detailed
 // execution's — fast-forwarding loses no hierarchy or predictor fidelity
-// at all.
+// at all. A tape-fed core (tape.go) fast-forwards by summing the recorded
+// outcomes of the same stretch, so its runs are bit-identical too.
 //
 // Centring the window matters because cache state is not stationary: the
 // hierarchy keeps warming secularly over millions of instructions, so a
@@ -205,9 +205,6 @@ func (r SampleResult) OracleDeviation() float64 {
 func (c *Core) RunSampled(n uint64, sp SampleParams, onWindow func(begin bool)) (SampleResult, error) {
 	if err := sp.Validate(); err != nil {
 		return SampleResult{}, err
-	}
-	if c.fwd == nil {
-		return SampleResult{}, errors.New("uarch: a tape-fed core cannot run sampled")
 	}
 	res := SampleResult{Streamed: n}
 	var wins []winObs

@@ -9,7 +9,10 @@ package uarch
 // and the outcome of its probes, with fill levels in place of latencies.
 // Any number of cores of any design sharing the geometry then replay it
 // (NewTapeCore) instead of probing their own hierarchy, each pricing the
-// recorded fill levels with its own fill latencies.
+// recorded fill levels with its own fill latencies. The same words serve
+// fast-forwarding: a tape-fed core skips a stretch by moving its cursor
+// and summing the recorded outcomes into the observables sampling
+// regresses on (skipTape), so full and sampled cells share one tape.
 //
 // Words are recorded on demand, like a trace.Recording: a core that reads
 // past the recorded length extends the tape by whole chunks under a mutex,
@@ -141,12 +144,18 @@ func encodeTape(in *trace.Inst, r probeResult, l2, l3 int) uint64 {
 	return w
 }
 
+// Cursor returns how many trace instructions the core has consumed:
+// fetched by the detailed frontend plus fast-forwarded. On a tape-fed core
+// it is the position of the next tape word, and Tape.HierStats(Cursor())
+// holds the counters its hierarchy would.
+func (c *Core) Cursor() uint64 { return c.Stats.Fetched + c.ffInstrs }
+
 // replayProbes is the tape-fed counterpart of the fetch stage's probes: it
-// decodes the next word into the frontend entry's backend fields and
-// returns the recorded outcome priced at this core's fill latencies.
+// decodes the word at the cursor into the frontend entry's backend fields
+// and returns the recorded outcome priced at this core's fill latencies.
 func (c *Core) replayProbes(f *fetched) probeResult {
 	if c.tapePos == len(c.tapeBuf) {
-		c.tapeBuf = c.tape.window(int(c.Stats.Fetched))
+		c.tapeBuf = c.tape.window(int(c.Cursor()))
 		c.tapePos = 0
 	}
 	w := c.tapeBuf[c.tapePos]
@@ -156,6 +165,12 @@ func (c *Core) replayProbes(f *fetched) probeResult {
 	f.src1 = int16(w>>tpSrc1Shift&tpRegMask) - 1
 	f.src2 = int16(w>>tpSrc2Shift&tpRegMask) - 1
 	f.complex = w&tpComplex != 0
+	return c.priced(w)
+}
+
+// priced returns a word's recorded probe outcome at this core's fill
+// latencies.
+func (c *Core) priced(w uint64) probeResult {
 	return probeResult{
 		fetchExtra: c.fillLat[w>>tpFetchShift&3],
 		dataExtra:  c.fillLat[w>>tpDataShift&3],
@@ -163,18 +178,42 @@ func (c *Core) replayProbes(f *fetched) probeResult {
 	}
 }
 
+// skipTape is a tape-fed core's fast-forward: it moves the cursor n words
+// on and returns their observables, the sums an inline core's warmer would
+// have returned over the same stretch — fill levels priced at this core's
+// latencies, the recorded squash triggers, the miss runs continued from
+// the frontend's dataMissRun, and the divide-class count. The fetch window
+// is dropped, so fetch resumes at the new cursor.
+func (c *Core) skipTape(n uint64) WarmObs {
+	var o WarmObs
+	pos := int(c.Cursor())
+	for n > 0 {
+		ws := c.tape.window(pos)
+		ws = ws[:min(uint64(len(ws)), n)]
+		for _, w := range ws {
+			o.observe(trace.Kind(w&tpKindMask), c.priced(w), &c.dataMissRun)
+		}
+		pos += len(ws)
+		n -= uint64(len(ws))
+	}
+	c.tapeBuf, c.tapePos = nil, 0
+	return o
+}
+
 // Tape is the shared probe recording of one instruction stream over one
 // cache, predictor and store-queue geometry. It is safe for concurrent
 // use.
 type Tape struct {
 	// mu serialises extension; w is the builder, a functional warmer
-	// positioned at the recorded length, and last its hierarchy's counters
-	// there. broken is set while a chunk is being recorded, so an
+	// positioned at the recorded length, last its hierarchy's counters
+	// there, and l2, l3 the builder's fill latencies, which classify fill
+	// levels. broken is set while a chunk is being recorded, so an
 	// extension that panicked leaves a tape that refuses to extend instead
 	// of one recording from the wrong position.
 	mu     sync.Mutex
 	w      *FunctionalWarmer
 	last   tapeCounts
+	l2, l3 int
 	broken bool
 
 	snap atomic.Pointer[tapeSnap]
@@ -195,18 +234,19 @@ func (s *tapeSnap) recorded() int { return len(s.chunks) * tapeChunk }
 // Only the geometry matters; cfg's latencies just have to classify fill
 // levels, which every derived configuration's do.
 func NewTape(cfg config.Config, src trace.Source) (*Tape, error) {
+	l2, l3, dram := mem.FillLatenciesOf(cfg)
+	if !classifiable(l2, l3, dram) {
+		return nil, errors.New("uarch: probe tape needs fill-classifiable latencies")
+	}
 	h, err := mem.NewHierarchy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, err := NewFunctionalWarmer(0, cfg, src, h)
+	w, err := newFunctionalWarmer(0, cfg, src, h)
 	if err != nil {
 		return nil, err
 	}
-	if !w.fillsOK {
-		return nil, errors.New("uarch: probe tape needs fill-classifiable latencies")
-	}
-	t := &Tape{w: w}
+	t := &Tape{w: w, l2: l2, l3: l3}
 	t.snap.Store(&tapeSnap{})
 	return t, nil
 }
@@ -249,7 +289,7 @@ func (t *Tape) extend(need int) *tapeSnap {
 			}
 			in := t.w.next()
 			r := t.w.probe(in)
-			words[i] = encodeTape(in, r, t.w.latL2, t.w.latL3)
+			words[i] = encodeTape(in, r, t.l2, t.l3)
 			if r.flags&(probeLine|probeData) != 0 { // otherwise no counter moved
 				cur := countsOf(t.w.hier.Stats())
 				words[i] |= packDeltas(&t.last, &cur)
@@ -265,15 +305,15 @@ func (t *Tape) extend(need int) *tapeSnap {
 }
 
 // HierStats returns the hierarchy counters a live single-core hierarchy
-// would hold after the fetch stage probed the first fetched instructions
-// of the stream: the counters of a tape-fed core whose Stats.Fetched is
-// fetched.
-func (t *Tape) HierStats(fetched uint64) mem.HierStats {
-	if fetched == 0 {
+// would hold after the first n instructions of the stream were probed,
+// whether by fetch or by fast-forward: the counters of a tape-fed core
+// whose Cursor is n.
+func (t *Tape) HierStats(n uint64) mem.HierStats {
+	if n == 0 {
 		return mem.HierStats{}
 	}
 	s := t.snap.Load()
-	f := int(fetched)
+	f := int(n)
 	if f > s.recorded() {
 		panic(fmt.Sprintf("uarch: probe tape asked for %d instructions, %d recorded", f, s.recorded()))
 	}
@@ -291,10 +331,11 @@ func (t *Tape) HierStats(fetched uint64) mem.HierStats {
 // NewTapeCore builds a single-core simulator that replays t instead of
 // probing a memory hierarchy. t must have been recorded over cfg's cache,
 // predictor and store-queue geometry; cfg's own fill latencies price the
-// recorded fill levels, so the core's Stats are bit-identical to an
-// inline core's over the same stream, and t.HierStats(Stats.Fetched) to
-// its hierarchy's counters. A configuration whose fill latencies cannot
-// be told apart is refused.
+// recorded fill levels, so the core's Stats — and, for sampled runs, its
+// fast-forward observables and SampleResult — are bit-identical to an
+// inline core's over the same stream, and t.HierStats(Cursor()) to its
+// hierarchy's counters. A configuration whose fill latencies cannot be
+// told apart is refused.
 func NewTapeCore(cfg config.Config, t *Tape, k Kernel) (*Core, error) {
 	if t == nil {
 		return nil, errors.New("uarch: nil probe tape")
@@ -309,6 +350,5 @@ func NewTapeCore(cfg config.Config, t *Tape, k Kernel) (*Core, error) {
 	}
 	c.tape = t
 	c.fillLat = [4]int32{0, int32(l2), int32(l3), int32(dram)}
-	c.latL2, c.latL3, c.fillsOK = l2, l3, true
 	return c, nil
 }

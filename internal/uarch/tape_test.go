@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"reflect"
 	"testing"
 
 	"vertical3d/internal/config"
@@ -59,8 +60,8 @@ func TestTapeCoreMatchesInline(t *testing.T) {
 }
 
 // TestTapeRefusals covers the cases a tape cannot serve: a core without a
-// tape, fill latencies that cannot be told apart, and a tape-fed core
-// asked to fast-forward or run sampled.
+// tape, fill latencies that cannot be told apart, and warm-state capture
+// or restore on a tape-fed core, which has no functional state.
 func TestTapeRefusals(t *testing.T) {
 	s := suite(t)
 	cfg := s.Configs[config.Base]
@@ -87,13 +88,66 @@ func TestTapeRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunSampled(10_000, DefaultSampleParams(), nil); err == nil {
-		t.Error("a tape-fed core ran sampled")
+	if _, err := c.SnapshotWarm(); err == nil {
+		t.Error("a tape-fed core captured warm state")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("a tape-fed core fast-forwarded")
+	if err := c.RestoreWarm(&CoreWarmState{}); err == nil {
+		t.Error("a tape-fed core restored warm state")
+	}
+}
+
+// TestTapeCoreSampledMatchesInline is the sampled form of the oracle: on
+// both kernels, a tape-fed M3D-Het core's functional warmup and
+// RunSampled — fast-forwards summed from tape words — must return the
+// SampleResult and end in the Stats of an inline core that warms its own
+// hierarchy, and the tape's counters read around each measured window must
+// equal the live hierarchy's.
+func TestTapeCoreSampledMatchesInline(t *testing.T) {
+	s := suite(t)
+	cfg := s.Configs[config.M3DHet]
+	sp := SampleParams{Interval: 20_000, Warmup: 500, Unit: 2_000}
+	for _, bench := range []string{"Mcf", "Gobmk", "Hmmer", "Lbm"} {
+		prof, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c.FastForward(100)
+		for _, k := range []Kernel{KernelEvent, KernelReference} {
+			h, err := mem.NewHierarchy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline, err := NewCoreKernel(0, cfg, trace.NewGenerator(prof, 5, 0), h, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp, err := NewTape(s.Configs[config.Base], trace.NewGenerator(prof, 5, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			taped, err := NewTapeCore(cfg, tp, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(c *Core, hier func() mem.HierStats) (SampleResult, []mem.HierStats) {
+				c.FastForward(10_000)
+				var wins []mem.HierStats
+				res, err := c.RunSampled(120_000, sp, func(bool) { wins = append(wins, hier()) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, wins
+			}
+			want, wantWins := run(inline, h.Stats)
+			got, gotWins := run(taped, func() mem.HierStats { return tp.HierStats(taped.Cursor()) })
+			if got != want || taped.Stats != inline.Stats {
+				t.Errorf("%s %v: tape-fed sampled run diverges:\ninline %+v\ntape   %+v", bench, k, want, got)
+			}
+			if !reflect.DeepEqual(gotWins, wantWins) {
+				t.Errorf("%s %v: tape window HierStats diverge from the live hierarchy's", bench, k)
+			}
+			if got.Windows == 0 || got.FastForwarded == 0 {
+				t.Errorf("%s %v: vacuous sampled run %+v", bench, k, got)
+			}
+		}
+	}
 }

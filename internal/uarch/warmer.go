@@ -69,19 +69,6 @@ type FunctionalWarmer struct {
 	// Stats.MissRuns accounting across the functional boundary.
 	dataMissRun bool
 
-	// latL2/latL3 are the hierarchy's L2-hit and L3-hit fill latencies,
-	// used to classify each miss's returned extra cycles into its fill
-	// level (see WarmObs.FetchFills). fillsOK gates the classification: it
-	// requires the three fill latencies to be positive and distinct, which
-	// every derived configuration satisfies.
-	latL2, latL3 int
-	fillsOK      bool
-
-	// obs accumulates the functional observables of the instructions warmed
-	// since the last TakeObs — the control variates the sampled-simulation
-	// estimator regresses window cycles against (see sample.go).
-	obs WarmObs
-
 	buf []trace.Inst
 	pos int
 }
@@ -116,17 +103,6 @@ type WarmObs struct {
 	// LongOps counts divide-class instructions, whose multi-cycle latency
 	// is the remaining large CPI contributor.
 	LongOps uint64
-
-	// FetchFills and DataFills break the misses behind ExtraFetch/ExtraData
-	// down by fill level: index 0 = filled from L2, 1 = from L3, 2 = from
-	// DRAM. Unlike the extra-cycle SUMS — whose per-miss prices depend on a
-	// design's latencies — the per-level counts depend only on the probe
-	// sequence and the cache geometry, so a warm-state snapshot can share
-	// them across every design of a sweep and each cell reconstructs its own
-	// exact sums from its own fill prices (see internal/warm). They are not
-	// part of the estimator's regressor vector (warmObsVec is unchanged).
-	FetchFills [3]uint64
-	DataFills  [3]uint64
 }
 
 // Add returns the field-wise sum of two observation sets.
@@ -137,35 +113,41 @@ func (o WarmObs) Add(p WarmObs) WarmObs {
 	o.Mispredicts += p.Mispredicts
 	o.MissRuns += p.MissRuns
 	o.LongOps += p.LongOps
-	for i := range o.FetchFills {
-		o.FetchFills[i] += p.FetchFills[i]
-		o.DataFills[i] += p.DataFills[i]
-	}
 	return o
 }
 
-// Sub returns the field-wise difference o − p. It is meaningful only when p
-// is an earlier reading of the same cumulative counters (a stream prefix of
-// o), which is how the snapshot layer turns two absolute checkpoints into
-// the observables of the stretch between them.
-func (o WarmObs) Sub(p WarmObs) WarmObs {
-	o.Instrs -= p.Instrs
-	o.ExtraFetch -= p.ExtraFetch
-	o.ExtraData -= p.ExtraData
-	o.Mispredicts -= p.Mispredicts
-	o.MissRuns -= p.MissRuns
-	o.LongOps -= p.LongOps
-	for i := range o.FetchFills {
-		o.FetchFills[i] -= p.FetchFills[i]
-		o.DataFills[i] -= p.DataFills[i]
+// observe accounts one instruction's probe outcome, with the detailed
+// fetch stage's exact accounting: both squash triggers of a branch count,
+// and a data probe extends or ends the current miss run (missRun, the
+// Stats.MissRuns state) while a forwarded load is transparent to it.
+func (o *WarmObs) observe(k trace.Kind, r probeResult, missRun *bool) {
+	o.Instrs++
+	o.ExtraFetch += uint64(r.fetchExtra)
+	if r.flags&probeMispred != 0 {
+		o.Mispredicts++
 	}
-	return o
+	if r.flags&probeBTBMiss != 0 {
+		o.Mispredicts++
+	}
+	if r.flags&probeData != 0 {
+		if r.dataExtra > 0 {
+			o.ExtraData += uint64(r.dataExtra)
+			if !*missRun {
+				o.MissRuns++
+				*missRun = true
+			}
+		} else {
+			*missRun = false
+		}
+	}
+	if k == trace.Div || k == trace.FPDiv {
+		o.LongOps++
+	}
 }
 
 // fillClass maps a positive extra fill latency onto its level index:
-// 0 = L2 hit, 1 = L3 hit, 2 = DRAM fill. The hierarchy guarantees every
-// miss resolves with exactly one of the three FillLatencies values, so two
-// comparisons decide.
+// 0 = L2 hit, 1 = L3 hit, 2 = DRAM fill. Every miss resolves with exactly
+// one of the three mem.FillLatenciesOf values, so two comparisons decide.
 func fillClass(extra, l2, l3 int) int {
 	switch extra {
 	case l2:
@@ -177,19 +159,10 @@ func fillClass(extra, l2, l3 int) int {
 	}
 }
 
-// TakeObs returns the observables accumulated since the previous call and
-// resets the accumulator.
-func (w *FunctionalWarmer) TakeObs() WarmObs {
-	o := w.obs
-	w.obs = WarmObs{}
-	return o
-}
-
-// NewFunctionalWarmer builds a warmer over the given stream and backend.
+// newFunctionalWarmer builds a warmer over the given stream and backend.
 // Every inline core owns one (NewCoreKernel), which probes for its fetch
-// stage and fast-forwards it; a standalone warmer builds warm ladders and
-// probe tapes, or warms a hierarchy before any core is built.
-func NewFunctionalWarmer(id int, cfg config.Config, src trace.Source, backend mem.Backend) (*FunctionalWarmer, error) {
+// stage and fast-forwards it; a standalone one records a probe tape.
+func newFunctionalWarmer(id int, cfg config.Config, src trace.Source, backend mem.Backend) (*FunctionalWarmer, error) {
 	if src == nil || backend == nil {
 		return nil, errors.New("uarch: nil instruction source or memory backend")
 	}
@@ -204,10 +177,6 @@ func NewFunctionalWarmer(id int, cfg config.Config, src trace.Source, backend me
 		lineMask: ^uint64(uint64(p.IL1.LineBytes) - 1),
 		stAddrs:  make([]uint64, p.SQSize),
 		buf:      make([]trace.Inst, 0, max(8*p.FetchWidth, 64)),
-	}
-	if hier != nil {
-		e2, e3, ed := hier.FillLatencies()
-		w.latL2, w.latL3, w.fillsOK = e2, e3, classifiable(e2, e3, ed)
 	}
 	// Sentinel-fill the store ring: a zero entry would spuriously match a
 	// load in the first data page, while the sentinel never equals an
@@ -262,37 +231,36 @@ func (w *FunctionalWarmer) stPush(la uint64) {
 	w.stHead = (w.stHead + 1) % len(w.stAddrs)
 }
 
-// Warm advances the stream by n instructions, updating caches and the
-// predictor. Instructions already buffered (shared with the detailed
-// frontend) are consumed first; past them, a replayer-backed warmer reads
-// the recording's packed lanes directly instead of decoding Inst structs —
-// the fast path of every fast-forward phase in a sweep, where cells replay
-// shared recordings.
-func (w *FunctionalWarmer) Warm(n uint64) {
+// warm advances the stream by n instructions, updating caches and the
+// predictor, and returns the stretch's observables. Instructions already
+// buffered (shared with the detailed frontend) are consumed first; past
+// them, a replayer-backed warmer reads the recording's packed lanes
+// directly instead of decoding Inst structs.
+func (w *FunctionalWarmer) warm(n uint64) WarmObs {
+	var o WarmObs
 	for n > 0 && w.pos < len(w.buf) {
-		w.step()
+		w.step(&o)
 		n--
 	}
 	if rp, ok := w.src.(*trace.Replayer); ok && n > 0 {
-		w.warmLanes(rp, n)
-		return
+		w.warmLanes(rp, n, &o)
+		return o
 	}
 	for ; n > 0; n-- {
-		w.step()
+		w.step(&o)
 	}
+	return o
 }
 
 // warmLanes fast-forwards n instructions straight from a replayer's packed
-// lanes. The logic is step's exactly — same probe order, same observable
-// accounting — restated over lane slices with the counters kept in locals,
-// so the per-instruction cost is a few lane reads instead of a 40-byte
-// struct decode plus accumulator stores.
-func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
+// lanes, adding their observables to o. The logic is step's exactly —
+// same probe order, same observable accounting — restated over lane slices
+// with the counters kept in locals, so the per-instruction cost is a few
+// lane reads instead of a 40-byte struct decode plus accumulator stores.
+func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64, o *WarmObs) {
 	var xf, xd, mp, lo, runs uint64
-	var ff, df [3]uint64
 	curLine, missRun := w.curLine, w.dataMissRun
-	fills, e2, e3 := w.fillsOK, w.latL2, w.latL3
-	w.obs.Instrs += n
+	o.Instrs += n
 	for n > 0 {
 		pc, addr, target, meta := rp.View(int(min(n, 4096)))
 		k := len(pc) // the window may end early, at a chunk boundary
@@ -300,12 +268,7 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 		for i := range pc {
 			if line := pc[i] & w.lineMask; line != curLine {
 				curLine = line
-				if extra := w.fetchExtra(pc[i]); extra > 0 {
-					xf += uint64(extra)
-					if fills {
-						ff[fillClass(extra, e2, e3)]++
-					}
-				}
+				xf += uint64(w.fetchExtra(pc[i]))
 			}
 			switch trace.MetaKind(meta[i]) {
 			case trace.Branch:
@@ -322,9 +285,6 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 				if !w.wouldForward(addr[i] &^ 7) {
 					if extra := w.dataExtra(addr[i], false); extra > 0 {
 						xd += uint64(extra)
-						if fills {
-							df[fillClass(extra, e2, e3)]++
-						}
 						if !missRun {
 							runs++
 							missRun = true
@@ -337,9 +297,6 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 				w.stPush(addr[i] &^ 7)
 				if extra := w.dataExtra(addr[i], true); extra > 0 {
 					xd += uint64(extra)
-					if fills {
-						df[fillClass(extra, e2, e3)]++
-					}
 					if !missRun {
 						runs++
 						missRun = true
@@ -355,15 +312,11 @@ func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64) {
 		n -= uint64(k)
 	}
 	w.curLine, w.dataMissRun = curLine, missRun
-	w.obs.ExtraFetch += xf
-	w.obs.ExtraData += xd
-	w.obs.Mispredicts += mp
-	w.obs.LongOps += lo
-	w.obs.MissRuns += runs
-	for i := range ff {
-		w.obs.FetchFills[i] += ff[i]
-		w.obs.DataFills[i] += df[i]
-	}
+	o.ExtraFetch += xf
+	o.ExtraData += xd
+	o.Mispredicts += mp
+	o.LongOps += lo
+	o.MissRuns += runs
 }
 
 // next returns the stream's next instruction, refilling the prefill
@@ -447,29 +400,11 @@ func (w *FunctionalWarmer) probe(in *trace.Inst) (r probeResult) {
 	return r
 }
 
-// step processes one instruction functionally.
-func (w *FunctionalWarmer) step() {
+// step processes one instruction functionally, adding its observables to
+// o.
+func (w *FunctionalWarmer) step(o *WarmObs) {
 	in := w.next()
-	r := w.probe(in)
-	w.obs.Instrs++
-	if r.fetchExtra > 0 {
-		w.obs.ExtraFetch += uint64(r.fetchExtra)
-		if w.fillsOK {
-			w.obs.FetchFills[fillClass(int(r.fetchExtra), w.latL2, w.latL3)]++
-		}
-	}
-	if r.flags&probeMispred != 0 {
-		w.obs.Mispredicts++
-	}
-	if r.flags&probeBTBMiss != 0 {
-		w.obs.Mispredicts++
-	}
-	if r.flags&probeData != 0 {
-		w.dataProbe(int(r.dataExtra))
-	}
-	if in.Kind == trace.Div || in.Kind == trace.FPDiv {
-		w.obs.LongOps++
-	}
+	o.observe(in.Kind, w.probe(in), &w.dataMissRun)
 }
 
 // fetchExtra and dataExtra route hierarchy probes through the concrete
@@ -488,74 +423,35 @@ func (w *FunctionalWarmer) dataExtra(addr uint64, write bool) int {
 	return w.mem.DataExtra(w.id, addr, write)
 }
 
-// dataProbe records a data-cache probe result with the detailed fetch
-// stage's exact MissRuns accounting.
-func (w *FunctionalWarmer) dataProbe(extra int) {
-	if extra > 0 {
-		w.obs.ExtraData += uint64(extra)
-		if w.fillsOK {
-			w.obs.DataFills[fillClass(extra, w.latL2, w.latL3)]++
-		}
-		if !w.dataMissRun {
-			w.obs.MissRuns++
-			w.dataMissRun = true
-		}
+// FastForward advances the core's instruction stream by n instructions
+// without the out-of-order backend and accumulates their functional
+// observables for RunSampled. In-flight instructions (ROB, frontend queue)
+// are discarded first — their stream positions were already consumed by
+// fetch — and the pipeline restarts empty when detailed simulation
+// resumes; committed counts in Stats are unaffected. An inline core warms
+// its caches and predictor through its functional warmer, continuing the
+// stream where the detailed frontend stopped; a tape-fed core moves its
+// tape cursor and sums the recorded outcomes (see skipTape). This is the
+// fast-forward phase of sampled simulation and the cheap warmup path of
+// multicore runs.
+func (c *Core) FastForward(n uint64) {
+	c.resetPipeline()
+	if c.tape != nil {
+		c.obs = c.obs.Add(c.skipTape(n))
 	} else {
-		w.dataMissRun = false
+		c.fwd.dataMissRun = c.dataMissRun
+		c.obs = c.obs.Add(c.fwd.warm(n))
+		c.dataMissRun = c.fwd.dataMissRun
 	}
-}
-
-// warmer returns the core's functional warmer — the holder of its
-// stream position, predictor, store ring and fetch-line register — with
-// the data miss-run flag handed over, so fast-forwarded instructions come
-// from exactly where the detailed frontend stopped and the stream state
-// carries over in both directions. A tape-fed core has no warmer: its
-// probes were made when the tape was recorded.
-func (c *Core) warmer() *FunctionalWarmer {
-	if c.fwd == nil {
-		panic("uarch: a tape-fed core cannot fast-forward")
-	}
-	c.fwd.dataMissRun = c.dataMissRun
-	return c.fwd
+	c.ffInstrs += n
 }
 
 // takeWarmObs drains the functional observables accumulated by FastForward
-// since the previous call (zero if the core never fast-forwarded).
+// since the previous call.
 func (c *Core) takeWarmObs() WarmObs {
-	if c.fwd == nil {
-		return WarmObs{}
-	}
-	return c.fwd.TakeObs()
-}
-
-// FastForward functionally advances the core's instruction stream by n
-// instructions, updating only the memory hierarchy and the branch
-// predictor. In-flight instructions (ROB, frontend queue) are discarded
-// first — their stream positions were already consumed by fetch — and the
-// pipeline restarts empty when detailed simulation resumes; committed
-// counts in Stats are unaffected. This is the fast-forward phase of
-// sampled simulation and the cheap warmup path of multicore runs. When a
-// snapshot binding is installed (SetFastForward), the call routes through
-// it so eligible fast-forwards restore a cached checkpoint instead of
-// re-warming the stretch instruction by instruction.
-func (c *Core) FastForward(n uint64) {
-	if c.ffHook != nil {
-		c.ffHook(n)
-		return
-	}
-	c.FastForwardLocal(n)
-}
-
-// FastForwardLocal is the plain warming path of FastForward: it always
-// advances by functionally warming the core's own state and never consults
-// the snapshot cache. Snapshot bindings call it for the residual stretch
-// between a restored checkpoint and the requested position.
-func (c *Core) FastForwardLocal(n uint64) {
-	c.resetPipeline()
-	w := c.warmer()
-	w.Warm(n)
-	c.dataMissRun = w.dataMissRun
-	c.ffInstrs += n
+	o := c.obs
+	c.obs = WarmObs{}
+	return o
 }
 
 // resetPipeline discards all in-flight pipeline state — ROB, frontend

@@ -5,19 +5,18 @@ import (
 	"fmt"
 	"math"
 
-	"vertical3d/internal/mem"
 	"vertical3d/internal/trace"
 )
 
-// This file is the uarch half of the warm-state snapshot layer (the cache
-// and on-disk format live in internal/warm). A snapshot captures everything
-// the fast-forward phase of sampled simulation computes — cache lanes,
-// predictor tables, the store-forwarding ring, the fetch-line register and
-// the miss-run flag — at a known stream position, so a sweep warms each
-// (profile, seed, stream, geometry) identity once and every other cell
-// restores instead of re-simulating. All snapshot state is deep-copied on
-// capture and on restore: concurrently running cells never alias a shared
-// snapshot's slices.
+// This file is the uarch half of the multicore warm-state snapshot (the
+// cache, the memory half and the on-disk format live in internal/warm and
+// internal/mem). A core's part of a snapshot captures what its functional
+// warmup computes outside the memory system — predictor tables, the
+// store-forwarding ring, the fetch-line register and the miss-run flag — at
+// a known stream position, so a sweep warms each multicore identity once
+// and every other cell restores instead of re-simulating. All snapshot
+// state is deep-copied on capture and on restore: concurrently running
+// cells never alias a shared snapshot's slices.
 
 // PredictorState is a deep copy of a Predictor's trainable state. The
 // derived index masks and way counts are excluded — they are geometry, and
@@ -75,7 +74,7 @@ func (p *Predictor) applyState(s *PredictorState) {
 }
 
 // CoreWarmState is the functional, stream-position-dependent state of one
-// core outside the memory hierarchy: predictor tables, the store-forwarding
+// core outside the memory system: predictor tables, the store-forwarding
 // ring and its counting filter, the current fetch line and the data
 // miss-run flag, plus the stream position it was captured at. It carries no
 // timing state (clock, Stats, fetch gate) — those are cell-local and evolve
@@ -93,18 +92,6 @@ type CoreWarmState struct {
 	DataMissRun bool
 }
 
-// WarmState pairs a core's functional state with its single-core memory
-// hierarchy — the full content of one fast-forward checkpoint.
-type WarmState struct {
-	Core CoreWarmState
-	Mem  *mem.HierState
-}
-
-// FillsSupported reports whether this warmer classifies misses by fill
-// level — a ladder builder without it could not serve design-independent
-// fill counts and is rejected at construction (see internal/warm).
-func (w *FunctionalWarmer) FillsSupported() bool { return w.fillsOK }
-
 // streamPos returns the warmer's logical stream position — the number of
 // trace instructions consumed, exclusive of batched-ahead buffer entries,
 // which belong to the stream's future — when the source is a replayer.
@@ -117,102 +104,88 @@ func (w *FunctionalWarmer) streamPos() (pos uint64, ok bool) {
 	return uint64(rp.Pos() - (len(w.buf) - w.pos)), true
 }
 
-// Snapshot captures the warmer's functional state at its current logical
-// stream position: predictor, store ring, fetch line and miss-run flag,
-// plus the memory hierarchy when the warmer probes a single-core one (a
-// multicore backend is captured separately, once for all its cores). It
-// requires a replayer-backed stream, so the position can be restored.
-func (w *FunctionalWarmer) Snapshot() (*WarmState, error) {
-	pos, ok := w.streamPos()
-	if !ok {
-		return nil, errors.New("uarch: warm snapshot requires a replayer-backed stream")
+// warmCapable returns the core's warmer and its replayer when the core's
+// warm state can be captured and restored: an inline core over a
+// replayer-backed stream (so the position can be restored) whose memory is
+// a shared backend captured separately. A core probing a single-core
+// hierarchy of its own keeps cache state no CoreWarmState carries, and a
+// tape-fed core has no functional state at all.
+func (c *Core) warmCapable() (*FunctionalWarmer, *trace.Replayer, error) {
+	w := c.fwd
+	if w == nil {
+		return nil, nil, errors.New("uarch: a tape-fed core has no warm state")
 	}
-	s := &WarmState{Core: CoreWarmState{
+	if w.hier != nil {
+		return nil, nil, errors.New("uarch: a core with a single-core hierarchy of its own has no separable warm state")
+	}
+	rp, ok := w.src.(*trace.Replayer)
+	if !ok {
+		return nil, nil, errors.New("uarch: warm state requires a replayer-backed stream")
+	}
+	return w, rp, nil
+}
+
+// SnapshotWarm captures the core's functional state at its current logical
+// stream position, handing the detailed frontend's miss-run flag over
+// first. See warmCapable for the cores that have one.
+func (c *Core) SnapshotWarm() (CoreWarmState, error) {
+	w, _, err := c.warmCapable()
+	if err != nil {
+		return CoreWarmState{}, err
+	}
+	pos, _ := w.streamPos()
+	return CoreWarmState{
 		Pos:         pos,
 		Pred:        w.pred.State(),
 		StoreAddrs:  append([]uint64(nil), w.stAddrs...),
 		StoreHead:   w.stHead,
 		StoreCounts: w.stCounts,
 		CurLine:     w.curLine,
-		DataMissRun: w.dataMissRun,
-	}}
-	if w.hier != nil {
-		s.Mem = w.hier.State()
-	}
-	return s, nil
+		DataMissRun: c.dataMissRun,
+	}, nil
 }
 
-// Restore replaces the warmer's functional state with a snapshot taken by
-// Snapshot and repositions the replayer at the snapshot's stream position.
-// Every part is validated before anything is mutated: the stream must be a
-// replayer, the snapshot must carry a hierarchy exactly when the warmer has
-// one, its position must be seekable, and the store ring, predictor and
-// cache geometries must match. The
-// snapshot is copied in (copy-on-restore) and never retained.
-func (w *FunctionalWarmer) Restore(s *WarmState) error {
-	rp, ok := w.src.(*trace.Replayer)
-	if !ok {
-		return errors.New("uarch: warm restore requires a replayer-backed stream")
-	}
-	if (s.Mem != nil) != (w.hier != nil) {
-		return fmt.Errorf("uarch: snapshot carries a hierarchy (%t) but the warmer probes one (%t)",
-			s.Mem != nil, w.hier != nil)
-	}
-	cs := &s.Core
-	if cs.Pos > math.MaxInt {
-		return fmt.Errorf("uarch: snapshot stream position %d is out of range", cs.Pos)
-	}
-	if len(cs.StoreAddrs) != len(w.stAddrs) || cs.StoreHead < 0 || cs.StoreHead >= len(w.stAddrs) {
-		return fmt.Errorf("uarch: snapshot store ring (size %d, head %d) does not match size %d",
-			len(cs.StoreAddrs), cs.StoreHead, len(w.stAddrs))
-	}
-	if err := w.pred.compatibleState(&cs.Pred); err != nil {
+// CheckWarm reports why RestoreWarm would refuse s, without touching the
+// core: a core without warm state (warmCapable), a position the replayer
+// cannot seek to, or a store ring or predictor of another geometry. A
+// caller restoring several parts validates them all before it mutates any.
+func (c *Core) CheckWarm(s *CoreWarmState) error {
+	w, _, err := c.warmCapable()
+	if err != nil {
 		return err
 	}
-	if w.hier != nil {
-		// SetState validates every level before it mutates any, and it is
-		// the last check: nothing below can fail.
-		if err := w.hier.SetState(s.Mem); err != nil {
-			return err
-		}
+	if s.Pos > math.MaxInt {
+		return fmt.Errorf("uarch: snapshot stream position %d is out of range", s.Pos)
 	}
-	w.pred.applyState(&cs.Pred)
-	copy(w.stAddrs, cs.StoreAddrs)
-	w.stHead = cs.StoreHead
-	w.stCounts = cs.StoreCounts
-	w.curLine = cs.CurLine
-	w.dataMissRun = cs.DataMissRun
+	if len(s.StoreAddrs) != len(w.stAddrs) || s.StoreHead < 0 || s.StoreHead >= len(w.stAddrs) {
+		return fmt.Errorf("uarch: snapshot store ring (size %d, head %d) does not match size %d",
+			len(s.StoreAddrs), s.StoreHead, len(w.stAddrs))
+	}
+	return w.pred.compatibleState(&s.Pred)
+}
+
+// RestoreWarm restores a snapshot taken by SnapshotWarm, repositions the
+// replayer at its stream position and discards in-flight pipeline state.
+// On success the core stands at the snapshot's stream position with an
+// empty pipeline, exactly as if it had fast-forwarded there itself; timing
+// state — clock, Stats, fetch gate — is preserved, as a plain FastForward
+// would preserve it. The snapshot is copied in and never retained, and a
+// refused one (CheckWarm) leaves the core untouched.
+func (c *Core) RestoreWarm(s *CoreWarmState) error {
+	if err := c.CheckWarm(s); err != nil {
+		return err
+	}
+	w, rp, _ := c.warmCapable()
+	w.pred.applyState(&s.Pred)
+	copy(w.stAddrs, s.StoreAddrs)
+	w.stHead = s.StoreHead
+	w.stCounts = s.StoreCounts
+	w.curLine = s.CurLine
 	w.buf = w.buf[:0]
 	w.pos = 0
-	rp.Seek(int(cs.Pos))
-	return nil
-}
-
-// SnapshotWarm captures the core's functional state (Snapshot) at its
-// current stream position, handing the detailed frontend's miss-run flag
-// to the warmer first. A tape-fed core has no functional state to capture.
-func (c *Core) SnapshotWarm() (*WarmState, error) {
-	if c.fwd == nil {
-		return nil, errors.New("uarch: a tape-fed core has no warm state")
-	}
-	return c.warmer().Snapshot()
-}
-
-// RestoreWarm restores a snapshot into this core (Restore) and discards
-// in-flight pipeline state. On success the core stands at the snapshot's
-// stream position with an empty pipeline, exactly as if it had
-// fast-forwarded there itself; timing state — clock, Stats, fetch gate —
-// is preserved, as a plain FastForward would preserve it. A refused
-// snapshot leaves the core untouched.
-func (c *Core) RestoreWarm(s *WarmState) error {
-	if c.fwd == nil {
-		return errors.New("uarch: a tape-fed core has no warm state")
-	}
-	if err := c.fwd.Restore(s); err != nil {
-		return err
-	}
+	rp.Seek(int(s.Pos))
 	c.resetPipeline()
-	c.dataMissRun = c.fwd.dataMissRun
+	c.dataMissRun = s.DataMissRun
 	return nil
 }
 
@@ -225,63 +198,4 @@ func (c *Core) StreamPos() (pos uint64, ok bool) {
 		return 0, false
 	}
 	return c.fwd.streamPos()
-}
-
-// StreamCounters returns the cumulative functional observables of every
-// trace instruction the DETAILED frontend has probed since construction, in
-// WarmObs form. Because all hierarchy/predictor/forwarding probes happen in
-// fetch exactly once per trace instruction, deltas of this value are the
-// exact functional observables of any detailed stretch — how a snapshot
-// binding accounts for the gaps between fast-forward calls. Wrong-path and
-// squash-discarded instructions are included (Fetched counts them), which
-// is precisely the probe population the warmer mirrors.
-func (c *Core) StreamCounters() WarmObs {
-	return WarmObs{
-		Instrs:      c.Stats.Fetched,
-		ExtraFetch:  c.Stats.MemExtraFetch,
-		ExtraData:   c.Stats.MemExtraData,
-		Mispredicts: c.Stats.PredSquashes,
-		MissRuns:    c.Stats.MissRuns,
-		LongOps:     c.Stats.KindCount[trace.Div] + c.Stats.KindCount[trace.FPDiv],
-		FetchFills:  c.fetchFills,
-		DataFills:   c.dataFills,
-	}
-}
-
-// PeekWarmObs returns the warm observables accumulated since the last
-// drain (RunSampled's takeWarmObs) without draining them.
-func (c *Core) PeekWarmObs() WarmObs {
-	if c.fwd == nil {
-		return WarmObs{}
-	}
-	return c.fwd.obs
-}
-
-// AddWarmObs credits externally reconstructed fast-forward observables to
-// the accumulator RunSampled drains — how a snapshot binding accounts for
-// a stretch it restored past instead of warming.
-func (c *Core) AddWarmObs(o WarmObs) {
-	w := c.warmer()
-	w.obs = w.obs.Add(o)
-}
-
-// SetFastForward installs a hook that intercepts FastForward; nil
-// uninstalls it. The hook is responsible for advancing the stream by n
-// instructions — typically by restoring a snapshot for a prefix and calling
-// FastForwardLocal for the remainder (see internal/warm).
-func (c *Core) SetFastForward(hook func(n uint64)) {
-	c.ffHook = hook
-}
-
-// FillLatencies returns this design's three per-level fill prices (extra
-// cycles for an L2 hit, an L3 hit, and a DRAM fill) when classification is
-// supported. A snapshot binding prices the design-independent fill counts
-// of a skipped stretch with these values to reconstruct the exact
-// ExtraFetch/ExtraData sums this cell's own warming would have produced.
-func (c *Core) FillLatencies() (l2, l3, dram int, ok bool) {
-	if c.fwd == nil || !c.fwd.fillsOK {
-		return 0, 0, 0, false
-	}
-	l2, l3, dram = c.fwd.hier.FillLatencies()
-	return l2, l3, dram, true
 }

@@ -1,24 +1,25 @@
-// .m3dwarm snapshot files persist warm-state checkpoints across runs
-// (-warm-dir in coresim/mcsim/m3dcli). The format mirrors the trace and
+// .m3dwarm snapshot files persist multicore warmup snapshots across runs
+// (-warm-dir in mcsim/m3dcli/m3dd). The format mirrors the trace and
 // journal layers' framing discipline:
 //
 //	offset  size  field
-//	0       8     magic "M3DWARM2"
+//	0       8     magic "M3DWARM3"
 //	8       4     header length H (little-endian uint32)
-//	12      H     JSON header {Kind, Pos, Cum, Ladder|MC identity}
+//	12      H     JSON header {Pos, MC identity}
 //	12+H    P     gob-encoded state payload
 //	12+H+P  4     CRC32 (IEEE) of bytes 8..12+H+P (little-endian uint32)
 //
 // The JSON header carries the full snapshot identity so the loader can
 // reject a file whose name collides but whose identity differs; the
 // trailing checksum covers the header length, the header and every payload
-// byte, so a bit flip anywhere past the magic — a digit of a Cum counter
-// included — makes the loader reject the file (ErrCorrupt) instead of
-// restoring garbage into a sweep. Rejected files are quarantined (renamed
-// aside) and the checkpoint is rebuilt from the trace — snapshots are pure
-// functions of their identity, so nothing is lost. Version 1 files, whose
-// checksum left the header out, fail the magic and are rebuilt the same
-// way.
+// byte, so a bit flip anywhere past the magic — a digit of the header's
+// position included — makes the loader reject the file (ErrCorrupt)
+// instead of restoring garbage into a sweep. Rejected files are
+// quarantined (renamed aside) and the snapshot is rebuilt from the trace —
+// snapshots are pure functions of their identity, so nothing is lost.
+// Files of earlier versions (version 1, whose checksum left the header
+// out, and version 2, which also held single-core ladder rungs) fail the
+// magic and are rebuilt the same way.
 //
 // All file access goes through the internal/fsio seam (SetFS), so chaos
 // tests inject storage faults underneath unmodified production code.
@@ -39,10 +40,9 @@ import (
 	"path/filepath"
 
 	"vertical3d/internal/fsio"
-	"vertical3d/internal/uarch"
 )
 
-const fileMagic = "M3DWARM2"
+const fileMagic = "M3DWARM3"
 
 // ErrCorrupt tags snapshot files rejected by the checksum (or any
 // other structural damage past the magic). Callers that see it quarantine
@@ -57,37 +57,18 @@ var seam fsio.Seam
 // Package-level because the snapshot cache is process-global.
 func SetFS(fs fsio.FS) { seam.Set(fs) }
 
-// Snapshot kinds stored in the file header.
-const (
-	kindLadder = "ladder"
-	kindMC     = "mc"
-)
-
-// fileHeader is the JSON header of a snapshot file. Exactly one of Ladder
-// and MC is set, matching Kind; Pos is the absolute stream position the
-// state was captured at (per-core for MC snapshots) and Cum the
-// design-independent observables accumulated from position zero.
+// fileHeader is the JSON header of a snapshot file: the identity of the
+// multicore warmup it holds and Pos, the per-core stream position every
+// core's state was captured at (the identity's Warmup).
 type fileHeader struct {
-	Kind   string
-	Pos    uint64
-	Cum    uarch.WarmObs
-	Ladder *Identity   `json:",omitempty"`
-	MC     *MCIdentity `json:",omitempty"`
-}
-
-// ladderFileName returns the canonical cache-directory file name for one
-// ladder checkpoint: the readable prefix locates it, the FNV-64a hash of
-// the full identity (geometry and sampling params included) makes names
-// collision-free across sweeps sharing a profile.
-func ladderFileName(id Identity, pos uint64) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%d", id, pos)
-	return fmt.Sprintf("%s_s%d_t%d_p%d_%016x.m3dwarm",
-		fsio.SafeName(id.Prof.Name), id.Seed, id.Stream, pos, h.Sum64())
+	Pos uint64
+	MC  MCIdentity
 }
 
 // mcFileName returns the canonical cache-directory file name for one
-// multicore warmup snapshot.
+// multicore warmup snapshot: the readable prefix locates it, the FNV-64a
+// hash of the full identity (topology and geometry included) makes names
+// collision-free across sweeps sharing a profile.
 func mcFileName(id MCIdentity) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", id)
@@ -184,16 +165,16 @@ func saveFile(name string, hdr fileHeader, payload any) {
 }
 
 // loadFile reads snapshot file name from the cache directory into payload
-// and reports whether match accepts its header. A corrupt file, or a
-// well-formed one match rejects (a foreign identity under this canonical
-// name), is quarantined — renamed aside so the rebuilt replacement can
-// take its name without the damaged file ever being trusted again. An
-// absent file or a disabled disk layer is silent; every other failure is
-// counted.
-func loadFile(name string, payload any, match func(fileHeader) bool) (fileHeader, bool) {
+// and reports whether its header is want. A corrupt file, or a
+// well-formed one with another header (a foreign identity under this
+// canonical name), is quarantined — renamed aside so the rebuilt
+// replacement can take its name without the damaged file ever being
+// trusted again. An absent file or a disabled disk layer is silent; every
+// other failure is counted.
+func loadFile(name string, payload any, want fileHeader) bool {
 	dir := CacheDir()
 	if dir == "" {
-		return fileHeader{}, false
+		return false
 	}
 	path := filepath.Join(dir, name)
 	var hdr fileHeader
@@ -203,9 +184,9 @@ func loadFile(name string, payload any, match func(fileHeader) bool) (fileHeader
 		_ = f.Close()
 	}
 	switch {
-	case err == nil && match(hdr):
+	case err == nil && hdr == want:
 		counters.fileLoads.Add(1)
-		return hdr, true
+		return true
 	case err == nil || errorsIsCorrupt(err):
 		counters.loadErrors.Add(1)
 		_ = seam.Get().Rename(path, path+".quarantine")
@@ -213,7 +194,7 @@ func loadFile(name string, payload any, match func(fileHeader) bool) (fileHeader
 	case !errors.Is(err, fs.ErrNotExist):
 		counters.loadErrors.Add(1)
 	}
-	return hdr, false
+	return false
 }
 
 // errorsIsCorrupt reports whether an error carries the ErrCorrupt tag.

@@ -2,33 +2,34 @@ package warm
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"vertical3d/internal/trace"
-	"vertical3d/internal/uarch"
 )
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the .m3dwarm decoder with a
-// ladder payload. It must reject them with an error or return a snapshot
-// that re-encodes to exactly the input; it must never panic, and never
-// allocate more than a small multiple of the input plus a fixed allowance
-// for its buffers.
+// multicore payload. It must reject them with an error or return a
+// snapshot that survives a round trip: it re-encodes, and the re-encoding
+// decodes to the same header and state (gob writes the directory map in
+// no fixed order, so the bytes themselves may differ). It must never
+// panic, and never allocate more than a small multiple of the input plus
+// a fixed allowance for its buffers.
 func FuzzDecodeSnapshot(f *testing.F) {
 	trace.ResetCache()
 	ResetCache()
 	defer trace.ResetCache()
 	defer ResetCache()
-	// Tiny caches keep the seed small enough to mutate quickly.
-	id, cfg := testIdentity(f)
-	cfg.Core.IL1.SizeKB, cfg.Core.DL1.SizeKB, cfg.Core.L2.SizeKB, cfg.Core.L3.SizeKB = 1, 1, 2, 4
-	id.Geom = GeometryOf(cfg)
-	ck := Shared(id, cfg).checkpoint(0, 2_000)
-	if ck == nil {
-		f.Fatal("no checkpoint to seed from")
-	}
+	// Two cores with tiny caches keep the seed small enough to mutate
+	// quickly.
+	id, mc := testMC(f)
+	mc.Cores = 2
+	mc.PerCore.Core.IL1.SizeKB, mc.PerCore.Core.DL1.SizeKB, mc.PerCore.Core.L2.SizeKB, mc.PerCore.Core.L3.SizeKB = 1, 1, 2, 4
+	id = mcIdentity(id.Prof, id.Seed, 2_000, mc)
+	memState, cores := mcRun(f, id, mc)
 	var b bytes.Buffer
-	if err := encodeSnapshot(&b, fileHeader{Kind: kindLadder, Pos: ck.Pos, Cum: ck.Cum, Ladder: &id}, ck.State); err != nil {
+	if err := encodeSnapshot(&b, fileHeader{Pos: id.Warmup, MC: id}, &mcSnapshot{Mem: memState, Cores: cores}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(b.Bytes())
@@ -36,7 +37,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(fileMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var st uarch.WarmState
+		var st mcSnapshot
 		var hdr fileHeader
 		var err error
 		var before, after runtime.MemStats
@@ -53,8 +54,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err := encodeSnapshot(&out, hdr, &st); err != nil {
 			t.Fatalf("an accepted snapshot does not re-encode: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("an accepted snapshot re-encodes to %d different bytes (input %d)", out.Len(), len(data))
+		var again mcSnapshot
+		hdr2, err := decodeSnapshot(&out, &again)
+		if err != nil {
+			t.Fatalf("a re-encoded snapshot does not decode: %v", err)
+		}
+		if hdr2 != hdr || !reflect.DeepEqual(again, st) {
+			t.Fatal("an accepted snapshot changes in a round trip")
 		}
 	})
 }

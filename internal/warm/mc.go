@@ -1,9 +1,10 @@
 // Multicore warmup snapshots. A multicore run has exactly one functional
-// fast-forward — the per-core warmup before the measured phases — so
-// instead of a ladder it gets a single snapshot per MCIdentity: the first
-// run warms every core, captures the shared memory system and all core
-// functional states, and every later run with the same identity restores
-// the capture instead of re-warming.
+// fast-forward — the per-core warmup before the measured phases — so it
+// gets a single snapshot per MCIdentity: the first run warms every core,
+// captures the shared memory system and all core functional states, and
+// every later run with the same identity restores the capture instead of
+// re-warming. Coherent memory interleaves the cores' probes by timing, so
+// a multicore stream has no probe tape (see tape.go).
 package warm
 
 import (
@@ -40,7 +41,7 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 	snap, first := mcSnaps.Do(id, func() *mcSnapshot {
 		counters.misses.Add(1)
 		if snap := mcLoadDisk(id); snap != nil {
-			if mcRestore(backend, cores, snap) {
+			if mcRestore(id, backend, cores, snap) {
 				counters.skippedInstrs.Add(uint64(len(cores)) * id.Warmup)
 				return snap
 			}
@@ -54,7 +55,7 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 			if err != nil {
 				return nil // later callers warm themselves
 			}
-			snap.Cores = append(snap.Cores, cs.Core)
+			snap.Cores = append(snap.Cores, cs)
 		}
 		mcSaveDisk(id, snap)
 		return snap
@@ -62,7 +63,7 @@ func MCWarmup(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, doWarm
 	if first {
 		return // warmed (or disk-restored) inside the single flight
 	}
-	if snap == nil || !mcRestore(backend, cores, snap) {
+	if snap == nil || !mcRestore(id, backend, cores, snap) {
 		counters.restoreErrors.Add(1)
 		doWarm()
 		return
@@ -83,34 +84,42 @@ func mcEligible(cores []*uarch.Core) bool {
 	return true
 }
 
-// mcRestore installs a snapshot into a run's backend and cores. The
-// snapshot is copied in everywhere (copy-on-restore); a missing memory
-// state or a topology or geometry mismatch in it is rejected before
-// anything has been touched. The cores then restore through
-// Core.RestoreWarm with no hierarchy of their own; their geometry is
-// pinned by the identity the file header was matched against.
-func mcRestore(backend *mem.Multicore, cores []*uarch.Core, s *mcSnapshot) bool {
+// mcRestore installs a snapshot of identity id into a run's backend and
+// cores. The snapshot is copied in everywhere (copy-on-restore), and every
+// part is validated before any is touched: each core's state must stand
+// at the identity's warmup position and fit its core (Core.CheckWarm), and
+// the memory state must be present and match the topology and geometry
+// (mem.Multicore.SetState validates before it mutates). A refused
+// snapshot leaves the run exactly as constructed, so the caller's own
+// warmup produces what it would have without the cache.
+func mcRestore(id MCIdentity, backend *mem.Multicore, cores []*uarch.Core, s *mcSnapshot) bool {
 	if len(s.Cores) != len(cores) {
 		return false
+	}
+	for i, c := range cores {
+		if s.Cores[i].Pos != id.Warmup || c.CheckWarm(&s.Cores[i]) != nil {
+			return false
+		}
 	}
 	if err := backend.SetState(s.Mem); err != nil {
 		return false
 	}
-	for i := range cores {
-		if err := cores[i].RestoreWarm(&uarch.WarmState{Core: s.Cores[i]}); err != nil {
-			return false
+	for i, c := range cores {
+		if err := c.RestoreWarm(&s.Cores[i]); err != nil {
+			panic("warm: a validated core state was refused: " + err.Error())
 		}
 	}
 	return true
 }
 
+// mcHeader is the file header of an identity's warmup snapshot.
+func mcHeader(id MCIdentity) fileHeader { return fileHeader{Pos: id.Warmup, MC: id} }
+
 // mcLoadDisk tries to read an identity's warmup snapshot from the cache
 // directory (see loadFile).
 func mcLoadDisk(id MCIdentity) *mcSnapshot {
 	var snap mcSnapshot
-	if _, ok := loadFile(mcFileName(id), &snap, func(h fileHeader) bool {
-		return h.Kind == kindMC && h.MC != nil && *h.MC == id
-	}); !ok {
+	if !loadFile(mcFileName(id), &snap, mcHeader(id)) {
 		return nil
 	}
 	return &snap
@@ -118,5 +127,5 @@ func mcLoadDisk(id MCIdentity) *mcSnapshot {
 
 // mcSaveDisk persists a warmup snapshot (see saveFile).
 func mcSaveDisk(id MCIdentity, snap *mcSnapshot) {
-	saveFile(mcFileName(id), fileHeader{Kind: kindMC, Pos: id.Warmup, MC: &id}, snap)
+	saveFile(mcFileName(id), mcHeader(id), snap)
 }

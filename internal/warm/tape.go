@@ -1,14 +1,14 @@
-// Probe tapes for full-simulation cells. A tape (uarch.Tape) records what
-// the fetch stage's cache, predictor and store-ring probes observe over
-// one stream, which depends only on the stream and the Geometry — the
-// same observation the snapshot ladders rest on. Every design of a sweep
-// that shares the geometry replays one tape instead of probing a
-// hierarchy of its own.
+// Probe tapes for single-core cells. A tape (uarch.Tape) records what the
+// fetch stage's cache, predictor and store-ring probes observe over one
+// stream, which depends only on the stream and the Geometry. Every design
+// of a sweep that shares the geometry replays one tape instead of probing
+// a hierarchy of its own — full cells through fetch, sampled cells through
+// fetch and fast-forward alike.
 //
-// A tape's builder is a FunctionalWarmer over a private trace.Generator:
+// A tape's builder is a functional warmer over a private trace.Generator:
 // the tape extends on demand and the generator continues from where it
-// stopped, so the stream is never recorded and a full-mode sweep holds no
-// trace recording. Tapes share the snapshot registry's lifetime rules: a
+// stopped, so the stream is never recorded and a single-core sweep holds
+// no trace recording. Tapes share the snapshot registry's lifetime rules: a
 // sweep holds the identities its cells replay (HoldTape) and an identity
 // no sweep holds leaves the registry. Tapes never go to disk.
 

@@ -2,7 +2,6 @@ package warm
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,26 +17,67 @@ import (
 	"vertical3d/internal/workload"
 )
 
-// testIdentity returns a small real identity (config, profile) for ladder
-// tests: stride = Interval/32 = 125.
-func testIdentity(t testing.TB) (Identity, config.Config) {
+// testMC returns a small real multicore warmup identity and its
+// configuration: the Fig 9 Base topology over Mcf, 3,000 warmup
+// instructions per core.
+func testMC(t testing.TB) (MCIdentity, config.MCConfig) {
 	t.Helper()
 	s, err := config.Derive(tech.N22())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Configs[config.Base]
 	prof, err := workload.ByName("Mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Identity{
-		Prof:   prof,
-		Seed:   7,
-		Stream: 0,
-		Sample: uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000},
-		Geom:   GeometryOf(cfg),
-	}, cfg
+	return mcIdentity(prof, 7, 3_000, config.DeriveMulticore(s)[config.MCBase]), config.DeriveMulticore(s)[config.MCBase]
+}
+
+// mcIdentity keys a warmup of prof on mc.
+func mcIdentity(prof trace.Profile, seed int64, warmup uint64, mc config.MCConfig) MCIdentity {
+	return MCIdentity{Prof: prof, Seed: seed, Cores: mc.Cores, SharedL2: mc.SharedL2,
+		Warmup: warmup, Geom: GeometryOf(mc.PerCore)}
+}
+
+// mcWarm builds a fresh multicore run of id on mc, warms it through
+// MCWarmup and returns the warm state it reached: the memory system and
+// every core's functional state.
+func mcWarm(id MCIdentity, mc config.MCConfig) (*mem.MCState, []uarch.CoreWarmState, error) {
+	backend, err := mem.NewMulticore(mc)
+	if err != nil {
+		return nil, nil, err
+	}
+	cores := make([]*uarch.Core, mc.Cores)
+	for i := range cores {
+		rp := trace.NewReplayer(trace.SharedRecording(id.Prof, id.Seed, i, 0))
+		if cores[i], err = uarch.NewCore(i, mc.PerCore, rp, backend); err != nil {
+			return nil, nil, err
+		}
+	}
+	MCWarmup(id, backend, cores, func() {
+		for _, c := range cores {
+			c.FastForward(id.Warmup)
+		}
+	})
+	var states []uarch.CoreWarmState
+	for _, c := range cores {
+		st, err := c.SnapshotWarm()
+		if err != nil {
+			return nil, nil, err
+		}
+		states = append(states, st)
+	}
+	return backend.State(), states, nil
+}
+
+// mcRun is mcWarm on the test's own goroutine.
+func mcRun(t testing.TB, id MCIdentity, mc config.MCConfig) (*mem.MCState, []uarch.CoreWarmState) {
+	t.Helper()
+	m, cores, err := mcWarm(id, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, cores
 }
 
 func resetAll(t *testing.T) {
@@ -53,115 +93,65 @@ func resetAll(t *testing.T) {
 	})
 }
 
-func TestLadderBoundaries(t *testing.T) {
-	resetAll(t)
-	id, cfg := testIdentity(t)
-	l := Shared(id, cfg)
-	if l.stride != 125 {
-		t.Fatalf("stride = %d, want 125", l.stride)
-	}
-	if ck := l.checkpoint(0, 124); ck != nil {
-		t.Errorf("checkpoint below the first boundary = %+v, want nil", ck)
-	}
-	ck := l.checkpoint(0, 5_300)
-	if ck == nil || ck.Pos != 5_250 {
-		t.Fatalf("checkpoint(0, 5300) = %+v, want rung at 5250", ck)
-	}
-	if ck.Cum.Instrs != 5_250 {
-		t.Errorf("rung carries %d cumulative instrs, want 5250", ck.Cum.Instrs)
-	}
-	// Rungs are lazy: only the requested boundary was materialised. A
-	// boundary behind the frontier with no stored rung below it is
-	// retro-filled from position zero by a fresh warmer.
-	st := Stats()
-	if ck2 := l.checkpoint(1_200, 3_999); ck2 == nil || ck2.Pos != 3_875 {
-		t.Fatalf("checkpoint(1200, 3999) = %+v, want retro-filled rung at 3875", ck2)
-	}
-	if after := Stats(); after.BuiltInstrs != st.BuiltInstrs+3_875 {
-		t.Errorf("retro-fill from zero built %d instrs, want 3875", after.BuiltInstrs-st.BuiltInstrs)
-	}
-	// A second request for the same boundary is a pure hit.
-	st = Stats()
-	if ck3 := l.checkpoint(1_200, 3_999); ck3 == nil || ck3.Pos != 3_875 {
-		t.Fatalf("repeat checkpoint(1200, 3999) = %+v, want rung at 3875", ck3)
-	}
-	if after := Stats(); after.BuiltInstrs != st.BuiltInstrs {
-		t.Errorf("repeat request built %d more instrs, want 0", after.BuiltInstrs-st.BuiltInstrs)
-	}
-	// Extend the frontier, then request an unmaterialised boundary behind
-	// it: the builder rewinds onto the deepest stored rung below the
-	// boundary and warms only the remainder.
-	if ck4 := l.checkpoint(5_250, 8_000); ck4 == nil || ck4.Pos != 8_000 {
-		t.Fatalf("checkpoint(5250, 8000) = %+v, want rung at 8000", ck4)
-	}
-	st = Stats()
-	if ck5 := l.checkpoint(4_500, 7_300); ck5 == nil || ck5.Pos != 7_250 {
-		t.Fatalf("checkpoint(4500, 7300) = %+v, want retro-filled rung at 7250", ck5)
-	}
-	if after := Stats(); after.BuiltInstrs != st.BuiltInstrs+2_000 {
-		t.Errorf("retro-fill from rung 5250 built %d instrs, want 2000", after.BuiltInstrs-st.BuiltInstrs)
-	}
-	// A rung at or below the current position cannot help.
-	if ck6 := l.checkpoint(5_250, 5_300); ck6 != nil {
-		t.Errorf("checkpoint(5250, 5300) = %+v, want nil (boundary not past position)", ck6)
-	}
-}
-
-func TestLadderDiskRoundTrip(t *testing.T) {
-	resetAll(t)
+// tempCacheDir points the snapshot cache at a fresh temp directory.
+func tempCacheDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	if err := SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	id, cfg := testIdentity(t)
-	first := Shared(id, cfg).checkpoint(0, 5_000)
-	if first == nil || first.Pos != 5_000 {
-		t.Fatalf("checkpoint(0, 5000) = %+v, want rung at 5000", first)
-	}
-	// Lazy materialisation: exactly one rung (the requested boundary)
-	// reaches disk, not one per stride grid point.
+	return dir
+}
+
+// TestMCDiskRoundTrip checks the cross-run tier: a warmup writes exactly
+// one snapshot file, and a fresh process (simulated by dropping the
+// in-memory cache) restores the same state from it without warming.
+func TestMCDiskRoundTrip(t *testing.T) {
+	resetAll(t)
+	dir := tempCacheDir(t)
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 	files, err := filepath.Glob(filepath.Join(dir, "*.m3dwarm"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache directory holds %d snapshot files (%v), want 1", len(files), err)
 	}
 
-	// A fresh process (simulated by dropping the in-memory cache) must
-	// reassemble the same ladder from disk without warming anything.
 	ResetCache()
-	second := Shared(id, cfg).checkpoint(0, 5_000)
-	if second == nil {
-		t.Fatal("disk-served checkpoint is nil")
-	}
+	gotMem, gotCores := mcRun(t, id, mc)
 	st := Stats()
-	if st.BuiltInstrs != 0 {
-		t.Errorf("disk-served ladder warmed %d instrs, want 0", st.BuiltInstrs)
+	if st.BuiltInstrs != 0 || st.FileLoads != 1 {
+		t.Errorf("disk-served warmup: %+v, want nothing built and 1 file load", st)
 	}
-	if st.FileLoads != 1 {
-		t.Errorf("FileLoads = %d, want 1", st.FileLoads)
-	}
-	if first.Pos != second.Pos || !reflect.DeepEqual(first.Cum, second.Cum) {
-		t.Error("disk-served rung differs from the built rung")
-	}
-	if !reflect.DeepEqual(first.State, second.State) {
+	if !reflect.DeepEqual(gotMem, wantMem) || !reflect.DeepEqual(gotCores, wantCores) {
 		t.Error("disk-served warm state differs from the built state")
+	}
+}
+
+// rebuiltFrom checks that a warmup over a damaged snapshot file counted
+// the damage, quarantined the file and reached the state the undamaged
+// run reached.
+func rebuiltFrom(t *testing.T, path string, id MCIdentity, mc config.MCConfig, wantMem *mem.MCState, wantCores []uarch.CoreWarmState) {
+	t.Helper()
+	ResetCache()
+	gotMem, gotCores := mcRun(t, id, mc)
+	if st := Stats(); st.LoadErrors == 0 || st.Quarantines == 0 {
+		t.Errorf("damaged file not counted: %+v", st)
+	}
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Errorf("damaged file not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(gotMem, wantMem) || !reflect.DeepEqual(gotCores, wantCores) {
+		t.Error("rebuilt warm state differs from the original")
 	}
 }
 
 func TestCorruptSnapshotQuarantinedAndRebuilt(t *testing.T) {
 	resetAll(t)
-	dir := t.TempDir()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	id, cfg := testIdentity(t)
-	built := Shared(id, cfg).checkpoint(0, 2_000)
-	if built == nil {
-		t.Fatal("initial build failed")
-	}
+	dir := tempCacheDir(t)
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 
-	// Flip one payload byte of the rung's file (the only one: rungs are
-	// materialised lazily at the requested boundary).
-	path := filepath.Join(dir, ladderFileName(id, 2_000))
+	path := filepath.Join(dir, mcFileName(id))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -170,51 +160,29 @@ func TestCorruptSnapshotQuarantinedAndRebuilt(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	ResetCache()
-	rebuilt := Shared(id, cfg).checkpoint(0, 2_000)
-	if rebuilt == nil {
-		t.Fatal("rebuild after corruption failed")
-	}
-	st := Stats()
-	if st.LoadErrors == 0 || st.Quarantines == 0 {
-		t.Errorf("corrupt file not counted: %+v", st)
-	}
-	if _, err := os.Stat(path + ".quarantine"); err != nil {
-		t.Errorf("corrupt file not quarantined: %v", err)
-	}
-	if !reflect.DeepEqual(built.Cum, rebuilt.Cum) || !reflect.DeepEqual(built.State, rebuilt.State) {
-		t.Error("rebuilt rung differs from the original")
-	}
+	rebuiltFrom(t, path, id, mc, wantMem, wantCores)
 }
 
 // TestHeaderDigitFlipQuarantined pins that the checksum covers the JSON
-// header: one changed digit of a Cum counter still decodes to a canonical
-// header, so only the checksum can catch it before the skewed observables
-// reprice every cell restored from the rung.
+// header: one changed digit of the position still decodes to a canonical
+// header, so only the checksum can catch it.
 func TestHeaderDigitFlipQuarantined(t *testing.T) {
 	resetAll(t)
-	dir := t.TempDir()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	id, cfg := testIdentity(t)
-	built := Shared(id, cfg).checkpoint(0, 2_000)
-	if built == nil {
-		t.Fatal("initial build failed")
-	}
+	dir := tempCacheDir(t)
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 
-	path := filepath.Join(dir, ladderFileName(id, 2_000))
+	path := filepath.Join(dir, mcFileName(id))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	field := []byte(`"Cum":{"Instrs":`)
+	field := []byte(`{"Pos":`)
 	i := bytes.Index(raw, field)
 	if i < 0 {
-		t.Fatalf("no Cum.Instrs in the header: %.120q", raw)
+		t.Fatalf("no Pos in the header: %.120q", raw)
 	}
-	d := i + len(field) // first digit of the counter
+	d := i + len(field) // first digit of the position
 	raw[d] = '0' + (raw[d]-'0'+1)%10
 	if raw[d] == '0' {
 		raw[d] = '9' // keep the number canonical: no leading zero
@@ -222,35 +190,22 @@ func TestHeaderDigitFlipQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var st uarch.WarmState
-	if _, err := decodeSnapshot(bytes.NewReader(raw), &st); !errorsIsCorrupt(err) {
+	var snap mcSnapshot
+	if _, err := decodeSnapshot(bytes.NewReader(raw), &snap); !errorsIsCorrupt(err) {
 		t.Fatalf("load of a header with a changed digit: err = %v, want ErrCorrupt", err)
 	}
-
-	ResetCache()
-	rebuilt := Shared(id, cfg).checkpoint(0, 2_000)
-	if rebuilt == nil {
-		t.Fatal("rebuild after header damage failed")
-	}
-	if s := Stats(); s.LoadErrors == 0 || s.Quarantines == 0 {
-		t.Errorf("damaged header not counted: %+v", s)
-	}
-	if _, err := os.Stat(path + ".quarantine"); err != nil {
-		t.Errorf("damaged file not quarantined: %v", err)
-	}
-	if !reflect.DeepEqual(built.Cum, rebuilt.Cum) || !reflect.DeepEqual(built.State, rebuilt.State) {
-		t.Error("rebuilt rung differs from the original")
-	}
+	rebuiltFrom(t, path, id, mc, wantMem, wantCores)
 }
 
 func TestDecodeSnapshotRejectsDamage(t *testing.T) {
-	var st uarch.WarmState
+	var snap mcSnapshot
 	for name, raw := range map[string]string{
 		"empty":     "",
 		"truncated": fileMagic,
 		"bad magic": "NOTWARM0" + strings.Repeat("x", 64),
+		"version 2": "M3DWARM2" + strings.Repeat("x", 64),
 	} {
-		if _, err := decodeSnapshot(strings.NewReader(raw), &st); !errorsIsCorrupt(err) {
+		if _, err := decodeSnapshot(strings.NewReader(raw), &snap); !errorsIsCorrupt(err) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -261,85 +216,63 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 // (a hash collision or a renamed file) is quarantined, never trusted.
 func TestForeignSnapshotQuarantined(t *testing.T) {
 	resetAll(t)
-	dir := t.TempDir()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	id, cfg := testIdentity(t)
-	if Shared(id, cfg).checkpoint(0, 1_000) == nil {
-		t.Fatal("initial build failed")
-	}
+	dir := tempCacheDir(t)
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 
-	// Masquerade the rung of a different seed under this identity's name.
+	// Masquerade the snapshot of a different seed under this identity's
+	// name.
 	other := id
 	other.Seed = 8
 	ResetCache()
-	if Shared(other, cfg).checkpoint(0, 1_000) == nil {
-		t.Fatal("second build failed")
-	}
-	src := filepath.Join(dir, ladderFileName(other, 1_000))
-	dst := filepath.Join(dir, ladderFileName(id, 1_000))
-	if err := os.Rename(src, dst); err != nil {
+	mcRun(t, other, mc)
+	dst := filepath.Join(dir, mcFileName(id))
+	if err := os.Rename(filepath.Join(dir, mcFileName(other)), dst); err != nil {
 		t.Fatal(err)
 	}
-
-	ResetCache()
-	if Shared(id, cfg).checkpoint(0, 1_000) == nil {
-		t.Fatal("rebuild past the foreign file failed")
-	}
-	st := Stats()
-	if st.LoadErrors == 0 || st.Quarantines == 0 {
-		t.Errorf("foreign file not counted: %+v", st)
-	}
-	if _, err := os.Stat(dst + ".quarantine"); err != nil {
-		t.Errorf("foreign file not quarantined: %v", err)
-	}
+	rebuiltFrom(t, dst, id, mc, wantMem, wantCores)
 }
 
-// TestWarmHoldLadderLifetime races ladder holders against Shared: every
-// caller shares one ladder, the ladder's builder replays the held
-// recording instead of pinning one of its own, and both leave their
-// registries when the last hold is released. An unscoped ladder stays.
-func TestWarmHoldLadderLifetime(t *testing.T) {
+// TestWarmHoldMCLifetime races snapshot holders against MCWarmup: every
+// caller shares one snapshot, and it leaves the registry when the last
+// hold is released. A snapshot first built with no hold on it stays.
+func TestWarmHoldMCLifetime(t *testing.T) {
 	resetAll(t)
-	id, cfg := testIdentity(t)
+	id, mc := testMC(t)
 
-	const holders = 6
-	done := make(chan *Ladder, holders)
+	const holders = 4
 	releases := make(chan func(), holders)
+	done := make(chan struct{}, holders)
 	for range holders {
 		go func() {
-			releases <- HoldLadder(id)
-			l := Shared(id, cfg)
-			l.checkpoint(0, 1_000)
-			done <- l
+			releases <- HoldMC(id)
+			if _, _, err := mcWarm(id, mc); err != nil {
+				t.Error(err)
+			}
+			done <- struct{}{}
 		}()
 	}
-	first := <-done
-	for range holders - 1 {
-		if l := <-done; l != first {
-			t.Fatal("holders got distinct ladders")
-		}
+	for range holders {
+		<-done
 	}
-	if n, _ := Resident(); n != 1 || trace.CachedRecordings() != 1 {
-		t.Fatalf("while held: %d ladder(s), %d recording(s), want 1 and 1", n, trace.CachedRecordings())
+	if n := Resident(); n != 1 {
+		t.Fatalf("while held: %d snapshot(s), want 1", n)
+	}
+	if st := Stats(); st.Misses != 1 || st.Hits != holders-1 {
+		t.Errorf("stats = %+v, want one build and %d restores", st, holders-1)
 	}
 	for range holders {
 		rel := <-releases
 		go rel()
 		defer rel() // a second release is a no-op
 	}
-	waitFor(t, func() bool { n, _ := Resident(); return n == 0 && trace.CachedRecordings() == 0 })
+	waitFor(t, func() bool { return Resident() == 0 })
 
-	// A ladder first built with no hold on it is process-lifetime.
-	pinned := Shared(id, cfg)
-	pinned.checkpoint(0, 1_000)
-	HoldLadder(id)()
-	if Shared(id, cfg) != pinned {
-		t.Fatal("an unscoped ladder left the registry")
-	}
-	if n, _ := Resident(); n != 1 {
-		t.Fatalf("%d resident ladder(s), want the unscoped one", n)
+	// A snapshot first built with no hold on it is process-lifetime.
+	mcRun(t, id, mc)
+	HoldMC(id)()
+	if n := Resident(); n != 1 {
+		t.Fatalf("%d resident snapshot(s), want the unscoped one", n)
 	}
 }
 
@@ -368,110 +301,65 @@ func writeSnapshot(t *testing.T, dir, name string, hdr fileHeader, payload any) 
 	}
 }
 
-// TestLadderSnapshotWithBadPayloadRebuilt pins the rung loader against
-// well-formed files whose payload the builder cannot take: no hierarchy, a
-// store-ring head past the ring, an unseekable stream position, a cache way
-// memo past the cache. They pass
-// the checksum and structure checks, so the restore itself must refuse them
-// before mutating the builder — no panic, a counted load error, and rungs
-// equal to those a run with no cache directory builds, the rebuilt rung
-// and the one the builder extends from it alike.
-func TestLadderSnapshotWithBadPayloadRebuilt(t *testing.T) {
+// TestMCSnapshotWithBadPayloadRebuilt pins the snapshot loader against
+// well-formed files whose payload the run cannot take: a core standing
+// elsewhere in its stream than the header's position, a store-ring head
+// past the ring, a cache way memo past the cache, a memory state without
+// its per-core cache hierarchy, and a core missing. They
+// pass the checksum and identity checks, so the restore itself must refuse
+// them before it mutates any core or cache — no panic, a counted load
+// error, and the state a run with no cache directory reaches.
+func TestMCSnapshotWithBadPayloadRebuilt(t *testing.T) {
 	resetAll(t)
-	id, cfg := testIdentity(t)
-	l := Shared(id, cfg)
-	want, next := l.checkpoint(0, 2_000), l.checkpoint(0, 4_000)
-	if want == nil || next == nil {
-		t.Fatal("reference build failed")
-	}
-	badHead := want.State.Core
-	badHead.StoreHead = len(badHead.StoreAddrs)
-	badPos := want.State.Core
-	badPos.Pos = math.MaxUint64
-	badMemo := *want.State.Mem
-	badMemo.DL1.LastIdx = int32(len(badMemo.DL1.Words))
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 
-	for name, bad := range map[string]*uarch.WarmState{
-		"no hierarchy": {Core: want.State.Core},
-		"store head":   {Core: badHead, Mem: want.State.Mem},
-		"position":     {Core: badPos, Mem: want.State.Mem},
-		"DL1 way memo": {Core: want.State.Core, Mem: &badMemo},
+	with := func(i int, edit func(*uarch.CoreWarmState)) []uarch.CoreWarmState {
+		cores := append([]uarch.CoreWarmState(nil), wantCores...)
+		edit(&cores[i])
+		return cores
+	}
+	badMemo := *wantMem
+	badMemo.DL1 = append([]mem.CacheState(nil), wantMem.DL1...)
+	badMemo.DL1[1].LastIdx = int32(len(badMemo.DL1[1].Words))
+	noHier := *wantMem
+	noHier.IL1, noHier.DL1, noHier.L2 = nil, nil, nil
+
+	last := len(wantCores) - 1
+	for name, bad := range map[string]*mcSnapshot{
+		"position":     {Mem: wantMem, Cores: with(last, func(s *uarch.CoreWarmState) { s.Pos++ })},
+		"store head":   {Mem: wantMem, Cores: with(last, func(s *uarch.CoreWarmState) { s.StoreHead = len(s.StoreAddrs) })},
+		"DL1 way memo": {Mem: &badMemo, Cores: wantCores},
+		"no hierarchy": {Mem: &noHier, Cores: wantCores},
+		"core count":   {Mem: wantMem, Cores: wantCores[:last]},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ResetCache()
-			dir := t.TempDir()
-			if err := SetCacheDir(dir); err != nil {
-				t.Fatal(err)
+			dir := tempCacheDir(t)
+			writeSnapshot(t, dir, mcFileName(id), fileHeader{Pos: id.Warmup, MC: id}, bad)
+			gotMem, gotCores := mcRun(t, id, mc)
+			if st := Stats(); st.LoadErrors != 1 || st.SkippedInstrs != 0 {
+				t.Errorf("stats = %+v, want 1 load error and nothing skipped", st)
 			}
-			writeSnapshot(t, dir, ladderFileName(id, want.Pos),
-				fileHeader{Kind: kindLadder, Pos: want.Pos, Cum: want.Cum, Ladder: &id}, bad)
-			l := Shared(id, cfg)
-			got, gotNext := l.checkpoint(0, 2_000), l.checkpoint(0, 4_000)
-			if got == nil || gotNext == nil {
-				t.Fatal("rebuild past the rung failed")
-			}
-			if st := Stats(); st.LoadErrors != 1 || st.BuiltInstrs != next.Pos {
-				t.Errorf("stats = %+v, want 1 load error and both rungs built", st)
-			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotNext, next) {
-				t.Error("rungs differ from those built without a cache directory")
+			if !reflect.DeepEqual(gotMem, wantMem) || !reflect.DeepEqual(gotCores, wantCores) {
+				t.Error("warm state differs from the run without a cache directory")
 			}
 		})
 	}
 }
 
-// TestMCSnapshotWithoutMemRebuilt is the multicore form: a warmup
-// snapshot saved without its memory system is refused before any core or
-// cache is touched, counted, and warmed afresh to the state a run with no
-// cache directory reaches.
+// TestMCSnapshotWithoutMemRebuilt: a warmup snapshot saved without its
+// memory system is refused before any core or cache is touched, counted,
+// and warmed afresh to the state a run with no cache directory reaches.
 func TestMCSnapshotWithoutMemRebuilt(t *testing.T) {
 	resetAll(t)
-	id, _ := testIdentity(t)
-	s, err := config.Derive(tech.N22())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := config.DeriveMulticore(s)[config.MCBase]
-	mcID := MCIdentity{Prof: id.Prof, Seed: id.Seed, Cores: mc.Cores, SharedL2: mc.SharedL2,
-		Warmup: 3_000, Geom: GeometryOf(mc.PerCore)}
-	run := func() (*mem.MCState, []uarch.CoreWarmState) {
-		backend, err := mem.NewMulticore(mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cores := make([]*uarch.Core, mc.Cores)
-		for i := range cores {
-			rp := trace.NewReplayer(trace.SharedRecording(mcID.Prof, mcID.Seed, i, 0))
-			if cores[i], err = uarch.NewCore(i, mc.PerCore, rp, backend); err != nil {
-				t.Fatal(err)
-			}
-		}
-		MCWarmup(mcID, backend, cores, func() {
-			for _, c := range cores {
-				c.FastForward(mcID.Warmup)
-			}
-		})
-		var states []uarch.CoreWarmState
-		for _, c := range cores {
-			st, err := c.SnapshotWarm()
-			if err != nil {
-				t.Fatal(err)
-			}
-			states = append(states, st.Core)
-		}
-		return backend.State(), states
-	}
-	wantMem, wantCores := run()
+	id, mc := testMC(t)
+	wantMem, wantCores := mcRun(t, id, mc)
 
 	ResetCache()
-	dir := t.TempDir()
-	if err := SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	writeSnapshot(t, dir, mcFileName(mcID),
-		fileHeader{Kind: kindMC, Pos: mcID.Warmup, MC: &mcID},
-		&mcSnapshot{Cores: wantCores})
-	gotMem, gotCores := run()
+	dir := tempCacheDir(t)
+	writeSnapshot(t, dir, mcFileName(id), fileHeader{Pos: id.Warmup, MC: id}, &mcSnapshot{Cores: wantCores})
+	gotMem, gotCores := mcRun(t, id, mc)
 	if st := Stats(); st.LoadErrors != 1 || st.SkippedInstrs != 0 {
 		t.Errorf("stats = %+v, want 1 load error and nothing skipped", st)
 	}

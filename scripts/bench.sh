@@ -7,8 +7,8 @@
 #   BENCH_trace.json   record-once/replay-many trace capture comparison
 #   BENCH_sample.json  sampled-vs-full per-cell speedup and CPI error per
 #                      profile, plus geomean/min/max summary
-#   BENCH_warm.json    sampled Fig6 sweep wall-time with the warm-state
-#                      snapshot cache on vs off
+#   BENCH_warm.json    sampled Fig6 sweep wall-time over probe tapes vs
+#                      the NoTraceCache sweep that warms per cell
 #   BENCH_serve.json   m3dd serving layer: per-cell latency cold (simulate)
 #                      vs hit (warm result cache), and the single-flight
 #                      coalescing proof (K identical sweeps, one sweep's
@@ -183,8 +183,9 @@ if has_section sample; then
 	echo "bench.sh: wrote $sampleout"
 fi
 
-# --- Warm-state snapshots ----------------------------------------------------
-# The sampled Fig6 sweep with the warm-state snapshot cache on vs off
+# --- Sampled fast-forward ---------------------------------------------------
+# The sampled Fig6 sweep over probe tapes (warmon) vs the NoTraceCache
+# sweep whose cells warm hierarchies of their own (warmoff)
 # (BenchmarkFig6WarmCache, root bench_test.go). Both modes are bit-identical;
 # this measures wall-clock only. scripts/bench_gate.sh warm gates speedup_x.
 if has_section warm; then

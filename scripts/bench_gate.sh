@@ -16,8 +16,9 @@
 #       against the committed baseline; fails on a regression beyond the
 #       tolerance (default 10%).
 #   warm [current.json] [min_speedup]
-#       Reads the sampled-sweep speedup_x from BENCH_warm.json and fails
-#       if it is below min_speedup (default 1.5).
+#       Reads the sampled-sweep speedup_x from BENCH_warm.json (the taped
+#       sweep over the NoTraceCache sweep) and fails if it is below
+#       min_speedup (default 1.5).
 #   trace [current.json] [min_replay_ratio] [min_sweep_speedup]
 #       Reads BENCH_trace.json and fails if replay is not at least
 #       min_replay_ratio x faster than generation per instruction (default
