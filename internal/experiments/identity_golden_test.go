@@ -38,13 +38,13 @@ func TestJournalIdentityGolden(t *testing.T) {
 		{"fig6 full", quick.Identity("fig6"),
 			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window"},
 		{"fig6 sampled", sampled.Identity("fig6"),
-			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.5"},
+			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.5 warm=snapshot"},
 		{"fig6 sampled warm cache", warmed.Identity("fig6"),
 			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.5 warm=snapshot"},
 		{"fig6 sampled budget", budget.Identity("fig6"),
 			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.25 warm=snapshot"},
 		{"fig6 sampled NoTraceCache", noTrace.Identity("fig6"),
-			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.5"},
+			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window sample=100000:1000:4000 budget=0.5 warm=snapshot"},
 		{"fig6 full NoTraceCache", fullNoTrace.Identity("fig6"),
 			"fig6 warmup=20000 measure=60000 seed=42 stream=0 kernel=event counters=window"},
 		{"fig9", MCIdentity(mc, "fig9"),

@@ -58,13 +58,11 @@ func (opt RunOptions) Identity(experiment string) journal.Identity {
 		if b := opt.sampleBudget(); b > 0 {
 			kv = append(kv, "budget", fmt.Sprint(b))
 		}
-		// The snapshot cache joined the identity defensively when sampled
-		// single-core cells could restore warm snapshots. They no longer
-		// do — every sampled cell fast-forwards itself, bit-identically —
-		// but the pair stays so existing sampled journals keep resuming.
-		if opt.WarmCache && !opt.NoTraceCache {
-			kv = append(kv, "warm", "snapshot")
-		}
+		// The pair is a constant: it once marked sampled cells that could
+		// restore warm snapshots, and journals written with the default
+		// caches carry it. Neither WarmCache nor NoTraceCache changes a
+		// single-core cell, so neither may split its journal.
+		kv = append(kv, "warm", "snapshot")
 	}
 	return journal.Identity{Experiment: experiment, Params: journal.Params(kv...)}
 }

@@ -191,4 +191,11 @@ func (h *Hierarchy) Stats() HierStats {
 	}
 }
 
+// LevelStats returns the live counters of the IL1, DL1, L2 and L3, the
+// values Stats copies: a caller that reads them after every probe keeps the
+// pointers instead of copying the whole HierStats each time.
+func (h *Hierarchy) LevelStats() [4]*CacheStats {
+	return [4]*CacheStats{&h.il1.Stats, &h.dl1.Stats, &h.l2.Stats, &h.l3.Stats}
+}
+
 var _ Backend = (*Hierarchy)(nil)

@@ -18,8 +18,9 @@ import (
 
 // Env is the sweep environment. No field changes a cell's result — the
 // determinism contract makes each one merge-neutral or bit-identical — so
-// only WarmCache, which changes the fast-forward path, joins a sweep's
-// journal identity (defensively; see experiments.RunOptions.Identity).
+// only WarmCache, which changes a sampled multicore cell's warmup path,
+// joins that sweep's journal identity (defensively; see
+// experiments.MCIdentity).
 type Env struct {
 	// Context, when non-nil, bounds the whole sweep: cancelling it stops
 	// dispatching new cells (in-flight cells drain) — the graceful-shutdown

@@ -32,13 +32,14 @@ const (
 	Retries                        // -retries
 	KeepGoing                      // -keep-going
 	Deadlines                      // -task-timeout, -sweep-timeout
-	CacheDirs                      // -trace-dir, -warm-dir
-	Caches                         // -trace-cache, -warm-cache
+	Trace                          // -trace-dir
+	Warm                           // -warm-dir, for multicore warm snapshots
+	Caches                         // -trace-cache, -warm-cache: the switch of each cache registered
 	Sample                         // -sample
 	SampleParams                   // -sample-interval, -sample-warmup, -sample-unit, -sample-error-budget
 
 	// Batch is the flag set of the one-shot simulation commands.
-	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | CacheDirs | Caches | Sample
+	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Trace | Warm | Caches | Sample
 )
 
 // watchdogGrace is how far past its -task-timeout a cell may run before
@@ -81,13 +82,17 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 		fs.DurationVar(&f.taskTimeout, "task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
 		fs.DurationVar(&f.sweepTimeout, "sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
 	}
-	if groups&CacheDirs != 0 {
+	if groups&Trace != 0 {
 		fs.StringVar(&f.traceDir, "trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-		fs.StringVar(&f.warmDir, "warm-dir", "", "directory for .m3dwarm multicore warm-state snapshots, reused across runs (created if missing)")
+		if groups&Caches != 0 {
+			fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
+		}
 	}
-	if groups&Caches != 0 {
-		fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
-		fs.BoolVar(&f.warmCache, "warm-cache", true, "capture a sampled multicore warmup once per (benchmark, topology, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample or for single-core sweeps)")
+	if groups&Warm != 0 {
+		fs.StringVar(&f.warmDir, "warm-dir", "", "directory for .m3dwarm multicore warm-state snapshots, reused across runs (created if missing)")
+		if groups&Caches != 0 {
+			fs.BoolVar(&f.warmCache, "warm-cache", true, "capture a sampled multicore warmup once per (benchmark, topology, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample or for single-core sweeps)")
+		}
 	}
 	if groups&Sample != 0 {
 		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")

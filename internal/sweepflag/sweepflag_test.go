@@ -27,7 +27,7 @@ var surface = map[string]map[string]string{
 		"list": "", "measure": "200000", "memprofile": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
 		"seed": "42", "stream": "", "sweep-timeout": "", "task-timeout": "",
-		"trace-cache": "true", "trace-dir": "", "warm-cache": "true", "warm-dir": "", "warmup": "80000",
+		"trace-cache": "true", "trace-dir": "", "warmup": "80000",
 	},
 	"m3dcli": {
 		"j": "", "journal-dir": "", "keep-going": "", "quick": "", "retries": "1", "sample": "",
@@ -98,8 +98,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 81 {
-		t.Errorf("%d flags across the commands, want 81", total)
+	if total != 79 {
+		t.Errorf("%d flags across the commands, want 79", total)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestEnvDecodesFlags(t *testing.T) {
 	// A daemon-style group set: the caches stay on and one attempt per
 	// cell, as the batch commands default to.
 	fs = flag.NewFlagSet("daemon", flag.ContinueOnError)
-	f = Register(fs, "daemon", Workers|Journal|Retries|CacheDirs)
+	f = Register(fs, "daemon", Workers|Journal|Retries|Trace|Warm)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}

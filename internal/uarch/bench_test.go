@@ -57,3 +57,65 @@ func BenchmarkCoreRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTapeBuild measures probe-tape recording in ns per recorded
+// instruction: the functional warmer's probes plus the word encoding, the
+// counter deltas and the checkpoint sums, over the Base geometry.
+func BenchmarkTapeBuild(b *testing.B) {
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const instrs = 32 * tapeChunk
+	for _, bench := range benchProfiles {
+		p, err := workload.ByName(bench)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bench, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tp, err := NewTape(s.Configs[config.Base], trace.NewGenerator(p, 42, 0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				tp.holding(instrs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns_per_instr")
+		})
+	}
+}
+
+// BenchmarkTapeSkip measures a tape-fed core's fast-forward over a tape
+// recorded beforehand, in ns per skipped instruction and per skip. The
+// skips are odd-sized so they start and end mid-stride.
+func BenchmarkTapeSkip(b *testing.B) {
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := workload.ByName("Mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const instrs, skip = 64 * tapeChunk, 20_001
+	tp, err := NewTape(s.Configs[config.Base], trace.NewGenerator(p, 42, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp.holding(instrs)
+	b.ResetTimer()
+	var skips int
+	for i := 0; i < b.N; i++ {
+		c, err := NewTapeCore(s.Configs[config.M3DHet], tp, KernelEvent)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c.Cursor()+skip <= instrs {
+			c.FastForward(skip)
+			skips++
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(skips*skip), "ns_per_instr")
+	b.ReportMetric(ns/float64(skips), "ns_per_skip")
+}
