@@ -58,6 +58,44 @@ func BenchmarkCoreRun(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelTape measures the detailed kernel alone, in ns per
+// retired instruction: a tape-fed core on the Base design reads its probe
+// outcomes from a tape recorded before the timer starts, so neither the
+// trace generator nor the cache hierarchy is timed, unlike BenchmarkCoreRun.
+func BenchmarkKernelTape(b *testing.B) {
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := s.Configs[config.Base]
+	const instrs = 150_000
+	for _, bench := range benchProfiles {
+		p, err := workload.ByName(bench)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tp, err := NewTape(cfg, trace.NewGenerator(p, 42, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func() uint64 {
+			c, err := NewTapeCore(cfg, tp, KernelEvent)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return c.Run(instrs).Instrs
+		}
+		run() // records every word the timed runs fetch
+		b.Run(bench, func(b *testing.B) {
+			var retired uint64
+			for i := 0; i < b.N; i++ {
+				retired += run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(retired), "ns_per_instr")
+		})
+	}
+}
+
 // BenchmarkTapeBuild measures probe-tape recording in ns per recorded
 // instruction: the functional warmer's probes plus the word encoding, the
 // counter deltas and the checkpoint sums, over the Base geometry.

@@ -120,8 +120,8 @@ type robEntry struct {
 	memExtra int32
 
 	// Event-kernel scheduling state (unused by the reference kernel).
-	// nwait counts in-flight producers whose doneAt is still unknown;
-	// readyAt folds the doneAt of every resolved producer.
+	// nwait counts the distinct in-flight producers whose doneAt is still
+	// unknown; readyAt folds the doneAt of every resolved producer.
 	nwait   uint8
 	readyAt int64
 }
@@ -130,8 +130,9 @@ type robEntry struct {
 // number. The sequence number guards against slot reuse: if the slot no
 // longer holds that instruction, the value is architecturally available.
 // Sequence numbers are globally unique and never reused, so a (slot, seq)
-// pair identifies one dynamic instruction for the core's whole lifetime —
-// the property the event kernel's lazy queue invalidation relies on.
+// pair identifies one dynamic instruction for the core's whole lifetime,
+// so a consumer's ref stays correct after its producer commits and the
+// slot is refilled.
 type regRef struct {
 	slot int32
 	seq  uint64
@@ -195,23 +196,10 @@ type Core struct {
 	divBusy   []int64
 	fpDivBusy []int64
 
-	// Event-kernel scheduling structures. readyQ is a seq-keyed min-heap of
-	// waiting entries whose operands are available now (pop order = program
-	// order, the scan kernel's oldest-first selection); readyKept is the
-	// issue pass's scratch list of port-conflicted entries to re-offer;
-	// wakeHeap is a time-ordered min-heap of entries whose operands become
-	// available at a known future cycle. Consumer wake lists live in a
-	// slab arena: wakeHead[slot] heads a freelist-linked chain of wakeNodes
-	// in wakeArena naming the consumers to notify when the producer in that
-	// slot issues — no per-slot slice headers, no steady-state allocation.
-	// All of these hold (slot, seq) refs that are lazily invalidated after
-	// squashes via the seq check.
-	readyQ    []qref
-	readyKept []qref
-	wakeHeap  []wakeEv
-	wakeArena []wakeNode
-	wakeHead  []int32
-	wakeFree  int32
+	// sched is the event kernel's scheduling state: the ready set, the
+	// consumer sets and the wake wheel, all keyed by ROB slot (see
+	// kernel_event.go). Empty under the reference kernel.
+	sched eventSched
 
 	// ffInstrs counts instructions fast-forwarded past the detailed
 	// pipeline, and obs their functional observables since RunSampled last
@@ -221,19 +209,6 @@ type Core struct {
 
 	now   int64
 	Stats Stats
-}
-
-// qref references a ROB entry from a scheduling queue.
-type qref struct {
-	slot int32
-	seq  uint64
-}
-
-// wakeEv schedules a ROB entry to become issue-eligible at a cycle.
-type wakeEv struct {
-	at   int64
-	slot int32
-	seq  uint64
 }
 
 // fetched is an instruction waiting in the frontend: the fields the
@@ -298,17 +273,7 @@ func newCore(id int, cfg config.Config, k Kernel) (*Core, error) {
 		fpDivBusy:  make([]int64, p.NumFPU),
 	}
 	if k == KernelEvent {
-		c.readyQ = make([]qref, 0, p.IssueWidth*4)
-		c.readyKept = make([]qref, 0, p.IssueWidth)
-		c.wakeHeap = make([]wakeEv, 0, p.ROBSize)
-		// Each in-flight instruction registers on at most two producers, so
-		// 2*ROBSize nodes bound the arena's live set.
-		c.wakeArena = make([]wakeNode, 0, 2*p.ROBSize)
-		c.wakeHead = make([]int32, p.ROBSize)
-		for i := range c.wakeHead {
-			c.wakeHead[i] = wakeNil
-		}
-		c.wakeFree = wakeNil
+		c.sched = newEventSched(p.ROBSize)
 	}
 	return c, nil
 }
@@ -550,18 +515,13 @@ func (c *Core) squashAfter(idx int, br *robEntry) {
 		if e.state == stWaiting {
 			c.iqCount--
 		}
-		// Invalidate the popped slot's sequence number so any scheduling
-		// ref (readyQ/wakeHeap/wakes) still pointing at it stops
-		// validating before the slot is reused. Live entries never
-		// reference squashed (younger) slots, so this is unobservable to
-		// the reference kernel.
-		e.seq = 0
+		if c.kern == KernelEvent {
+			c.unschedule(t, e)
+		}
 		c.tail = t
 		c.count--
 	}
 	// Discard the wrong-path frontend and stall fetch for the refill.
-	// Squashed entries still referenced from readyQ/wakeHeap/wakes are
-	// dropped lazily: their (slot, seq) refs stop validating.
 	c.fqClear()
 	penalty := int64(c.cfg.Core.BranchPenaltyCycles) - c.frontDepth
 	if br.btbMiss && !br.mispred {

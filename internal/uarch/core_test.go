@@ -11,7 +11,7 @@ import (
 	"vertical3d/internal/workload"
 )
 
-func suite(t *testing.T) *config.Suite {
+func suite(t testing.TB) *config.Suite {
 	t.Helper()
 	s, err := config.Derive(tech.N22())
 	if err != nil {
@@ -300,5 +300,34 @@ func TestWiderIssueHelpsWhenBackendBound(t *testing.T) {
 	if b.Stats.Cycles-b0 <= a.Stats.Cycles-a0 {
 		t.Errorf("issue width 1 must be slower than 6: %d vs %d cycles",
 			b.Stats.Cycles-b0, a.Stats.Cycles-a0)
+	}
+}
+
+// TestRaisingFrequencyNeverSlows pins the frequency invariant behind the
+// paper's 3D speedups: with DRAM latency fixed in nanoseconds, a faster
+// clock pays more cycles per DRAM miss but never so many that the run takes
+// longer in seconds. Every profile is checked on Base and on M3D-Het at
+// 1.1x, 1.25x and 1.5x their frequency.
+func TestRaisingFrequencyNeverSlows(t *testing.T) {
+	s := suite(t)
+	for _, d := range []config.Design{config.Base, config.M3DHet} {
+		cfg := s.Configs[d]
+		for _, bench := range workload.Names() {
+			t.Run(cfg.Name+"/"+bench, func(t *testing.T) {
+				t.Parallel()
+				seconds := func(scale float64) float64 {
+					c := cfg
+					c.FreqGHz *= scale
+					core, _ := coreFor(t, c, bench, 5)
+					return float64(core.Run(30_000).Cycles) / (c.FreqGHz * 1e9)
+				}
+				base := seconds(1)
+				for _, scale := range []float64{1.1, 1.25, 1.5} {
+					if sec := seconds(scale); sec > base {
+						t.Errorf("%.2fx clock: %.6g s > %.6g s at the design frequency", scale, sec, base)
+					}
+				}
+			})
+		}
 	}
 }

@@ -9,10 +9,9 @@ import "fmt"
 type Kernel uint8
 
 const (
-	// KernelEvent is the event-driven kernel: producer→consumer wakeup
-	// lists and a seq-ordered ready queue make issue O(ready) instead of
-	// O(ROBSize), store-to-load forwarding is a line-address-indexed map
-	// lookup instead of an O(SQSize) CAM scan, and Run fast-forwards over
+	// KernelEvent is the event-driven kernel: per-producer consumer sets,
+	// a wake wheel of cycle buckets and a ready bitset over ROB slots make
+	// issue O(ready) instead of O(ROBSize), and Run fast-forwards over
 	// cycles in which no pipeline stage can make progress. Default.
 	KernelEvent Kernel = iota
 	// KernelReference is the original scan-based kernel: every cycle walks

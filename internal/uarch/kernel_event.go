@@ -2,310 +2,345 @@ package uarch
 
 import (
 	"math"
+	"math/bits"
 
 	"vertical3d/internal/trace"
 )
 
 // This file is the event-driven simulation kernel. It replaces the
-// reference kernel's per-cycle O(ROBSize) issue scan and O(SQSize) store
-// CAM with:
+// reference kernel's per-cycle O(ROBSize) issue scan with three fixed
+// scheduling structures, indexed by ROB slot and by cycle:
 //
-//   - producer→consumer wakeup lists (wakes): a dispatching instruction
-//     registers on each in-flight producer; when the producer issues and
-//     its doneAt becomes known, it notifies its consumers, so ready() is
+//   - consumer sets (cons): a dispatching instruction sets its bit in the
+//     set of each in-flight producer; when the producer issues and its
+//     doneAt becomes known, it walks and clears its set, so ready() is
 //     never re-polled;
-//   - a time-ordered wakeup heap (wakeHeap) feeding a seq-ordered ready
-//     queue (readyQ): issue touches only entries that are actually ready,
-//     in oldest-first program order — the same selection the scan makes;
-//   - memory latencies read from the shared dispatch-time probe
-//     (Core.memLatency), so issue performs no hierarchy access at all;
-//   - idle-cycle skipping in Run: when no stage can commit, issue,
-//     dispatch or fetch, now jumps to the next event time with batched
-//     Cycles/stall accounting.
+//   - a wake wheel (wheel): a hashed timing wheel of cycle buckets, each an
+//     intrusive list threaded through the ROB slots due on that bucket's
+//     cycles, drained one bucket per cycle into
+//   - a ready set (ready): a bitset over ROB slots that issue walks from
+//     the ROB head, so it touches only entries that are actually ready, in
+//     oldest-first program order — the same selection the scan makes;
 //
-// Squashes never walk the scheduling queues: sequence numbers are unique
-// for the core's lifetime, so stale (slot, seq) refs left behind by a
-// flush simply stop validating and are dropped when next touched.
+// and it reads memory latencies from the shared fetch-time probe
+// (Core.memLatency), so issue performs no hierarchy access at all. Run
+// skips idle cycles: when no stage can commit, issue, dispatch or fetch,
+// now jumps to the next event time with batched Cycles/stall accounting.
+//
+// Every structure is keyed by slot and holds only live entries: a squash
+// clears each popped slot from all three (unschedule), and resetPipeline
+// clears them whole, so nothing is validated against a sequence number
+// when it is next touched.
 //
 // The differential oracle (oracle_test.go) checks bit-identical Stats and
 // HierStats against the reference kernel for every workload profile.
 
-// wakeNode is one consumer registration in the wake-list arena: a slab of
-// freelist-linked nodes replacing the previous per-slot []qref slices, so
-// registering and notifying consumers never allocates in steady state and
-// clearing a list is an O(list) splice back onto the freelist.
-type wakeNode struct {
-	next int32
-	ref  qref
+// wheelSize is the number of cycle buckets on the wake wheel, a power of
+// two. It bounds nothing: a wakeup due more than wheelSize cycles ahead
+// waits in its bucket for as many laps as it needs. It only sets how often
+// such an entry is passed over, and the occupancy bitmap's length.
+const (
+	wheelSize  = 512
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// wakeLink is a ROB slot's membership of the wake wheel: the cycle it is
+// due (0 when the slot is on no bucket; every wakeup is due at cycle 1 or
+// later) and its neighbours on the bucket's list (-1 at either end).
+type wakeLink struct {
+	at         int64
+	next, prev int32
 }
 
-// wakeNil terminates arena chains (list heads and the freelist).
-const wakeNil = int32(-1)
+// eventSched is the event kernel's scheduling state. It is sized once by
+// newEventSched and never grows; under the reference kernel it stays
+// empty.
+type eventSched struct {
+	// ready holds one bit per ROB slot: a waiting entry whose operands are
+	// available now. Port-conflicted entries stay set until they issue.
+	// nready counts the set bits.
+	ready  []uint64
+	nready int
+	// cons holds one consumer set per ROB slot, setWords words each: the
+	// waiting entries to notify when the producer in that slot issues.
+	cons     []uint64
+	setWords int
+	// wheel[b] heads the list of slots due on cycles ≡ b (mod wheelSize);
+	// it is meaningful only while wheelOcc has bit b set. wake holds each
+	// slot's list membership.
+	wheel    [wheelSize]int32
+	wheelOcc [wheelWords]uint64
+	wake     []wakeLink
+}
 
-// wakeAdd pushes a consumer registration onto the producer slot's list,
-// reusing a freelist node when one is available.
-func (c *Core) wakeAdd(slot int32, r qref) {
-	nd := wakeNode{next: c.wakeHead[slot], ref: r}
-	idx := c.wakeFree
-	if idx != wakeNil {
-		c.wakeFree = c.wakeArena[idx].next
-		c.wakeArena[idx] = nd
-	} else {
-		idx = int32(len(c.wakeArena))
-		c.wakeArena = append(c.wakeArena, nd)
+// newEventSched sizes the scheduling state for a ROB of robSize slots.
+func newEventSched(robSize int) eventSched {
+	w := (robSize + 63) / 64
+	return eventSched{
+		ready:    make([]uint64, w),
+		cons:     make([]uint64, robSize*w),
+		setWords: w,
+		wake:     make([]wakeLink, robSize),
 	}
-	c.wakeHead[slot] = idx
 }
 
-// wakeDrop splices the slot's whole consumer list onto the freelist.
-func (c *Core) wakeDrop(slot int32) {
-	head := c.wakeHead[slot]
-	if head == wakeNil {
+// reset empties every structure, as when the whole ROB is popped.
+func (s *eventSched) reset() {
+	clear(s.ready)
+	s.nready = 0
+	clear(s.cons)
+	clear(s.wheelOcc[:])
+	clear(s.wake)
+}
+
+// consumers returns the consumer set of the producer in slot.
+func (s *eventSched) consumers(slot int) []uint64 {
+	return s.cons[slot*s.setWords : (slot+1)*s.setWords]
+}
+
+// schedule puts slot on the wheel bucket of cycle at (≥ 1), at the head of
+// its list.
+func (s *eventSched) schedule(slot int32, at int64) {
+	b := int(at) & wheelMask
+	w := &s.wake[slot]
+	w.at, w.prev = at, -1
+	if bit := uint64(1) << (b & 63); s.wheelOcc[b>>6]&bit == 0 {
+		s.wheelOcc[b>>6] |= bit
+		w.next = -1
+	} else {
+		w.next = s.wheel[b]
+		s.wake[w.next].prev = slot
+	}
+	s.wheel[b] = slot
+}
+
+// unlink takes slot off its wheel bucket.
+func (s *eventSched) unlink(slot int32) {
+	w := &s.wake[slot]
+	b := int(w.at) & wheelMask
+	if w.prev >= 0 {
+		s.wake[w.prev].next = w.next
+	} else if w.next >= 0 {
+		s.wheel[b] = w.next
+	} else {
+		s.wheelOcc[b>>6] &^= 1 << (b & 63)
+	}
+	if w.next >= 0 {
+		s.wake[w.next].prev = w.prev
+	}
+	w.at = 0
+}
+
+// drain moves the slots due at cycle now from its bucket into the ready
+// set. Slots on the bucket for a later lap are relinked as its new list.
+func (s *eventSched) drain(now int64) {
+	b := int(now) & wheelMask
+	bit := uint64(1) << (b & 63)
+	if s.wheelOcc[b>>6]&bit == 0 {
 		return
 	}
-	tail := head
-	for c.wakeArena[tail].next != wakeNil {
-		tail = c.wakeArena[tail].next
+	kept := int32(-1)
+	for slot := s.wheel[b]; slot >= 0; {
+		w := &s.wake[slot]
+		next := w.next
+		if w.at <= now {
+			w.at = 0
+			s.ready[slot>>6] |= 1 << (slot & 63)
+			s.nready++
+		} else {
+			w.prev, w.next = -1, kept
+			if kept >= 0 {
+				s.wake[kept].prev = slot
+			}
+			kept = slot
+		}
+		slot = next
 	}
-	c.wakeArena[tail].next = c.wakeFree
-	c.wakeFree = head
-	c.wakeHead[slot] = wakeNil
+	if kept < 0 {
+		s.wheelOcc[b>>6] &^= bit
+	} else {
+		s.wheel[b] = kept
+	}
+}
+
+// nextWake returns a lower bound on the earliest pending wakeup after now:
+// the first cycle past now whose bucket is occupied. The bucket may hold
+// only later-lap entries, which makes the bound early, never late.
+func (s *eventSched) nextWake(now int64) (int64, bool) {
+	start := int(now+1) & wheelMask
+	sw, sb := start>>6, uint(start&63)
+	for i := 0; i <= wheelWords; i++ {
+		wi := (sw + i) & (wheelWords - 1)
+		word := s.wheelOcc[wi]
+		switch i {
+		case 0:
+			word &= ^uint64(0) << sb
+		case wheelWords:
+			word &= 1<<sb - 1
+		}
+		if word != 0 {
+			b := wi<<6 | bits.TrailingZeros64(word)
+			return now + 1 + int64((b-start)&wheelMask), true
+		}
+	}
+	return 0, false
 }
 
 // registerDeps records the freshly dispatched entry's producer
 // dependencies. Entries with no unresolved producers are scheduled
 // immediately; the earliest cycle an entry can issue is the one after its
-// dispatch, matching the reference scan which runs before dispatch.
+// dispatch, matching the reference scan which runs before dispatch. A
+// consumer whose two sources share one producer registers once: both
+// sources would fold the same doneAt.
 func (c *Core) registerDeps(slot int) {
 	e := &c.rob[slot]
 	e.nwait = 0
 	e.readyAt = 0
-	c.wakeDrop(int32(slot)) // drop stale consumers of the slot's previous occupant
-	for _, ref := range [2]regRef{e.prod1, e.prod2} {
-		if ref.seq == 0 {
-			continue
-		}
-		p := &c.rob[ref.slot]
-		if p.seq != ref.seq {
-			continue // producer committed or squashed: value available
-		}
-		if p.state == stWaiting {
-			c.wakeAdd(ref.slot, qref{slot: int32(slot), seq: e.seq})
-			e.nwait++
-			continue
-		}
-		// Issued producer: completion time already known.
-		if p.doneAt > e.readyAt {
-			e.readyAt = p.doneAt
-		}
+	c.dependOn(slot, e, e.prod1)
+	if e.prod2 != e.prod1 {
+		c.dependOn(slot, e, e.prod2)
 	}
 	if e.nwait == 0 {
-		at := e.readyAt
-		if at < c.now+1 {
-			at = c.now + 1
-		}
-		c.wakePush(wakeEv{at: at, slot: int32(slot), seq: e.seq})
+		c.sched.schedule(int32(slot), max(e.readyAt, c.now+1))
 	}
+}
+
+// dependOn registers entry e, in slot, on one source's producer ref.
+func (c *Core) dependOn(slot int, e *robEntry, ref regRef) {
+	if ref.seq == 0 {
+		return
+	}
+	p := &c.rob[ref.slot]
+	if p.seq != ref.seq {
+		return // producer committed: value available
+	}
+	if p.state == stWaiting {
+		c.sched.consumers(int(ref.slot))[slot>>6] |= 1 << (slot & 63)
+		e.nwait++
+		return
+	}
+	// Issued producer: completion time already known.
+	e.readyAt = max(e.readyAt, p.doneAt)
 }
 
 // notifyConsumers wakes the consumers registered on the just-issued
-// producer in the given slot, freeing each arena node as it goes. Consumers
-// squashed since registration fail the seq check and are dropped. The walk
-// is newest-registration-first (push-front order); that is immaterial
-// because each notification is independent — it only decrements the
-// consumer's wait count and, at zero, schedules a wakeup whose eventual
-// readyQ position is keyed by seq alone.
-func (c *Core) notifyConsumers(slot int32, doneAt int64) {
-	idx := c.wakeHead[slot]
-	if idx == wakeNil {
-		return
-	}
-	c.wakeHead[slot] = wakeNil
-	for idx != wakeNil {
-		nd := &c.wakeArena[idx]
-		w := nd.ref
-		next := nd.next
-		nd.next = c.wakeFree
-		c.wakeFree = idx
-		idx = next
-
-		ce := &c.rob[w.slot]
-		if ce.seq != w.seq || ce.state != stWaiting || ce.nwait == 0 {
+// producer in the given slot and empties its set. The walk is in slot
+// order; that is immaterial because each notification is independent — it
+// only decrements the consumer's wait count and, at zero, schedules a
+// wakeup whose eventual issue position is the slot's ring position alone.
+func (c *Core) notifyConsumers(slot int, doneAt int64) {
+	set := c.sched.consumers(slot)
+	for wi, word := range set {
+		if word == 0 {
 			continue
 		}
-		if doneAt > ce.readyAt {
-			ce.readyAt = doneAt
-		}
-		ce.nwait--
-		if ce.nwait == 0 {
-			at := ce.readyAt
-			if at < c.now+1 {
-				at = c.now + 1
+		set[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			cs := wi<<6 | bits.TrailingZeros64(word)
+			ce := &c.rob[cs]
+			ce.readyAt = max(ce.readyAt, doneAt)
+			if ce.nwait--; ce.nwait == 0 {
+				c.sched.schedule(int32(cs), max(ce.readyAt, c.now+1))
 			}
-			c.wakePush(wakeEv{at: at, slot: w.slot, seq: w.seq})
 		}
 	}
 }
 
-// wakePush inserts into the min-heap ordered by wake time.
-func (c *Core) wakePush(ev wakeEv) {
-	c.wakeHeap = append(c.wakeHeap, ev)
-	i := len(c.wakeHeap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if c.wakeHeap[p].at <= c.wakeHeap[i].at {
-			break
-		}
-		c.wakeHeap[p], c.wakeHeap[i] = c.wakeHeap[i], c.wakeHeap[p]
-		i = p
+// unschedule removes the popped entry in slot from every scheduling
+// structure: the ready set, its wheel bucket, and the consumer sets of the
+// producers it still waits on. Its own consumer set is already empty, as
+// every consumer is younger and squashes pop youngest first.
+func (c *Core) unschedule(slot int, e *robEntry) {
+	s := &c.sched
+	if bit := uint64(1) << (slot & 63); s.ready[slot>>6]&bit != 0 {
+		s.ready[slot>>6] &^= bit
+		s.nready--
 	}
-}
-
-// wakePop removes and returns the earliest wakeup. The sift-down picks
-// the smaller child branch-free, like readyPop: on equal wake times the
-// left child wins, exactly as the two-conditional form chose, so pop
-// order is unchanged (ties are harmless anyway — issueEvent drains every
-// event due at or before now and re-validates against the ROB).
-func (c *Core) wakePop() wakeEv {
-	h := c.wakeHeap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	c.wakeHeap = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		r := l + 1
-		m := l + b2i(r < n && h[r].at < h[l].at)
-		if h[i].at <= h[m].at {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	if s.wake[slot].at != 0 {
+		s.unlink(int32(slot))
 	}
-	return top
-}
-
-// readyPush inserts a ready entry into the seq-keyed min-heap. Sequence
-// numbers are unique for the core's lifetime, so pop order is exactly
-// program order — the same oldest-first selection the scan kernel makes —
-// without the previous sorted-slice insert's O(n) memmove per entry.
-func (c *Core) readyPush(r qref) {
-	h := append(c.readyQ, r)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].seq <= h[i].seq {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+	if e.state != stWaiting || e.nwait == 0 {
+		return
 	}
-	c.readyQ = h
-}
-
-// readyPop removes the oldest ready entry. The sift-down picks the smaller
-// child branch-free: unique seqs mean no ties, so the comparison result
-// indexes the child directly instead of a second conditional swap.
-func (c *Core) readyPop() qref {
-	h := c.readyQ
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	c.readyQ = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+	for _, ref := range [2]regRef{e.prod1, e.prod2} {
+		if ref.seq != 0 && c.rob[ref.slot].seq == ref.seq {
+			s.consumers(int(ref.slot))[slot>>6] &^= 1 << (slot & 63)
 		}
-		r := l + 1
-		m := l + b2i(r < n && h[r].seq < h[l].seq)
-		if h[i].seq <= h[m].seq {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
-	return top
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // issueEvent selects and executes ready instructions, oldest first,
 // respecting functional-unit ports — the event-driven counterpart of
-// issueRef with identical selection semantics.
+// issueRef with identical selection semantics. The ready set is walked in
+// ring order from the ROB head, which is program order.
 func (c *Core) issueEvent() {
-	// Promote wakeups that are due into the ready queue.
-	for len(c.wakeHeap) > 0 && c.wakeHeap[0].at <= c.now {
-		w := c.wakePop()
-		e := &c.rob[w.slot]
-		if e.seq == w.seq && e.state == stWaiting {
-			c.readyPush(qref{slot: w.slot, seq: w.seq})
-		}
-	}
-	if len(c.readyQ) == 0 {
+	s := &c.sched
+	s.drain(c.now)
+	if s.nready == 0 {
 		return
 	}
-
-	p := &c.cfg.Core
+	width := c.cfg.Core.IssueWidth
 	budget := c.newBudget()
-	issued := 0
-	kept := c.readyKept[:0] // port-conflict entries retained for a later cycle
-	for len(c.readyQ) > 0 && issued < p.IssueWidth {
-		r := c.readyPop()
-		e := &c.rob[r.slot]
-		if e.seq != r.seq || e.state != stWaiting {
-			continue // squashed or already handled: drop lazily
+	issued, left := 0, s.nready
+	n := len(s.ready)
+	hw, hb := c.head>>6, uint(c.head&63)
+	for i := 0; i <= n; i++ {
+		wi := hw + i
+		if wi >= n {
+			wi -= n
 		}
-		ok, lat := c.allocFU(e, &budget)
-		if !ok {
-			// Port conflict: the scan kernel skips the entry but keeps
-			// scanning younger ones; keep it ready for a later cycle.
-			kept = append(kept, r)
-			continue
+		word := s.ready[wi]
+		switch i {
+		case 0:
+			word &= ^uint64(0) << hb
+		case n:
+			word &= 1<<hb - 1
 		}
-
-		c.markIssued(e, lat)
-		issued++
-		c.notifyConsumers(r.slot, e.doneAt)
-
-		if e.kind == trace.Branch && (e.mispred || e.btbMiss) {
-			// Younger entries left in the heap are now stale refs; they
-			// fail the seq check and drop lazily when next popped.
-			c.squashAfter(int(r.slot), e)
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			slot := wi<<6 | b
+			e := &c.rob[slot]
+			left--
+			ok, lat := c.allocFU(e, &budget)
+			if !ok {
+				// Port conflict: the scan kernel skips the entry but keeps
+				// scanning younger ones; its bit stays set for a later cycle.
+				if left == 0 {
+					return
+				}
+				continue
+			}
+			s.ready[wi] &^= 1 << b
+			s.nready--
+			c.markIssued(e, lat)
+			issued++
+			c.notifyConsumers(slot, e.doneAt)
+			if e.kind == trace.Branch && (e.mispred || e.btbMiss) {
+				c.squashAfter(slot, e)
+				c.finish(e)
+				return
+			}
 			c.finish(e)
-			break
+			if issued == width || left == 0 {
+				return
+			}
 		}
-		c.finish(e)
 	}
-	// Re-arm port-conflicted entries for the next issue cycle.
-	for _, r := range kept {
-		c.readyPush(r)
-	}
-	c.readyKept = kept[:0]
 }
 
 // skipIdle fast-forwards now over cycles in which Step could only burn
-// time: nothing can commit (head not complete), issue (ready queue empty),
+// time: nothing can commit (head not complete), issue (ready set empty),
 // dispatch (frontend empty, not yet decoded, or resource-stalled) or fetch
 // (gated or frontend full). The skipped window is provably frozen — the
 // only per-cycle state changes the reference kernel would make are
 // Cycles++ and, when dispatch is resource-stalled, exactly one stall
 // counter++ — so both are batched and the resulting Stats stay
 // bit-identical. Skipping stops at the earliest next event: the head's
-// completion, the earliest operand wakeup, the frontend head's decode
-// time, or the fetch gate.
+// completion, the first occupied wake-wheel bucket, the frontend head's
+// decode time, or the fetch gate.
 func (c *Core) skipIdle() {
-	if len(c.readyQ) > 0 {
+	if c.sched.nready > 0 {
 		// Something may issue next cycle (possibly only after a div unit
 		// frees, but then issue still has to re-evaluate each cycle).
 		return
@@ -321,17 +356,7 @@ func (c *Core) skipIdle() {
 			}
 			next = h.doneAt
 		}
-		// A waiting head is covered by the wakeup heap below.
-	}
-
-	// Issue: earliest scheduled operand wakeup (possibly a stale ref from
-	// a squash — that only shortens the skip, never overshoots it).
-	if len(c.wakeHeap) > 0 {
-		if t := c.wakeHeap[0].at; t <= c.now+1 {
-			return
-		} else if t < next {
-			next = t
-		}
+		// A waiting head is covered by the wake wheel below.
 	}
 
 	// Dispatch: either the frontend head is still decoding (its readyAt is
@@ -360,6 +385,12 @@ func (c *Core) skipIdle() {
 		if c.fetchGate < next {
 			next = c.fetchGate
 		}
+	}
+
+	// Issue: the first occupied wheel bucket. It may hold only later-lap
+	// entries; that only shortens the skip, never overshoots a wakeup.
+	if t, ok := c.sched.nextWake(c.now); ok && t < next {
+		next = t
 	}
 
 	if next == math.MaxInt64 || next <= c.now+1 {

@@ -39,9 +39,9 @@ func squashPair(t *testing.T, cfg config.Config, bench string, instrs uint64) St
 
 // TestSquashWithFullROB forces mispredict squashes to land while the ROB and
 // IQ are saturated: a tiny window on a branchy workload. The event kernel
-// must drop every stale readyQ/wakeup reference for the popped entries or it
-// would issue squashed work (caught as a Stats divergence or occupancy
-// underflow by the invariant checks).
+// must clear every popped slot from its ready set, wake wheel and consumer
+// sets, or it would issue squashed work or wake a later occupant of the
+// slot (caught as a Stats divergence).
 func TestSquashWithFullROB(t *testing.T) {
 	s := suite(t)
 	cfg := s.Configs[config.Base]

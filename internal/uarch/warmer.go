@@ -455,19 +455,13 @@ func (c *Core) takeWarmObs() WarmObs {
 }
 
 // resetPipeline discards all in-flight pipeline state — ROB, frontend
-// queue, rename map, scheduling queues — while preserving the long-lived
-// state sampling relies on: caches and predictor (external), the
-// store-forwarding ring, the trace position (instBuf), committed Stats,
-// the cycle clock and the monotonic sequence counter (seq uniqueness is
-// what lets stale scheduling refs die quietly).
+// queue, rename map, the event kernel's scheduling sets and wake wheel —
+// while preserving the long-lived state sampling relies on: caches and
+// predictor (external), the store-forwarding ring, the trace position
+// (instBuf), committed Stats, the cycle clock and the monotonic sequence
+// counter.
 func (c *Core) resetPipeline() {
 	p := &c.cfg.Core
-	for c.count > 0 {
-		t := (c.tail - 1 + len(c.rob)) % len(c.rob)
-		c.rob[t].seq = 0 // stale scheduling refs stop validating
-		c.tail = t
-		c.count--
-	}
 	c.head, c.tail, c.count = 0, 0, 0
 	c.iqCount, c.lqCount, c.sqCount = 0, 0, 0
 	c.freePhys = p.IntRF + p.FPRF - 2*64
@@ -477,13 +471,7 @@ func (c *Core) resetPipeline() {
 	// stream state (recently dispatched store lines), and the warmer
 	// continues it across the fast-forward exactly as dispatch would.
 	if c.kern == KernelEvent {
-		c.readyQ = c.readyQ[:0]
-		c.wakeHeap = c.wakeHeap[:0]
-		c.wakeArena = c.wakeArena[:0]
-		c.wakeFree = wakeNil
-		for i := range c.wakeHead {
-			c.wakeHead[i] = wakeNil
-		}
+		c.sched.reset()
 	}
 	// A fetch gate set by an in-flight branch may point past now; keep it —
 	// skipIdle jumps over the dead time exactly as the detailed path would.
