@@ -49,9 +49,7 @@ func run() int {
 	measure := flag.Uint64("measure", 200_000, "measured instructions")
 	seed := flag.Int64("seed", 42, "trace seed")
 	stream := flag.Int("stream", 0, "trace stream id (multicore core i uses stream i; pick a distinct id to avoid replaying a multicore per-core stream)")
-	// Single-core cells replay probe tapes and never read a warm snapshot,
-	// so coresim takes no -warm-cache or -warm-dir.
-	sf := sweepflag.Register(flag.CommandLine, "coresim", sweepflag.Batch&^sweepflag.Warm|sweepflag.SampleParams)
+	sf := sweepflag.Register(flag.CommandLine, "coresim", sweepflag.Batch|sweepflag.SampleParams)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	list := flag.Bool("list", false, "list benchmarks and exit")

@@ -319,7 +319,7 @@ type statszView struct {
 	UptimeSeconds float64                        `json:"uptime_seconds"`
 }
 
-// residentView reports what the process-wide trace and warm caches hold.
+// residentView reports what the process-wide trace and tape caches hold.
 // Running sweeps hold their entries and release them when they return, so
 // every count is 0 on an idle daemon.
 type residentView struct {
@@ -327,10 +327,9 @@ type residentView struct {
 	TraceBytes      int `json:"trace_bytes"`
 	ProbeTapes      int `json:"probe_tapes"`
 	ProbeTapeBytes  int `json:"probe_tape_bytes"`
-	WarmMCSnapshots int `json:"warm_mc_snapshots"`
 }
 
-// resident reads the trace and warm registries.
+// resident reads the trace and tape registries.
 func resident() residentView {
 	tapes, tapeBytes := warm.ResidentTapes()
 	return residentView{
@@ -338,7 +337,6 @@ func resident() residentView {
 		TraceBytes:      trace.CachedBytes(),
 		ProbeTapes:      tapes,
 		ProbeTapeBytes:  tapeBytes,
-		WarmMCSnapshots: warm.Resident(),
 	}
 }
 

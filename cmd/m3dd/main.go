@@ -54,8 +54,8 @@ import (
 
 // sharedFlags are the sweep flags the daemon shares with the batch
 // commands; every other shared setting keeps its default, which turns the
-// warm-state snapshot cache on.
-const sharedFlags = sweepflag.Workers | sweepflag.Journal | sweepflag.Retries | sweepflag.Trace | sweepflag.Warm
+// trace cache on.
+const sharedFlags = sweepflag.Workers | sweepflag.Journal | sweepflag.Retries | sweepflag.Trace
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address")

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
+	"vertical3d/internal/multicore"
 	"vertical3d/internal/resultcache"
 	"vertical3d/internal/sweep"
 	"vertical3d/internal/sweepflag"
@@ -400,20 +400,17 @@ func TestTableSweeps(t *testing.T) {
 }
 
 // TestSampledSweepServesCLIJournal checks that the daemon's shared-flag
-// defaults match the CLI's: a sampled fig6 sweep runs under the identity
-// m3dcli -sample journals under, so the CLI's journal serves every cell,
-// and a fresh sampled fig9 sweep writes its multicore warm-state snapshots
-// to -warm-dir.
+// defaults match the CLI's: sampled fig6 and fig9 sweeps run under the
+// identities m3dcli -sample journals under, so the CLI's journal serves
+// every cell of both.
 func TestSampledSweepServesCLIJournal(t *testing.T) {
 	trace.ResetCache()
 	warm.ResetCache()
 	t.Cleanup(func() {
-		_ = trace.SetCacheDir("")
-		_ = warm.SetCacheDir("")
 		trace.ResetCache()
 		warm.ResetCache()
 	})
-	jdir, wdir := t.TempDir(), t.TempDir()
+	jdir := t.TempDir()
 
 	// m3dcli -quick -sample -journal-dir jdir fig6, over one benchmark.
 	cfs := flag.NewFlagSet("m3dcli", flag.ContinueOnError)
@@ -439,10 +436,21 @@ func TestSampledSweepServesCLIJournal(t *testing.T) {
 	if _, err := experiments.Fig6With(suite, []trace.Profile{mcf}, opt); err != nil {
 		t.Fatal(err)
 	}
+	// m3dcli -quick -sample -journal-dir jdir fig9, over one benchmark at
+	// seed 7.
+	fft, err := workload.ByName("Fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mopt := multicore.QuickOptions()
+	mopt.Env, mopt.Sample, mopt.Seed = cenv, opt.Sample, 7
+	if _, err := experiments.Fig9With(suite, []trace.Profile{fft}, mopt); err != nil {
+		t.Fatal(err)
+	}
 
 	dfs := flag.NewFlagSet("m3dd", flag.ContinueOnError)
 	daemon := sweepflag.Register(dfs, "m3dd", sharedFlags)
-	if err := dfs.Parse([]string{"-journal-dir", jdir, "-warm-dir", wdir}); err != nil {
+	if err := dfs.Parse([]string{"-journal-dir", jdir}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := daemon.Env()
@@ -456,14 +464,7 @@ func TestSampledSweepServesCLIJournal(t *testing.T) {
 	}
 
 	req = sweepRequest{Experiment: "fig9", Benchmarks: []string{"Fft"}, Sample: true, Seed: seedPtr(7)}
-	if v := waitDone(t, ts.URL, postSweep(t, ts.URL, req)); v.Simulated == 0 {
-		t.Fatal("fresh sampled sweep simulated nothing")
-	}
-	snaps, err := filepath.Glob(filepath.Join(wdir, "*.m3dwarm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Error("-warm-dir holds no .m3dwarm snapshot after a sampled sweep")
+	if v := waitDone(t, ts.URL, postSweep(t, ts.URL, req)); v.Simulated != 0 {
+		t.Errorf("sampled fig9 sweep simulated %d cells over the CLI's journal, want 0", v.Simulated)
 	}
 }

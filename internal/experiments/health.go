@@ -13,14 +13,7 @@ package experiments
 //	                directory stale; results are bit-identical either way;
 //	sample layer    a sampled cell whose warm-phase oracle check exceeds
 //	                the error budget re-runs under full simulation —
-//	                slower, but exact;
-//	warm layer      a multicore warm-state snapshot file that is
-//	                unreadable, corrupt (CRC), foreign or unrestorable is
-//	                quarantined or replaced and the snapshot is rebuilt
-//	                from the trace; a refused in-memory restore falls back
-//	                to local warming; a failed save leaves the snapshot
-//	                directory stale; results are bit-identical in every
-//	                case.
+//	                slower, but exact.
 //
 // Every rung taken is recorded as a DegradationEvent in the result's
 // Health block, so an operator (or a service scraping the JSON) can tell a
@@ -33,7 +26,6 @@ import (
 
 	"vertical3d/internal/journal"
 	"vertical3d/internal/trace"
-	"vertical3d/internal/warm"
 )
 
 // DefaultSampleErrorBudget is the calibrated warm-phase oracle bound for
@@ -121,21 +113,16 @@ func journalHealth(h *healthRecorder, jn *journal.Journal) {
 	}
 }
 
-// cacheWatch snapshots the process-global trace-recording and warm
-// snapshot cache counters around a sweep so their deltas can be attributed
-// to it. The counters are process-wide: concurrent sweeps in one process
-// may cross-attribute events, but never invent or lose one.
-type cacheWatch struct {
-	trace trace.CacheCounters
-	warm  warm.Counters
-}
+// cacheWatch snapshots the process-global trace-recording cache counters
+// around a sweep so their deltas can be attributed to it. The counters are
+// process-wide: concurrent sweeps in one process may cross-attribute
+// events, but never invent or lose one.
+type cacheWatch struct{ trace trace.CacheCounters }
 
-func watchCaches() cacheWatch {
-	return cacheWatch{trace: trace.CacheStats(), warm: warm.Stats()}
-}
+func watchCaches() cacheWatch { return cacheWatch{trace: trace.CacheStats()} }
 
-// harvest records events for cache files, saves and restores that failed
-// while the watch was open.
+// harvest records events for cache files and saves that failed while the
+// watch was open.
 func (c cacheWatch) harvest(h *healthRecorder) {
 	tr := trace.CacheStats()
 	if n := tr.LoadErrors - c.trace.LoadErrors; n > 0 {
@@ -145,23 +132,6 @@ func (c cacheWatch) harvest(h *healthRecorder) {
 	if n := tr.SaveErrors - c.trace.SaveErrors; n > 0 {
 		h.add("trace", "",
 			fmt.Sprintf("%d recording save(s) failed, cache directory left stale", n), nil)
-	}
-	wm := warm.Stats()
-	if n := wm.LoadErrors - c.warm.LoadErrors; n > 0 {
-		h.add("warm", "",
-			fmt.Sprintf("regenerated %d warm snapshot(s) from the trace (snapshot file unreadable, corrupt, foreign or unrestorable)", n), nil)
-	}
-	if n := wm.Quarantines - c.warm.Quarantines; n > 0 {
-		h.add("warm", "",
-			fmt.Sprintf("quarantined %d damaged snapshot file(s)", n), nil)
-	}
-	if n := wm.SaveErrors - c.warm.SaveErrors; n > 0 {
-		h.add("warm", "",
-			fmt.Sprintf("%d snapshot save(s) failed, snapshot directory left stale", n), nil)
-	}
-	if n := wm.RestoreErrors - c.warm.RestoreErrors; n > 0 {
-		h.add("warm", "",
-			fmt.Sprintf("%d cell(s) fell back to local warming (snapshot restore refused)", n), nil)
 	}
 }
 

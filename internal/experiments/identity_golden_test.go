@@ -29,6 +29,10 @@ func TestJournalIdentityGolden(t *testing.T) {
 	mcSampled := mc
 	mcSampled.Sample = true
 	mcSampled.WarmCache = true
+	mcSampledNoWarm := mcSampled
+	mcSampledNoWarm.WarmCache = false
+	mcSampledNoTrace := mcSampled
+	mcSampledNoTrace.NoTraceCache = true
 
 	for _, c := range []struct {
 		name string
@@ -50,6 +54,10 @@ func TestJournalIdentityGolden(t *testing.T) {
 		{"fig9", MCIdentity(mc, "fig9"),
 			"fig9 instrs=600000 warmup=30000 phases=4 seed=42 lockstep=false streambase=0 kernel=event"},
 		{"fig9 sampled warm cache", MCIdentity(mcSampled, "fig9"),
+			"fig9 instrs=600000 warmup=30000 phases=4 seed=42 lockstep=false streambase=0 kernel=event sample=warmup warm=snapshot"},
+		{"fig9 sampled no warm cache", MCIdentity(mcSampledNoWarm, "fig9"),
+			"fig9 instrs=600000 warmup=30000 phases=4 seed=42 lockstep=false streambase=0 kernel=event sample=warmup warm=snapshot"},
+		{"fig9 sampled NoTraceCache", MCIdentity(mcSampledNoTrace, "fig9"),
 			"fig9 instrs=600000 warmup=30000 phases=4 seed=42 lockstep=false streambase=0 kernel=event sample=warmup warm=snapshot"},
 		{"lpstudy", DefaultRunOptions().Identity("lpstudy"),
 			"lpstudy warmup=80000 measure=200000 seed=42 stream=0 kernel=event counters=window"},

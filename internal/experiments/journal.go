@@ -84,12 +84,12 @@ func MCIdentity(opt multicore.Options, experiment string) journal.Identity {
 	}
 	// Functional warmup changes cache/predictor warmth, so it joins the
 	// identity only when enabled — mirroring the single-core rule that
-	// sampled and full journals can never mix.
+	// sampled and full journals can never mix. The warm pair is a
+	// constant, as in Identity: it once marked runs that restored warmup
+	// snapshots, and journals written with the default caches carry it.
+	// Neither WarmCache nor NoTraceCache changes a cell's results.
 	if opt.Sample {
-		kv = append(kv, "sample", "warmup")
-		if opt.WarmCache && !opt.NoTraceCache {
-			kv = append(kv, "warm", "snapshot")
-		}
+		kv = append(kv, "sample", "warmup", "warm", "snapshot")
 	}
 	return journal.Identity{Experiment: experiment, Params: journal.Params(kv...)}
 }

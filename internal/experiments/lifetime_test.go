@@ -16,38 +16,35 @@ import (
 	"vertical3d/internal/warm"
 )
 
-// residentPeak is a CellHook that records the most trace recordings,
-// multicore snapshots and probe tapes resident at any cell start.
+// residentPeak is a CellHook that records the most trace recordings and
+// probe tapes resident at any cell start.
 type residentPeak struct {
-	mu               sync.Mutex
-	recs, mcs, tapes int
+	mu          sync.Mutex
+	recs, tapes int
 }
 
 func (p *residentPeak) hook(string, string) {
-	m := warm.Resident()
 	tp, _ := warm.ResidentTapes()
 	r := trace.CachedRecordings()
 	p.mu.Lock()
-	p.recs, p.mcs, p.tapes = max(p.recs, r), max(p.mcs, m), max(p.tapes, tp)
+	p.recs, p.tapes = max(p.recs, r), max(p.tapes, tp)
 	p.mu.Unlock()
 }
 
-// requireEmpty fails unless the trace and warm registries hold nothing.
+// requireEmpty fails unless the trace and tape registries hold nothing.
 func requireEmpty(t *testing.T, when string) {
 	t.Helper()
-	m := warm.Resident()
 	tp, tb := warm.ResidentTapes()
-	if r := trace.CachedRecordings(); r != 0 || m != 0 || tp != 0 || tb != 0 {
-		t.Errorf("%s: %d recording(s), %d multicore snapshot(s), %d probe tape(s) of %d bytes resident, want none",
-			when, r, m, tp, tb)
+	if r := trace.CachedRecordings(); r != 0 || tp != 0 || tb != 0 {
+		t.Errorf("%s: %d recording(s), %d probe tape(s) of %d bytes resident, want none",
+			when, r, tp, tb)
 	}
 }
 
 // TestTraceCacheReleasedAfterSweeps checks the sweep-scoped lifetime of
-// the trace and warm registries: every entry point keeps its probe tapes,
-// recordings and multicore snapshots resident while its cells run — each
-// stream recorded once — and releases them when it returns, on success
-// and on failure. A single-core sweep, sampled or not, keeps no recording
+// the trace and tape registries: every entry point keeps its probe tapes
+// and recordings resident while its cells run — each stream recorded
+// once — and releases them when it returns, on success and on failure. A single-core sweep, sampled or not, keeps no recording
 // resident at all, and a recording made outside any sweep stays.
 func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	trace.ResetCache()
@@ -61,7 +58,6 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	profiles := oracleProfiles(t, "Mcf", "Gobmk")
 
 	opt := sampledOracleOptions()
-	opt.WarmCache = true
 	var p6 residentPeak
 	opt.CellHook = p6.hook
 	if _, err := Fig6With(s, profiles, opt); err != nil {
@@ -70,21 +66,20 @@ func TestTraceCacheReleasedAfterSweeps(t *testing.T) {
 	if st := trace.CacheStats(); st.Misses != 0 {
 		t.Errorf("sampled Fig6 recorded %d streams, want none", st.Misses)
 	}
-	if p6.tapes == 0 || p6.recs != 0 || p6.mcs != 0 {
-		t.Errorf("sampled Fig6 cells saw %d tape(s), %d recording(s) and %d snapshot(s) resident, want only tapes",
-			p6.tapes, p6.recs, p6.mcs)
+	if p6.tapes == 0 || p6.recs != 0 {
+		t.Errorf("sampled Fig6 cells saw %d tape(s) and %d recording(s) resident, want only tapes",
+			p6.tapes, p6.recs)
 	}
 	requireEmpty(t, "after Fig6")
 
 	mopt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 5, Sample: true}
-	mopt.WarmCache = true
 	var p9 residentPeak
 	mopt.CellHook = p9.hook
 	if _, err := Fig9With(s, oracleProfiles(t, "Fft"), mopt); err != nil {
 		t.Fatal(err)
 	}
-	if p9.recs == 0 || p9.mcs == 0 {
-		t.Errorf("Fig9 cells saw %d recording(s) and %d snapshot(s) resident, want both > 0", p9.recs, p9.mcs)
+	if p9.recs == 0 || p9.tapes != 0 {
+		t.Errorf("Fig9 cells saw %d recording(s) and %d tape(s) resident, want only recordings", p9.recs, p9.tapes)
 	}
 	requireEmpty(t, "after Fig9")
 
@@ -178,7 +173,7 @@ func fig9LifetimeSweep(t *testing.T, retry parallel.Retry, hook func(bench, desi
 	streams *= len(profiles)
 
 	mopt := multicore.Options{TotalInstrs: 24_000, WarmupPerCore: 1_000, Phases: 2, Seed: 5, Sample: true}
-	mopt.WarmCache, mopt.Workers, mopt.Retry = true, 1, retry
+	mopt.Workers, mopt.Retry = 1, retry
 	var stale []string
 	mopt.CellHook = func(bench, design string) {
 		if design == designs[0].String() {
@@ -201,7 +196,7 @@ func fig9LifetimeSweep(t *testing.T, retry parallel.Retry, hook func(bench, desi
 }
 
 // TestFig9RecordingLifetimePerProfile checks that a Fig9 sweep drops each
-// profile's recordings and warm snapshots as soon as the profile's last
+// profile's recordings as soon as the profile's last
 // cell settles, instead of holding every profile's until it returns.
 func TestFig9RecordingLifetimePerProfile(t *testing.T) {
 	fig9LifetimeSweep(t, parallel.Retry{}, func(string, string) {})

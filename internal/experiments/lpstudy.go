@@ -54,7 +54,6 @@ func LPStudy(suite *config.Suite, names []string, opt RunOptions) (*LPStudyResul
 	defer opt.holdCaches(suite, profs, lpDesigns[:])()
 
 	opt.health = &healthRecorder{}
-	cw := watchCaches()
 	cr := openCells(opt.Env, opt.Identity("lpstudy"), opt.health)
 	defer cr.jn.Close()
 	nd := len(lpDesigns)
@@ -97,7 +96,6 @@ func LPStudy(suite *config.Suite, names []string, opt RunOptions) (*LPStudyResul
 	res.ExtraSavingPP = m
 	res.Journal = cr.jn.Stats()
 	journalHealth(opt.health, cr.jn)
-	cw.harvest(opt.health)
 	res.Health = opt.health.health()
 	return res, nil
 }

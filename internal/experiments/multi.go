@@ -31,7 +31,7 @@ func Fig9With(suite *config.Suite, profiles []trace.Profile, opt multicore.Optio
 // and a re-run resumes from them bit-identically.
 func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []config.MulticoreDesign, opt multicore.Options) (*Fig9Result, error) {
 	mcs := config.DeriveMulticore(suite)
-	// Each cell holds its recordings and warm snapshot until it settles, so
+	// Each cell holds its recordings until it settles, so
 	// a profile's entries leave once its last cell has; cells dispatch
 	// profile-major, so only the profiles in flight stay resident. A cell
 	// settles after its last retry: a hold released before a retry would

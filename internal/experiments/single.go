@@ -61,8 +61,8 @@ type RunOptions struct {
 	// results are sampled and which are exact.
 	SampleErrorBudget float64
 
-	// Env is the sweep environment: context, pool, journal, result cache,
-	// and the trace and warm-state caches.
+	// Env is the sweep environment: context, pool, journal, result cache
+	// and the trace cache switch.
 	sweep.Env
 
 	// health collects degradation-ladder events while a sweep runs. It is
@@ -119,50 +119,24 @@ type Fig6Result struct {
 	Matrix[config.Design, AppResult]
 }
 
-// traceSource returns the instruction source for one sweep cell: by
-// default a replayer over the process-wide shared recording of the
-// (profile, seed, stream) triple — recorded once, replayed by every design
-// point — or a fresh generator when the cache is disabled. Both sources
-// are bit-identical instruction for instruction.
-func traceSource(prof trace.Profile, opt RunOptions) trace.Source {
-	if opt.NoTraceCache {
-		return trace.NewGenerator(prof, opt.Seed, opt.StreamID)
-	}
-	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, opt.StreamID, opt.traceHint()))
-}
-
-// traceHint sizes a shared recording for the instructions a cell retires;
-// squashed wrong-path fetches consume more, which the recording's
-// on-demand extension absorbs.
-func (opt RunOptions) traceHint() int {
-	return int(min(opt.Warmup+opt.Measure, 1<<30))
-}
-
 // holdCaches holds, for the life of a single-core sweep over profiles ×
-// designs, every probe tape and shared trace recording its cells replay
-// (see cellCore), and returns the release that drops them. Entries the
-// sweep was the last to hold leave the process-wide caches when it
-// returns. A profile's recording is held only when a cell reads it: one
-// whose design cannot replay a tape. Taped cells generate their stream.
+// designs, every probe tape its cells replay (see cellCore), and returns
+// the release that drops them. Tapes the sweep was the last to hold leave
+// the process-wide cache when it returns. No single-core cell reads a
+// trace recording: tapes generate their stream, and so do the cells that
+// probe a hierarchy of their own.
 func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
 	var rs registry.Releases
 	for _, prof := range profiles {
-		recorded := false
 		for _, d := range designs {
-			cfg := suite.Configs[d]
-			if !opt.replaysTape(cfg) {
-				recorded = true
-				continue
+			if cfg := suite.Configs[d]; opt.replaysTape(cfg) {
+				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
+					Prof:   prof,
+					Seed:   opt.Seed,
+					Stream: opt.StreamID,
+					Geom:   warm.GeometryOf(cfg),
+				}))
 			}
-			rs = append(rs, warm.HoldTape(warm.TapeIdentity{
-				Prof:   prof,
-				Seed:   opt.Seed,
-				Stream: opt.StreamID,
-				Geom:   warm.GeometryOf(cfg),
-			}))
-		}
-		if recorded && !opt.NoTraceCache {
-			rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamID))
 		}
 	}
 	return rs.Release
@@ -222,8 +196,8 @@ func runSingleFull(cfg config.Config, prof trace.Profile, opt RunOptions) (AppRe
 // replaysTape reports whether a cell of cfg replays its geometry's shared
 // probe tape instead of probing a hierarchy of its own: a cell with the
 // trace cache on whose fill levels can be classified, sampled or not. It
-// decides both cellCore's path and, in holdCaches, which sweeps hold a
-// tape rather than a recording, so the two cannot drift.
+// decides both cellCore's path and which tapes holdCaches holds, so the
+// two cannot drift.
 func (opt RunOptions) replaysTape(cfg config.Config) bool {
 	return !opt.NoTraceCache && uarch.FillsClassifiable(cfg)
 }
@@ -233,8 +207,9 @@ func (opt RunOptions) replaysTape(cfg config.Config) bool {
 // replaysTape replays its geometry's shared probe tape (see internal/warm),
 // so a profile's probes are made once for every design, and its sampled
 // fast-forwards sum tape words. The rest probe a hierarchy of their own
-// over traceSource: NoTraceCache cells, the reference the taped cells are
-// tested against, and designs whose fill levels cannot be classified.
+// over a fresh generator: NoTraceCache cells, the reference the taped
+// cells are tested against, and designs whose fill levels cannot be
+// classified (no derived design is one).
 func cellCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Core, func() mem.HierStats, error) {
 	if opt.replaysTape(cfg) {
 		tp := warm.SharedTape(prof, opt.Seed, opt.StreamID, cfg)
@@ -251,7 +226,7 @@ func cellCore(cfg config.Config, prof trace.Profile, opt RunOptions) (*uarch.Cor
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := uarch.NewCoreKernel(0, cfg, traceSource(prof, opt), h, opt.Kernel)
+	c, err := uarch.NewCoreKernel(0, cfg, trace.NewGenerator(prof, opt.Seed, opt.StreamID), h, opt.Kernel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -330,8 +305,7 @@ func Fig6With(suite *config.Suite, profiles []trace.Profile, opt RunOptions) (*F
 // re-run resumes from the checkpointed cells bit-identically — at any
 // worker count and in any design order, since both are merge-neutral.
 // Cells dispatch design-major (see designMajor), and the sweep holds every
-// probe tape and recording its cells use until it returns (see
-// holdCaches).
+// probe tape its cells replay until it returns (see holdCaches).
 func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []config.Design, opt RunOptions) (*Fig6Result, error) {
 	defer opt.holdCaches(suite, profiles, designs)()
 	opt.health = &healthRecorder{}

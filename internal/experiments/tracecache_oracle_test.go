@@ -12,6 +12,16 @@ import (
 	"vertical3d/internal/warm"
 )
 
+// sampledOracleOptions returns sampled sweep sizing small enough for a
+// unit test but large enough for several sampling intervals per cell.
+func sampledOracleOptions() RunOptions {
+	return RunOptions{
+		Warmup: 6_000, Measure: 24_000, Seed: 5,
+		Sample:       true,
+		SampleParams: uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000},
+	}
+}
+
 // TestOracleFig6TraceCacheInvariant is the record-once/replay-many
 // acceptance gate for the single-core sweep: with the trace cache enabled
 // and disabled, at one and eight workers, every Run map and derived ratio

@@ -15,7 +15,6 @@ import (
 	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
-	"vertical3d/internal/warm"
 )
 
 // RunResult summarises one multicore execution.
@@ -74,9 +73,7 @@ type Options struct {
 
 	// Env is the sweep environment of experiment sweeps that fan out
 	// multiple Runs (experiments.Fig9WithDesigns). Run itself reads only
-	// NoTraceCache and WarmCache: the warmup snapshot cache covers each
-	// (profile, seed, stream-base, topology, warmup, geometry) identity,
-	// and applies only to Sample runs.
+	// NoTraceCache, which picks each core's instruction source.
 	sweep.Env
 }
 
@@ -111,27 +108,10 @@ func coreSource(prof trace.Profile, opt Options, cores, i int) trace.Source {
 	return trace.NewReplayer(trace.SharedRecording(prof, opt.Seed, stream, int(min(hint, 1<<30))))
 }
 
-// warmIdentity is the warmup-snapshot identity of a Run of prof on mc;
-// ok is false when the run does not use the snapshot cache.
-func warmIdentity(mc config.MCConfig, prof trace.Profile, opt Options) (id warm.MCIdentity, ok bool) {
-	if !opt.Sample || !opt.WarmCache || opt.NoTraceCache || opt.WarmupPerCore == 0 {
-		return warm.MCIdentity{}, false
-	}
-	return warm.MCIdentity{
-		Prof:       prof,
-		Seed:       opt.Seed,
-		StreamBase: opt.StreamBase,
-		Cores:      mc.Cores,
-		SharedL2:   mc.SharedL2,
-		Warmup:     opt.WarmupPerCore,
-		Geom:       warm.GeometryOf(mc.PerCore),
-	}, true
-}
-
-// Hold keeps the shared recordings and the warmup snapshot a Run of prof
-// on mc uses resident until release is called. Sweeps that fan out Runs
-// (experiments.Fig9WithDesigns) hold every cell's entries for their
-// duration, so the entries leave the process-wide caches when the sweep
+// Hold keeps the shared recordings a Run of prof on mc replays resident
+// until release is called. Sweeps that fan out Runs
+// (experiments.Fig9WithDesigns) hold every cell's recordings for their
+// duration, so the recordings leave the process-wide cache when the sweep
 // returns.
 func Hold(mc config.MCConfig, prof trace.Profile, opt Options) (release func()) {
 	var rs registry.Releases
@@ -139,9 +119,6 @@ func Hold(mc config.MCConfig, prof trace.Profile, opt Options) (release func()) 
 		for i := range mc.Cores {
 			rs = append(rs, trace.Hold(prof, opt.Seed, opt.StreamBase+i))
 		}
-	}
-	if id, ok := warmIdentity(mc, prof, opt); ok {
-		rs = append(rs, warm.HoldMC(id))
 	}
 	return rs.Release
 }
@@ -172,23 +149,13 @@ func Run(mc config.MCConfig, prof trace.Profile, opt Options) (RunResult, error)
 	}
 
 	// Warm up all cores (caches, predictors) without counting time — in
-	// sampled mode functionally, skipping the OoO backend. With the
-	// snapshot cache, the functional warmup of an identity is captured
-	// once and every later design point restores it instead (detailed
-	// warmup is never cached: its state includes the pipeline and clock).
-	doWarm := func() {
-		for _, c := range cores {
-			if opt.Sample {
-				c.FastForward(opt.WarmupPerCore)
-			} else {
-				c.Run(opt.WarmupPerCore)
-			}
+	// sampled mode functionally, skipping the OoO backend.
+	for _, c := range cores {
+		if opt.Sample {
+			c.FastForward(opt.WarmupPerCore)
+		} else {
+			c.Run(opt.WarmupPerCore)
 		}
-	}
-	if id, ok := warmIdentity(mc, prof, opt); ok {
-		warm.MCWarmup(id, backend, cores, doWarm)
-	} else {
-		doWarm()
 	}
 	warmCy := make([]uint64, mc.Cores)
 	warmIn := make([]uint64, mc.Cores)

@@ -1,6 +1,6 @@
 // Package sweep holds the environment every benchmark × design sweep runs
 // in: its context, the worker pool's knobs, the checkpoint journal, the
-// result cache and the trace and warm-state caches. The single-core
+// result cache and the trace cache switch. The single-core
 // (experiments.RunOptions) and multicore (multicore.Options) option types
 // embed one Env, so each tier is declared, mapped onto the pool and
 // opened in exactly one place.
@@ -18,9 +18,7 @@ import (
 
 // Env is the sweep environment. No field changes a cell's result — the
 // determinism contract makes each one merge-neutral or bit-identical — so
-// only WarmCache, which changes a sampled multicore cell's warmup path,
-// joins that sweep's journal identity (defensively; see
-// experiments.MCIdentity).
+// none joins a sweep's journal identity.
 type Env struct {
 	// Context, when non-nil, bounds the whole sweep: cancelling it stops
 	// dispatching new cells (in-flight cells drain) — the graceful-shutdown
@@ -84,13 +82,12 @@ type Env struct {
 	// reference the shared paths are tested against.
 	NoTraceCache bool
 
-	// WarmCache enables the warm-state snapshot cache for sampled
-	// multicore cells: the functional warmup of each multicore identity is
-	// captured once and every other cell restores it instead of re-warming
-	// (see internal/warm). Results are bit-identical either way. It is
-	// ignored without sampling, with NoTraceCache (snapshots need
-	// replayer-backed streams) and by single-core cells, which fast-forward
-	// over their probe tapes.
+	// WarmCache is read by nothing in this module. It once switched the
+	// warm-state snapshot cache of sampled multicore cells, which now
+	// fast-forward their own cores; it stays for callers outside this
+	// module that still set it.
+	//
+	// Deprecated: setting it has no effect.
 	WarmCache bool
 }
 

@@ -2,8 +2,8 @@
 // share — m3dcli, coresim, mcsim, m3dd and sramstudy — once, with one
 // name, default and help text each. It decodes them into a sweep.Env,
 // applies their process-wide settings (the default worker count and the
-// trace and warm cache directories), and prints the end-of-run report the
-// batch commands end with.
+// trace cache directory), and prints the end-of-run report the batch
+// commands end with.
 package sweepflag
 
 import (
@@ -19,7 +19,6 @@ import (
 	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
-	"vertical3d/internal/warm"
 )
 
 // Group selects a set of shared flags; a command registers the union of
@@ -33,13 +32,12 @@ const (
 	KeepGoing                      // -keep-going
 	Deadlines                      // -task-timeout, -sweep-timeout
 	Trace                          // -trace-dir
-	Warm                           // -warm-dir, for multicore warm snapshots
-	Caches                         // -trace-cache, -warm-cache: the switch of each cache registered
+	Caches                         // -trace-cache, when Trace is registered
 	Sample                         // -sample
 	SampleParams                   // -sample-interval, -sample-warmup, -sample-unit, -sample-error-budget
 
 	// Batch is the flag set of the one-shot simulation commands.
-	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Trace | Warm | Caches | Sample
+	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Trace | Caches | Sample
 )
 
 // watchdogGrace is how far past its -task-timeout a cell may run before
@@ -55,8 +53,8 @@ type Flags struct {
 	keepGoing                  bool
 	taskTimeout, sweepTimeout  time.Duration
 	journalDir                 string
-	traceDir, warmDir          string
-	traceCache, warmCache      bool
+	traceDir                   string
+	traceCache                 bool
 	sample                     bool
 	interval, sampleWarm, unit uint64
 	budget                     float64
@@ -65,7 +63,7 @@ type Flags struct {
 
 // Register adds the flags of groups to fs for the command name.
 func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
-	f := &Flags{name: name, retries: 1, traceCache: true, warmCache: true}
+	f := &Flags{name: name, retries: 1, traceCache: true}
 	if groups&Workers != 0 {
 		fs.IntVar(&f.workers, "j", 0, "worker count per sweep (0 = GOMAXPROCS); results are identical at any value")
 	}
@@ -88,12 +86,6 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 			fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
 		}
 	}
-	if groups&Warm != 0 {
-		fs.StringVar(&f.warmDir, "warm-dir", "", "directory for .m3dwarm multicore warm-state snapshots, reused across runs (created if missing)")
-		if groups&Caches != 0 {
-			fs.BoolVar(&f.warmCache, "warm-cache", true, "capture a sampled multicore warmup once per (benchmark, topology, geometry) and restore it in every other sweep cell (identical results; implies nothing without -sample or for single-core sweeps)")
-		}
-	}
 	if groups&Sample != 0 {
 		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
 	}
@@ -107,17 +99,14 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 }
 
 // Env applies the process-wide settings of the parsed flags — the default
-// worker count and the trace and warm cache directories, created if
-// missing — validates the sampling flags, and returns the sweep
+// worker count and the trace cache directory, created if missing —
+// validates the sampling flags, and returns the sweep
 // environment the flags describe. The caller sets Context. An error is a
 // usage error.
 func (f *Flags) Env() (sweep.Env, error) {
 	parallel.SetDefaultWorkers(f.workers)
 	if err := trace.SetCacheDir(f.traceDir); err != nil {
 		return sweep.Env{}, fmt.Errorf("-trace-dir: %w", err)
-	}
-	if err := warm.SetCacheDir(f.warmDir); err != nil {
-		return sweep.Env{}, fmt.Errorf("-warm-dir: %w", err)
 	}
 	sp, err := uarch.SampleParamsFrom(f.sample, f.interval, f.sampleWarm, f.unit)
 	if err != nil {
@@ -134,7 +123,6 @@ func (f *Flags) Env() (sweep.Env, error) {
 		WatchdogLog:   f.Logf,
 		JournalDir:    f.journalDir,
 		NoTraceCache:  !f.traceCache,
-		WarmCache:     f.warmCache,
 	}, nil
 }
 
@@ -160,16 +148,13 @@ type Sweep struct {
 	Health  experiments.Health
 }
 
-// Report writes the end-of-run report: a warning when trace recordings or
-// warm snapshots could not be saved to their directories, each journaled
-// sweep's resume summary, then each sweep's degradation report. It is
-// quiet for a clean, unjournaled run.
+// Report writes the end-of-run report: a warning when trace recordings
+// could not be saved to their directory, each journaled sweep's resume
+// summary, then each sweep's degradation report. It is quiet for a clean,
+// unjournaled run.
 func (f *Flags) Report(w io.Writer, sweeps ...Sweep) {
 	if n := trace.CacheStats().SaveErrors; f.traceDir != "" && n > 0 {
 		fmt.Fprintf(w, "%s: warning: %d trace recording(s) could not be saved to %s\n", f.name, n, f.traceDir)
-	}
-	if n := warm.Stats().SaveErrors; f.warmDir != "" && n > 0 {
-		fmt.Fprintf(w, "%s: warning: %d warm snapshot(s) could not be saved to %s\n", f.name, n, f.warmDir)
 	}
 	for _, s := range sweeps {
 		experiments.RenderJournalStats(w, s.Journal)

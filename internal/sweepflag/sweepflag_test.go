@@ -33,18 +33,17 @@ var surface = map[string]map[string]string{
 		"j": "", "journal-dir": "", "keep-going": "", "quick": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
 		"sweep-timeout": "", "task-timeout": "", "trace-cache": "true", "trace-dir": "",
-		"warm-cache": "true", "warm-dir": "",
 	},
 	"m3dd": {
 		"addr": `"127.0.0.1:8321"`, "cache-bytes": "268435456", "drain-timeout": "30s",
 		"event-buffer": "256", "j": "", "job-dir": "", "journal-dir": "", "keep-jobs": "64",
-		"max-sweeps": "2", "queue-depth": "64", "quick": "", "retries": "1", "trace-dir": "", "warm-dir": "",
+		"max-sweeps": "2", "queue-depth": "64", "quick": "", "retries": "1", "trace-dir": "",
 	},
 	"mcsim": {
 		"bench": `"Fft"`, "cpuprofile": "", "instrs": "600000", "j": "", "journal-dir": "",
 		"keep-going": "", "memprofile": "", "phases": "4", "retries": "1", "sample": "", "seed": "42",
 		"stream-base": "", "sweep-timeout": "", "task-timeout": "", "trace-cache": "true",
-		"trace-dir": "", "warm-cache": "true", "warm-dir": "", "warmup": "30000",
+		"trace-dir": "", "warmup": "30000",
 	},
 	"sramstudy":  {"compare": "true", "j": "", "journal-dir": "", "keep-going": "", "table": `"all"`},
 	"thermalsim": {"grid": "20", "m3dscale": "0.76", "power": "6.4", "tsvscale": "0.9"},
@@ -98,8 +97,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 79 {
-		t.Errorf("%d flags across the commands, want 79", total)
+	if total != 74 {
+		t.Errorf("%d flags across the commands, want 74", total)
 	}
 }
 
@@ -110,7 +109,7 @@ func TestEnvDecodesFlags(t *testing.T) {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	f := Register(fs, "batch", Batch|SampleParams)
 	err := fs.Parse([]string{"-j", "3", "-keep-going", "-retries", "2", "-task-timeout", "1s",
-		"-sweep-timeout", "1m", "-journal-dir", "jdir", "-trace-cache=false", "-warm-cache=false",
+		"-sweep-timeout", "1m", "-journal-dir", "jdir", "-trace-cache=false",
 		"-sample", "-sample-interval", "8000", "-sample-warmup", "500", "-sample-unit", "1000",
 		"-sample-error-budget", "-1"})
 	if err != nil {
@@ -139,10 +138,10 @@ func TestEnvDecodesFlags(t *testing.T) {
 		t.Errorf("sampling = %v %+v %v", opt.Sample, opt.SampleParams, opt.SampleErrorBudget)
 	}
 
-	// A daemon-style group set: the caches stay on and one attempt per
-	// cell, as the batch commands default to.
+	// A daemon-style group set: the trace cache stays on and one attempt
+	// per cell, as the batch commands default to.
 	fs = flag.NewFlagSet("daemon", flag.ContinueOnError)
-	f = Register(fs, "daemon", Workers|Journal|Retries|Trace|Warm)
+	f = Register(fs, "daemon", Workers|Journal|Retries|Trace)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestEnvDecodesFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.WarmCache || env.NoTraceCache || env.Retry.Attempts != 1 {
+	if env.NoTraceCache || env.Retry.Attempts != 1 {
 		t.Errorf("daemon defaults = %+v", env)
 	}
 }

@@ -293,9 +293,6 @@ func NewReplayer(rec *Recording) *Replayer {
 // Profile returns the recorded stream's profile.
 func (r *Replayer) Profile() Profile { return r.rec.prof }
 
-// Recording returns the shared recording the replayer reads.
-func (r *Replayer) Recording() *Recording { return r.rec }
-
 // Pos reports the number of instructions replayed so far.
 func (r *Replayer) Pos() int { return r.pos }
 
@@ -313,47 +310,3 @@ func (r *Replayer) NextBatch(dst []Inst) int {
 	r.pos += len(dst)
 	return len(dst)
 }
-
-// View returns read-only windows of the packed lanes needed by functional
-// consumers — PC, Addr, Target and the meta byte (Kind/Taken/Complex) —
-// for up to max instructions from the replay position, extending the
-// recording as needed. The windows end early at a chunk boundary, so they
-// may be shorter than max (never empty for max > 0). View does not advance
-// the replay position; call Advance with the length consumed. Skipping
-// the Inst decode this way is what makes fast-forward phases cheap: the
-// register lanes are never touched and no 40-byte structs are
-// materialised.
-func (r *Replayer) View(max int) (pc, addr, target []uint64, meta []uint8) {
-	if max <= 0 {
-		return nil, nil, nil, nil
-	}
-	off := r.pos % recChunk
-	k := min(max, recChunk-off)
-	p := r.rec.snap.Load()
-	if r.pos+k > p.n {
-		p = r.rec.extend(r.pos + k)
-	}
-	c, end := p.chunks[r.pos/recChunk], off+k
-	return c.pc[off:end], c.addr[off:end], c.target[off:end], c.meta[off:end]
-}
-
-// Advance moves the replay position k instructions forward, past a window
-// obtained from View.
-func (r *Replayer) Advance(k int) { r.pos += k }
-
-// Seek repositions the replayer at an absolute stream position. Positions
-// past the materialised length are valid — the recording extends on the
-// next read — which is how a warm-state snapshot restore lands a replayer
-// at a checkpoint the recording has not replayed through locally.
-func (r *Replayer) Seek(pos int) {
-	if pos < 0 {
-		panic(fmt.Sprintf("trace: negative replay position %d", pos))
-	}
-	r.pos = pos
-}
-
-// MetaKind extracts the instruction kind from a packed meta byte.
-func MetaKind(m uint8) Kind { return Kind(m & metaKindMask) }
-
-// MetaTaken extracts the branch-taken bit from a packed meta byte.
-func MetaTaken(m uint8) bool { return m&metaTaken != 0 }

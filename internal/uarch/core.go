@@ -31,7 +31,7 @@ type Stats struct {
 	Mispredicts uint64
 	BTBMisses   uint64
 
-	// PredSquashes counts squash triggers at dispatch time: one per
+	// PredSquashes counts squash triggers at fetch time: one per
 	// direction/target mispredict plus one per taken BTB miss (a branch
 	// that is both counts twice). Unlike Mispredicts (counted only when
 	// the squash actually executes at issue), this is accounted exactly
@@ -115,8 +115,8 @@ type robEntry struct {
 	seq     uint64
 
 	// memExtra is the extra hierarchy latency of a load beyond a DL1 hit,
-	// probed at dispatch in program order (see dispatch); consumed when the
-	// load issues.
+	// probed at fetch in program order (see fetch) and copied here at
+	// dispatch; consumed when the load issues.
 	memExtra int32
 
 	// Event-kernel scheduling state (unused by the reference kernel).
@@ -348,7 +348,7 @@ func (c *Core) commit() {
 		if e.state != stDone || e.doneAt > c.now {
 			return
 		}
-		// The store's DL1 write already happened at dispatch (program-order
+		// The store's DL1 write already happened at fetch (program-order
 		// probing); commit only releases the SQ slot.
 		if e.kind == trace.Store {
 			c.sqCount--
@@ -451,8 +451,8 @@ func (c *Core) markIssued(e *robEntry, lat int) {
 func (c *Core) finish(e *robEntry) { e.state = stDone }
 
 // memLatency returns a load or store's completion latency from the
-// dispatch-time probe results. Shared by both kernels: the forwarding
-// decision and the hierarchy access happened at dispatch, so nothing here
+// fetch-time probe results. Shared by both kernels: the forwarding
+// decision and the hierarchy access happened at fetch, so nothing here
 // depends on issue order.
 func (c *Core) memLatency(e *robEntry) int {
 	p := &c.cfg.Core

@@ -7,7 +7,7 @@ import "vertical3d/internal/trace"
 // differential oracle (oracle_test.go). Its per-cycle cost is O(ROBSize)
 // for issue; the event kernel in kernel_event.go replaces the scan while
 // reproducing its Stats bit for bit. Memory latencies come from the shared
-// dispatch-time probe (Core.memLatency), identically in both kernels.
+// fetch-time probe (Core.memLatency), identically in both kernels.
 
 // issueRef wakes up and selects ready instructions, oldest first, by
 // scanning the whole ROB and re-polling ready() on every waiting entry,

@@ -72,8 +72,8 @@ func TestSquashBTBMissOnlyRedirect(t *testing.T) {
 }
 
 // TestSquashForwardingRecordsSurvive leans on a store-heavy, branchy
-// workload so mispredict squashes regularly land with recently dispatched
-// stores in the program-order ring. Forwarding is decided at dispatch from
+// workload so mispredict squashes regularly land with recently fetched
+// stores in the program-order ring. Forwarding is decided at fetch from
 // that ring, which is stream state: records deliberately survive squashes
 // (the squashed instructions' addresses were on the correct path up to the
 // redirect), so both kernels must keep forwarding identically across them —

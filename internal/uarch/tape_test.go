@@ -62,8 +62,7 @@ func TestTapeCoreMatchesInline(t *testing.T) {
 }
 
 // TestTapeRefusals covers the cases a tape cannot serve: a core without a
-// tape, fill latencies that cannot be told apart, and warm-state capture
-// or restore on a tape-fed core, which has no functional state.
+// tape and fill latencies that cannot be told apart.
 func TestTapeRefusals(t *testing.T) {
 	s := suite(t)
 	cfg := s.Configs[config.Base]
@@ -86,15 +85,8 @@ func TestTapeRefusals(t *testing.T) {
 	if _, err := NewTapeCore(flat, tp, KernelEvent); err == nil {
 		t.Error("NewTapeCore accepted fill latencies that cannot be classified")
 	}
-	c, err := NewTapeCore(cfg, tp, KernelEvent)
-	if err != nil {
+	if _, err := NewTapeCore(cfg, tp, KernelEvent); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.SnapshotWarm(); err == nil {
-		t.Error("a tape-fed core captured warm state")
-	}
-	if err := c.RestoreWarm(&CoreWarmState{}); err == nil {
-		t.Error("a tape-fed core restored warm state")
 	}
 }
 

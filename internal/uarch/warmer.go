@@ -233,90 +233,14 @@ func (w *FunctionalWarmer) stPush(la uint64) {
 
 // warm advances the stream by n instructions, updating caches and the
 // predictor, and returns the stretch's observables. Instructions already
-// buffered (shared with the detailed frontend) are consumed first; past
-// them, a replayer-backed warmer reads the recording's packed lanes
-// directly instead of decoding Inst structs.
+// buffered (shared with the detailed frontend) are consumed first, then
+// the stream continues through the same batched buffer.
 func (w *FunctionalWarmer) warm(n uint64) WarmObs {
 	var o WarmObs
-	for n > 0 && w.pos < len(w.buf) {
-		w.step(&o)
-		n--
-	}
-	if rp, ok := w.src.(*trace.Replayer); ok && n > 0 {
-		w.warmLanes(rp, n, &o)
-		return o
-	}
 	for ; n > 0; n-- {
 		w.step(&o)
 	}
 	return o
-}
-
-// warmLanes fast-forwards n instructions straight from a replayer's packed
-// lanes, adding their observables to o. The logic is step's exactly —
-// same probe order, same observable accounting — restated over lane slices
-// with the counters kept in locals, so the per-instruction cost is a few
-// lane reads instead of a 40-byte struct decode plus accumulator stores.
-func (w *FunctionalWarmer) warmLanes(rp *trace.Replayer, n uint64, o *WarmObs) {
-	var xf, xd, mp, lo, runs uint64
-	curLine, missRun := w.curLine, w.dataMissRun
-	o.Instrs += n
-	for n > 0 {
-		pc, addr, target, meta := rp.View(int(min(n, 4096)))
-		k := len(pc) // the window may end early, at a chunk boundary
-		addr, target, meta = addr[:k], target[:k], meta[:k]
-		for i := range pc {
-			if line := pc[i] & w.lineMask; line != curLine {
-				curLine = line
-				xf += uint64(w.fetchExtra(pc[i]))
-			}
-			switch trace.MetaKind(meta[i]) {
-			case trace.Branch:
-				taken := trace.MetaTaken(meta[i])
-				predTaken, predTarget, btbHit := w.pred.Predict(pc[i])
-				if predTaken != taken || (taken && btbHit && predTarget != target[i]) {
-					mp++
-				}
-				if taken && !btbHit {
-					mp++
-				}
-				w.pred.Update(pc[i], taken, target[i])
-			case trace.Load:
-				if !w.wouldForward(addr[i] &^ 7) {
-					if extra := w.dataExtra(addr[i], false); extra > 0 {
-						xd += uint64(extra)
-						if !missRun {
-							runs++
-							missRun = true
-						}
-					} else {
-						missRun = false
-					}
-				}
-			case trace.Store:
-				w.stPush(addr[i] &^ 7)
-				if extra := w.dataExtra(addr[i], true); extra > 0 {
-					xd += uint64(extra)
-					if !missRun {
-						runs++
-						missRun = true
-					}
-				} else {
-					missRun = false
-				}
-			case trace.Div, trace.FPDiv:
-				lo++
-			}
-		}
-		rp.Advance(k)
-		n -= uint64(k)
-	}
-	w.curLine, w.dataMissRun = curLine, missRun
-	o.ExtraFetch += xf
-	o.ExtraData += xd
-	o.Mispredicts += mp
-	o.LongOps += lo
-	o.MissRuns += runs
 }
 
 // next returns the stream's next instruction, refilling the prefill
@@ -365,7 +289,7 @@ const (
 // probes, in the detailed fetch stage's order, and returns what they
 // observed. It is the single implementation behind the detailed fetch
 // stage (Core.fetch), functional stepping and probe-tape recording
-// (tape.go); warmLanes restates it over packed lanes.
+// (tape.go).
 func (w *FunctionalWarmer) probe(in *trace.Inst) (r probeResult) {
 	if line := in.PC & w.lineMask; line != w.curLine {
 		w.curLine = line
@@ -468,8 +392,8 @@ func (c *Core) resetPipeline() {
 	c.lastMap = [64]regRef{}
 	c.fqClear()
 	// The store ring is deliberately NOT cleared: it is program-order
-	// stream state (recently dispatched store lines), and the warmer
-	// continues it across the fast-forward exactly as dispatch would.
+	// stream state (recently fetched store lines), and the warmer
+	// continues it across the fast-forward exactly as fetch would.
 	if c.kern == KernelEvent {
 		c.sched.reset()
 	}

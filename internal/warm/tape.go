@@ -8,9 +8,10 @@
 // A tape's builder is a functional warmer over a private trace.Generator:
 // the tape extends on demand and the generator continues from where it
 // stopped, so the stream is never recorded and a single-core sweep holds
-// no trace recording. Tapes share the snapshot registry's lifetime rules: a
-// sweep holds the identities its cells replay (HoldTape) and an identity
-// no sweep holds leaves the registry. Tapes never go to disk.
+// no trace recording. Tapes share the trace cache's lifetime rules
+// (internal/registry): a sweep holds the identities its cells replay
+// (HoldTape), an identity no sweep holds leaves the registry, and entries
+// created with no hold stay until ResetCache. Tapes never go to disk.
 
 package warm
 
@@ -74,3 +75,12 @@ func ResidentTapes() (count, bytes int) {
 // TapeBuilds reports how many probe tapes have been created since the
 // last ResetCache, one per SharedTape miss.
 func TapeBuilds() uint64 { return tapeBuilds.Load() }
+
+// ResetCache drops every cached probe tape, process-lifetime entries
+// included, and zeroes TapeBuilds. Tests and benchmarks use it to measure
+// cold-versus-warm sweeps in one process; sweeps need not, since their
+// entries leave when they return.
+func ResetCache() {
+	tapes.Reset()
+	tapeBuilds.Store(0)
+}

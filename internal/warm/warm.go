@@ -1,6 +1,5 @@
 // Package warm holds the state a sweep shares across its cells instead of
-// recomputing per cell: probe tapes for single-core cells (tape.go) and
-// warm-state snapshots for multicore cells (mc.go).
+// recomputing per cell: the probe tapes of single-core cells (tape.go).
 //
 // The enabling observation is that what a functional warmup computes —
 // cache tag/age lanes, branch-predictor tables, the store-forwarding ring,
@@ -9,15 +8,9 @@
 // sweep runs designs that share all of those, so each single-core cell
 // replays its geometry's probe tape, fast-forward included: a tape-fed
 // core skips a stretch by summing the recorded outcomes, priced with its
-// own fill latencies. A multicore run has one functional warmup per
-// identity, captured once and restored into every other design cell.
-//
-// With a cache directory configured (SetCacheDir, -warm-dir), multicore
-// snapshots persist as CRC32-framed .m3dwarm files written atomically
-// through the internal/fsio seam; corrupt or foreign files are
-// quarantined and the snapshot is rebuilt — the same degrade-don't-die
-// ladder as the trace and journal layers, surfaced in the sweep Health
-// block. Tapes never go to disk.
+// own fill latencies. Multicore cells share nothing here: coherent memory
+// interleaves the cores' probes by timing, so each sampled multicore cell
+// fast-forwards its own cores (Core.FastForward). Tapes never go to disk.
 package warm
 
 import (
@@ -28,12 +21,12 @@ import (
 	"vertical3d/internal/uarch"
 )
 
-// Geometry is the microarchitectural state shape a tape or snapshot
-// depends on: the four cache organisations and the
-// predictor/BTB/store-queue sizing. Two configs with equal Geometry
-// produce byte-identical functional state and probe outcomes from the same
-// stream — latencies, frequency and energy factors are deliberately
-// absent. All fields are comparable, so Geometry can key the registries.
+// Geometry is the microarchitectural state shape a tape depends on: the
+// four cache organisations and the predictor/BTB/store-queue sizing. Two
+// configs with equal Geometry produce byte-identical functional state and
+// probe outcomes from the same stream — latencies, frequency and energy
+// factors are deliberately absent. All fields are comparable, so Geometry
+// can key the tape registry.
 type Geometry struct {
 	IL1, DL1, L2, L3 config.CacheParams
 
@@ -43,7 +36,7 @@ type Geometry struct {
 	SQSize    int
 }
 
-// GeometryOf extracts the snapshot-relevant geometry of a configuration.
+// GeometryOf extracts the tape-relevant geometry of a configuration.
 func GeometryOf(cfg config.Config) Geometry {
 	p := cfg.Core
 	return Geometry{
@@ -58,21 +51,6 @@ func GeometryOf(cfg config.Config) Geometry {
 	}
 }
 
-// MCIdentity keys one multicore warmup snapshot: per-core streams are
-// StreamBase+i, the topology (core count, L2 sharing) shapes the shared
-// memory state, and Warmup is the per-core functional warmup distance the
-// snapshot stands for. RouterHopCycles is excluded — NoC timing prices
-// hops but never changes which lines are where.
-type MCIdentity struct {
-	Prof       trace.Profile
-	Seed       int64
-	StreamBase int
-	Cores      int
-	SharedL2   bool
-	Warmup     uint64
-	Geom       Geometry
-}
-
 // Binding is what Bind returns. No single-core snapshot binding exists:
 // sampled single-core cells fast-forward over their probe tape.
 type Binding struct{}
@@ -85,3 +63,16 @@ type Binding struct{}
 func Bind(*uarch.Core, *trace.Replayer, config.Config, uarch.SampleParams) (*Binding, error) {
 	return nil, errors.New("warm: single-core snapshot bindings no longer exist")
 }
+
+// Counters is what Stats returns: the fields of the removed warm-state
+// snapshot cache's telemetry that callers outside this module still read.
+type Counters struct {
+	Hits, Misses               uint64
+	BuiltInstrs, SkippedInstrs uint64
+}
+
+// Stats is a no-op kept for callers outside this module that still report
+// warm-state snapshot telemetry; it always returns zero Counters.
+//
+// Deprecated: the warm-state snapshot cache was removed; do not call.
+func Stats() Counters { return Counters{} }
