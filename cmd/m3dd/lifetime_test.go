@@ -14,6 +14,7 @@ import (
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/warm"
+	"vertical3d/internal/workload"
 )
 
 // The lifetime tests read the process-wide trace and warm registries, so
@@ -246,5 +247,66 @@ func TestConcurrentJobsShareResidentRecording(t *testing.T) {
 				t.Errorf("resident after both jobs = %+v, want all zero", r)
 			}
 		})
+	}
+}
+
+// TestResidentTapesBoundedPerProfile runs a seven-profile sampled fig6 job
+// at two workers and polls /statsz while it runs: the job's cells
+// dispatch staggered and drop each profile's probe tape once its last
+// cell settles, so the resident tapes never exceed the 2w profiles' worth
+// a staggered sweep on w workers can hold at once (see
+// TestFig6TapeLifetimePerProfile in internal/experiments), and read zero
+// after the job.
+func TestResidentTapesBoundedPerProfile(t *testing.T) {
+	resetResident(t)
+	suite, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	geoms := map[warm.Geometry]bool{}
+	for _, d := range config.SingleCoreDesigns() {
+		geoms[warm.GeometryOf(suite.Configs[d])] = true
+	}
+	var benches []string
+	for i, p := range workload.SPEC2006() {
+		if i%3 == 0 {
+			benches = append(benches, p.Name)
+		}
+	}
+	const workers = 2
+	bound := 2 * workers * len(geoms)
+	_, ts := newTestServer(t, serverConfig{Env: sweep.Env{Workers: workers}})
+	id := postSweep(t, ts.URL, sweepRequest{Experiment: "fig6", Benchmarks: benches, Seed: seedPtr(301), Sample: true, Measure: 240_000})
+	peak, polls := 0, 0
+	for deadline := time.Now().Add(120 * time.Second); ; polls++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s did not finish", id)
+		}
+		r := statszResident(t, ts.URL)
+		peak = max(peak, r.ProbeTapes)
+		var v rawJobView
+		if code := getJSON(t, ts.URL+"/sweeps/"+id, &v); code != http.StatusOK {
+			t.Fatalf("GET /sweeps/%s: status %d", id, code)
+		}
+		if v.State == "failed" {
+			t.Fatalf("sweep %s failed: %s", id, v.Error)
+		}
+		if v.State == "done" {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d of %d profiles' tapes resident at most, over %d polls", peak, len(benches), polls)
+	if peak == 0 {
+		t.Error("no poll saw a probe tape resident; the bound would be vacuous")
+	}
+	if peak > bound {
+		t.Errorf("%d probe tapes resident while the job ran, want at most %d", peak, bound)
+	}
+	if n := warm.TapeBuilds(); n != uint64(len(benches)*len(geoms)) {
+		t.Errorf("%d probe tapes built, want %d (each once)", n, len(benches)*len(geoms))
+	}
+	if r := statszResident(t, ts.URL); r != (residentView{}) {
+		t.Errorf("resident after the job = %+v, want all zero", r)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/warm"
+	"vertical3d/internal/workload"
 )
 
 // residentPeak is a CellHook that records the most trace recordings and
@@ -218,4 +219,121 @@ func TestFig9RecordingLifetimeUnderRetry(t *testing.T) {
 	if len(failed) != 3 {
 		t.Errorf("%d profile(s) saw the injected panic, want 3", len(failed))
 	}
+}
+
+// fig6TapeBound is the most profiles whose probe tapes a staggered Fig6
+// sweep on w workers can hold at a cell start. A resident tape belongs to
+// a started profile that has a cell not yet dispatched or still in
+// flight. When a cell starts, the started profiles with a cell at its
+// slot or later are at most w+1: the profile p−w whose remaining designs
+// are being dispatched and the w profiles p−w+1 … p whose first designs
+// started after its own. The w−1 other cells in flight may each belong
+// to an older profile. A sweep-wide hold, or design-major dispatch, keeps
+// every profile's tape: seven here.
+func fig6TapeBound(w int) int { return 2 * w }
+
+// fig6LifetimeSweeps runs a seven-profile Fig6 sweep, full and sampled, at
+// one and two workers, with retry and the CellHook hook(subtest) returns.
+// Each sweep must keep at most fig6TapeBound profiles' tapes resident at
+// any cell start, build each tape exactly once, and leave nothing
+// resident.
+func fig6LifetimeSweeps(t *testing.T, retry parallel.Retry, hook func(t *testing.T) func(bench, design string)) {
+	s, err := config.Derive(tech.N22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profiles []trace.Profile
+	for i, p := range workload.SPEC2006() {
+		if i%3 == 0 {
+			profiles = append(profiles, p)
+		}
+	}
+	if len(profiles) != 7 {
+		t.Fatalf("%d profiles, want 7", len(profiles))
+	}
+	geoms := map[warm.Geometry]bool{}
+	for _, d := range config.SingleCoreDesigns() {
+		geoms[warm.GeometryOf(s.Configs[d])] = true
+	}
+	for _, sample := range []bool{false, true} {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", modeName(sample), w), func(t *testing.T) {
+				trace.ResetCache()
+				warm.ResetCache()
+				defer trace.ResetCache()
+				defer warm.ResetCache()
+				opt := RunOptions{Warmup: 2_000, Measure: 8_000, Seed: 5}
+				if sample {
+					opt = sampledOracleOptions()
+				}
+				opt.Workers, opt.Retry = w, retry
+				var peak residentPeak
+				h := hook(t)
+				opt.CellHook = func(bench, design string) {
+					peak.hook(bench, design)
+					h(bench, design)
+				}
+				if _, err := Fig6With(s, profiles, opt); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("at most %d probe tape(s) resident at a cell start", peak.tapes)
+				if peak.tapes == 0 {
+					t.Fatal("no cell saw a probe tape resident; the bound below would be vacuous")
+				}
+				if bound := fig6TapeBound(w) * len(geoms); peak.tapes > bound {
+					t.Errorf("a cell saw %d probe tapes resident, want at most %d (%d profiles' worth)",
+						peak.tapes, bound, fig6TapeBound(w))
+				}
+				if n, want := warm.TapeBuilds(), uint64(len(profiles)*len(geoms)); n != want {
+					t.Errorf("%d probe tapes built, want %d (each once)", n, want)
+				}
+				requireEmpty(t, "after Fig6")
+			})
+		}
+	}
+}
+
+// modeName names a subtest by its sweep's simulation mode.
+func modeName(sample bool) string {
+	if sample {
+		return "sampled"
+	}
+	return "full"
+}
+
+// TestFig6TapeLifetimePerProfile checks that a Fig6 sweep drops each
+// profile's probe tape once the profile's last cell settles, so only the
+// profiles in flight stay resident, instead of holding every profile's
+// tape until it returns.
+func TestFig6TapeLifetimePerProfile(t *testing.T) {
+	fig6LifetimeSweeps(t, parallel.Retry{}, func(*testing.T) func(string, string) {
+		return func(string, string) {}
+	})
+}
+
+// TestFig6TapeLifetimeUnderRetry makes each profile's last design panic on
+// its first attempt and succeed on the retry. The tape must stay held
+// until the retry settles: released on the failed attempt, the retry
+// would build the tape again into an unheld slot and leave it pinned.
+func TestFig6TapeLifetimeUnderRetry(t *testing.T) {
+	designs := config.SingleCoreDesigns()
+	last := designs[len(designs)-1].String()
+	fig6LifetimeSweeps(t, parallel.Retry{Attempts: 2, BaseDelay: time.Millisecond}, func(t *testing.T) func(string, string) {
+		var mu sync.Mutex
+		failed := map[string]bool{}
+		t.Cleanup(func() {
+			if len(failed) != 7 {
+				t.Errorf("%d profile(s) saw the injected panic, want 7", len(failed))
+			}
+		})
+		return func(bench, design string) {
+			mu.Lock()
+			first := design == last && !failed[bench]
+			failed[bench] = failed[bench] || first
+			mu.Unlock()
+			if first {
+				panic("injected")
+			}
+		}
+	})
 }

@@ -36,28 +36,30 @@ type LPStudyResult struct {
 var lpDesigns = [...]config.Design{config.Base, config.M3DHet, config.M3DHetLP}
 
 // LPStudy runs the comparison on a benchmark subset of suite's designs.
-// The benchmark × design cells fan out on the worker pool; normalisation
-// is a second pass after the join, so results are bit-identical at any
-// opt.Workers.
+// The benchmark × design cells fan out on the worker pool in index order,
+// each holding its probe tape until it settles (see holdCells);
+// normalisation is a second pass after the join, so results are
+// bit-identical at any opt.Workers.
 func LPStudy(suite *config.Suite, names []string, opt RunOptions) (*LPStudyResult, error) {
 	// Resolve the profiles up front so a bad name fails deterministically.
 	profiles := make([]workloadProfile, len(names))
-	profs := make([]trace.Profile, len(names))
 	for i, name := range names {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		profiles[i] = workloadProfile{name: name, prof: p}
-		profs[i] = p
 	}
-	defer opt.holdCaches(suite, profs, lpDesigns[:])()
 
 	opt.health = &healthRecorder{}
 	cr := openCells(opt.Env, opt.Identity("lpstudy"), opt.health)
 	defer cr.jn.Close()
 	nd := len(lpDesigns)
-	cells, err := parallel.Map(opt.Ctx(), opt.Pool(), len(profiles)*nd,
+	pool := opt.Pool()
+	defer holdCells(&pool, len(profiles)*nd, func(i int) func() {
+		return opt.holdCaches(suite.Configs[lpDesigns[i%nd]], profiles[i/nd].prof)
+	})()
+	cells, err := parallel.Map(opt.Ctx(), pool, len(profiles)*nd,
 		func(_ context.Context, i int) (float64, error) {
 			p, d := profiles[i/nd], lpDesigns[i%nd]
 			key := journal.CellKey(p.name, d.String(), suite.Configs[d], p.prof)

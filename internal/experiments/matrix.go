@@ -10,6 +10,7 @@ import (
 	"vertical3d/internal/guard"
 	"vertical3d/internal/journal"
 	"vertical3d/internal/parallel"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
@@ -103,8 +104,8 @@ func (m *Matrix[D, R]) mean(vals map[string]map[D]float64, d D) (float64, error)
 	return stats.Mean(xs)
 }
 
-// matrixSweep is what one study tells runMatrix: how to key, run and
-// cost a cell, and how to dispatch them.
+// matrixSweep is what one study tells runMatrix: how to key, run, cost
+// and hold a cell, and in which order to dispatch them.
 type matrixSweep[D DesignAxis, R any] struct {
 	experiment string           // cell-error prefix, e.g. "fig6"
 	base       D                // normalisation reference; must be swept
@@ -118,9 +119,13 @@ type matrixSweep[D DesignAxis, R any] struct {
 	config func(D) any
 	run    func(trace.Profile, D) (R, error)
 	cost   func(R) (seconds, joules float64)
-	// dispatch sets the pool's dispatch order and per-cell release; the
-	// studies differ in both (see Fig6WithDesigns and Fig9WithDesigns).
-	dispatch func(*parallel.Pool)
+	// hold keeps the shared entries a cell reads resident until the
+	// returned release; runMatrix holds every cell and releases each as
+	// it settles (see holdCells).
+	hold func(trace.Profile, D) (release func())
+	// stagger dispatches the cells in staggered order; false keeps index
+	// order (see Fig6WithDesigns and Fig9WithDesigns).
+	stagger bool
 }
 
 // runMatrix runs every profile on every design. Every cell is an
@@ -130,7 +135,9 @@ type matrixSweep[D DesignAxis, R any] struct {
 // designs[i%len(designs)]). Under KeepGoing the sweep completes through
 // cell failures and panics, recording them per cell; otherwise the
 // lowest-index error aborts it. Each cell consults the result cache, then
-// the journal, before simulating (see runCell). The Speedup and
+// the journal, before simulating (see runCell). Each cell holds the
+// shared entries it reads from before the first cell starts until it
+// settles (see holdCells). The Speedup and
 // NormEnergy ratios are a second pass after the join, so the base design
 // may sit anywhere in the list.
 func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, profiles []trace.Profile, designs []D) (Matrix[D, R], error) {
@@ -146,8 +153,12 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 	cr := openCells(s.env, s.id, hr)
 	defer cr.jn.Close()
 	nd := len(designs)
+	n := len(profiles) * nd
 	pool := s.env.Pool()
-	s.dispatch(&pool)
+	if s.stagger {
+		pool.Order = staggered(len(profiles), nd, pool.Size(n))
+	}
+	defer holdCells(&pool, n, func(i int) func() { return s.hold(profiles[i/nd], designs[i%nd]) })()
 	task := func(_ context.Context, i int) (R, error) {
 		prof, d := profiles[i/nd], designs[i%nd]
 		key := journal.CellKey(prof.Name, d.String(), s.config(d), prof)
@@ -163,10 +174,10 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 	var cells []R
 	var cellErrs []error
 	if s.env.KeepGoing {
-		cells, cellErrs = parallel.MapPartial(s.env.Ctx(), pool, len(profiles)*nd, task)
+		cells, cellErrs = parallel.MapPartial(s.env.Ctx(), pool, n, task)
 	} else {
 		var err error
-		cells, err = parallel.Map(s.env.Ctx(), pool, len(profiles)*nd, task)
+		cells, err = parallel.Map(s.env.Ctx(), pool, n, task)
 		if err != nil {
 			return Matrix[D, R]{}, err
 		}
@@ -219,6 +230,51 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 	cw.harvest(hr)
 	m.Health = hr.health()
 	return m, nil
+}
+
+// holdCells takes hold(i) for each of a sweep's n cells before any of
+// them runs, and releases each from pool's Settled hook once the cell's
+// outcome is final: after its last retry, not its first attempt, so a
+// retry never rebuilds an entry into an unheld slot that would stay
+// pinned. A shared entry thus leaves when the last cell that reads it
+// settles, and the dispatch order decides how many stay resident. The
+// returned release drops whatever is still held; sweeps defer it as a
+// backstop.
+func holdCells(pool *parallel.Pool, n int, hold func(i int) (release func())) (release func()) {
+	holds := make(registry.Releases, n)
+	for i := range holds {
+		holds[i] = hold(i)
+	}
+	pool.Settled = func(i int) { holds[i]() }
+	return holds.Release
+}
+
+// staggered is the dispatch order of a profile-major np × nd sweep on w
+// workers: profile p's first design, then the remaining designs of
+// profile p−w, for p = 0, 1, …, np−1+w. A profile's first cell builds
+// its probe tape, and the profile's other cells wait on the build if they
+// start during it. Here the first w slots start w profiles' builds, one
+// per worker, and profile p's other designs start only after the first
+// designs of the w profiles behind it, by when p's build is normally
+// done. A smaller lag lets a free worker queue on a build in progress; a
+// larger one keeps more tapes resident for nothing. Each tape leaves once
+// its profile's last cell settles (see holdCells), so at most 2w
+// profiles' tapes are resident at a time, not all np. Cells stay keyed by
+// index, so results, journal entries and the reported error are those of
+// index order. For np = 1 the order is index order.
+func staggered(np, nd, w int) []int {
+	order := make([]int, 0, np*nd)
+	for p := range np + w {
+		if p < np {
+			order = append(order, p*nd)
+		}
+		if q := p - w; q >= 0 {
+			for d := 1; d < nd; d++ {
+				order = append(order, q*nd+d)
+			}
+		}
+	}
+	return order
 }
 
 // renderMatrix writes one value matrix of a study — speedups or

@@ -5,8 +5,6 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
-	"vertical3d/internal/parallel"
-	"vertical3d/internal/registry"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/trace"
 )
@@ -28,21 +26,12 @@ func Fig9With(suite *config.Suite, profiles []trace.Profile, opt multicore.Optio
 // list, and results are bit-identical at any opt.Workers and, via
 // opt.Kernel, at either simulation kernel (see the kernel oracle tests).
 // With opt.JournalDir set, completed cells are checkpointed as they finish
-// and a re-run resumes from them bit-identically.
+// and a re-run resumes from them bit-identically. Cells dispatch in index
+// (profile-major) order and each holds its recordings until it settles
+// (see multicore.Hold), so a profile's recordings leave once its last
+// cell has and only the profiles in flight stay resident.
 func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []config.MulticoreDesign, opt multicore.Options) (*Fig9Result, error) {
 	mcs := config.DeriveMulticore(suite)
-	// Each cell holds its recordings until it settles, so
-	// a profile's entries leave once its last cell has; cells dispatch
-	// profile-major, so only the profiles in flight stay resident. A cell
-	// settles after its last retry: a hold released before a retry would
-	// leave that retry's recordings pinned for the life of the process.
-	var holds registry.Releases
-	for _, prof := range profiles {
-		for _, d := range designs {
-			holds = append(holds, multicore.Hold(mcs[d], prof, opt))
-		}
-	}
-	defer holds.Release()
 	m, err := runMatrix(matrixSweep[config.MulticoreDesign, multicore.RunResult]{
 		experiment: "fig9",
 		base:       config.MCBase,
@@ -54,8 +43,10 @@ func Fig9WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 		run: func(prof trace.Profile, d config.MulticoreDesign) (multicore.RunResult, error) {
 			return multicore.Run(mcs[d], prof, opt)
 		},
-		cost:     func(r multicore.RunResult) (float64, float64) { return r.Seconds, r.Energy.TotalJ() },
-		dispatch: func(p *parallel.Pool) { p.Settled = func(i int) { holds[i]() } },
+		cost: func(r multicore.RunResult) (float64, float64) { return r.Seconds, r.Energy.TotalJ() },
+		hold: func(prof trace.Profile, d config.MulticoreDesign) func() {
+			return multicore.Hold(mcs[d], prof, opt)
+		},
 	}, suite, profiles, designs)
 	if err != nil {
 		return nil, err

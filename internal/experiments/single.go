@@ -8,9 +8,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/mem"
-	"vertical3d/internal/parallel"
 	"vertical3d/internal/power"
-	"vertical3d/internal/registry"
 	"vertical3d/internal/stats"
 	"vertical3d/internal/sweep"
 	"vertical3d/internal/trace"
@@ -119,27 +117,23 @@ type Fig6Result struct {
 	Matrix[config.Design, AppResult]
 }
 
-// holdCaches holds, for the life of a single-core sweep over profiles ×
-// designs, every probe tape its cells replay (see cellCore), and returns
-// the release that drops them. Tapes the sweep was the last to hold leave
-// the process-wide cache when it returns. No single-core cell reads a
+// holdCaches keeps the probe tape a single-core cell of cfg over prof
+// replays (see cellCore) resident until release is called; a cell that
+// replays none holds nothing. Sweeps hold every cell and release each as
+// it settles (see holdCells), so a tape leaves the process-wide cache
+// once the last cell that replays it has. No single-core cell reads a
 // trace recording: tapes generate their stream, and so do the cells that
 // probe a hierarchy of their own.
-func (opt RunOptions) holdCaches(suite *config.Suite, profiles []trace.Profile, designs []config.Design) (release func()) {
-	var rs registry.Releases
-	for _, prof := range profiles {
-		for _, d := range designs {
-			if cfg := suite.Configs[d]; opt.replaysTape(cfg) {
-				rs = append(rs, warm.HoldTape(warm.TapeIdentity{
-					Prof:   prof,
-					Seed:   opt.Seed,
-					Stream: opt.StreamID,
-					Geom:   warm.GeometryOf(cfg),
-				}))
-			}
-		}
+func (opt RunOptions) holdCaches(cfg config.Config, prof trace.Profile) (release func()) {
+	if !opt.replaysTape(cfg) {
+		return func() {}
 	}
-	return rs.Release
+	return warm.HoldTape(warm.TapeIdentity{
+		Prof:   prof,
+		Seed:   opt.Seed,
+		Stream: opt.StreamID,
+		Geom:   warm.GeometryOf(cfg),
+	})
 }
 
 // errSampleBudget marks a sampled cell whose warm-phase oracle check
@@ -304,10 +298,11 @@ func Fig6With(suite *config.Suite, profiles []trace.Profile, opt RunOptions) (*F
 // the design list must contain config.Base, and with opt.JournalDir set a
 // re-run resumes from the checkpointed cells bit-identically — at any
 // worker count and in any design order, since both are merge-neutral.
-// Cells dispatch design-major (see designMajor), and the sweep holds every
-// probe tape its cells replay until it returns (see holdCaches).
+// Cells dispatch in staggered order (see staggered) and each holds its
+// probe tape until it settles (see holdCaches), so a profile's tape
+// leaves once its last design has run and only the profiles in flight
+// stay resident.
 func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []config.Design, opt RunOptions) (*Fig6Result, error) {
-	defer opt.holdCaches(suite, profiles, designs)()
 	opt.health = &healthRecorder{}
 	m, err := runMatrix(matrixSweep[config.Design, AppResult]{
 		experiment: "fig6",
@@ -321,29 +316,15 @@ func Fig6WithDesigns(suite *config.Suite, profiles []trace.Profile, designs []co
 			return runSingle(suite.Configs[d], prof, opt)
 		},
 		cost: func(r AppResult) (float64, float64) { return r.Seconds, r.Energy.TotalJ() },
-		dispatch: func(p *parallel.Pool) {
-			p.Order = designMajor(len(profiles), len(designs))
+		hold: func(prof trace.Profile, d config.Design) func() {
+			return opt.holdCaches(suite.Configs[d], prof)
 		},
+		stagger: true,
 	}, suite, profiles, designs)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig6Result{m}, nil
-}
-
-// designMajor is the dispatch order of a profile-major np × nd sweep that
-// starts every profile's first design before any profile's second: slot j
-// runs cell (j%np)*nd + j/np. Concurrent workers then record the probe
-// tapes of different profiles instead of queueing on one profile's
-// single-flighted tape extension. Cells stay keyed by
-// index, so results, journal entries and the reported error are those of
-// index order.
-func designMajor(np, nd int) []int {
-	order := make([]int, np*nd)
-	for j := range order {
-		order[j] = (j%np)*nd + j/np
-	}
-	return order
 }
 
 // RenderFig6 writes the speedup matrix.

@@ -6,6 +6,7 @@ import (
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
+	"vertical3d/internal/registry"
 	"vertical3d/internal/tech"
 	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
@@ -48,8 +49,15 @@ func TestOracleFig6TraceCacheInvariant(t *testing.T) {
 	sampled := sampledOracleOptions()
 	// Each sweep releases its tapes and recordings when it returns;
 	// holding them across the variants keeps one per key for all of them.
-	defer full.holdCaches(s, profiles, designs)()
-	defer sampled.holdCaches(s, profiles, designs)()
+	var holds registry.Releases
+	for _, opt := range []RunOptions{full, sampled} {
+		for _, prof := range profiles {
+			for _, d := range designs {
+				holds = append(holds, opt.holdCaches(s.Configs[d], prof))
+			}
+		}
+	}
+	defer holds.Release()
 
 	variants := func(opt RunOptions, kernels ...uarch.Kernel) {
 		var results []*Fig6Result

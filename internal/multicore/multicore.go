@@ -110,9 +110,9 @@ func coreSource(prof trace.Profile, opt Options, cores, i int) trace.Source {
 
 // Hold keeps the shared recordings a Run of prof on mc replays resident
 // until release is called. Sweeps that fan out Runs
-// (experiments.Fig9WithDesigns) hold every cell's recordings for their
-// duration, so the recordings leave the process-wide cache when the sweep
-// returns.
+// (experiments.Fig9WithDesigns) hold each cell's recordings until the
+// cell settles, so a profile's recordings leave the process-wide cache
+// once its last cell has.
 func Hold(mc config.MCConfig, prof trace.Profile, opt Options) (release func()) {
 	var rs registry.Releases
 	if !opt.NoTraceCache {

@@ -39,7 +39,7 @@
 // is exactly what makes "results depend only on (profile, design, seed),
 // never on scheduling order" enforceable. That is also why Order is a pure
 // throughput knob: a caller whose neighbouring cells contend on a shared,
-// single-flighted resource (one profile's probe tapes in a Fig6 sweep)
+// single-flighted resource (one profile's probe tape in a Fig6 sweep)
 // spreads them apart, and every output stays identical.
 package parallel
 
@@ -364,8 +364,9 @@ func (f *failState) finish(i int, failed bool) {
 // Default returns a pool using the process-wide default worker count.
 func Default() Pool { return Pool{} }
 
-// size clamps the worker count to [1, n].
-func (p Pool) size(n int) int {
+// Size is the number of workers a call over n cells runs: Workers, or
+// DefaultWorkers() when Workers <= 0, clamped to [1, n].
+func (p Pool) Size(n int) int {
 	w := p.Workers
 	if w <= 0 {
 		w = DefaultWorkers()
@@ -524,7 +525,7 @@ func (p Pool) run(ctx context.Context, n int, failFast bool, errs []error, fn fu
 		ff = newFailState(n)
 	}
 
-	workers := p.size(n)
+	workers := p.Size(n)
 	wd := p.newWatchdog(n)
 	defer wd.close()
 	var next atomic.Int64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,10 +234,10 @@ func TestDefaultWorkers(t *testing.T) {
 	if got := DefaultWorkers(); got != 3 {
 		t.Fatalf("after SetDefaultWorkers(3): %d", got)
 	}
-	if got := (Pool{}).size(100); got != 3 {
+	if got := (Pool{}).Size(100); got != 3 {
 		t.Fatalf("zero pool size should follow default, got %d", got)
 	}
-	if got := (Pool{Workers: 8}).size(2); got != 2 {
+	if got := (Pool{Workers: 8}).Size(2); got != 2 {
 		t.Fatalf("size must clamp to task count, got %d", got)
 	}
 }
@@ -537,4 +538,144 @@ func TestSettledOncePerFinalOutcome(t *testing.T) {
 	check("cancelled fail-fast", &cf)
 	MapPartial(ctx, newPool(&ck, zero), n, func(context.Context, int) (int, error) { return 0, nil })
 	check("cancelled keep-going", &ck)
+}
+
+// TestOrderSettledTogether runs Order and Settled in one call: with a
+// non-identity dispatch order, every cell settles exactly once, on its
+// final outcome — success, a panic retried to success, a model error, a
+// fail-fast skip or a cancellation — and all of them before Map or
+// MapPartial returns. At one worker, cells settle in dispatch order.
+func TestOrderSettledTogether(t *testing.T) {
+	const n = 24
+	order := make([]int, n)
+	for k := range order {
+		order[k] = k * 7 % n // a permutation: 7 and 24 are coprime
+	}
+	type probe struct {
+		mu       sync.Mutex
+		attempts [n]int
+		settled  [n]int
+		seq      []int // cells in settle order
+		early    int   // settles seen before the cell's final attempt
+	}
+	pool := func(pr *probe, workers int, final func(i int) int) Pool {
+		return Pool{Workers: workers, Order: order, Retry: Retry{Attempts: 2, BaseDelay: time.Microsecond},
+			Settled: func(i int) {
+				pr.mu.Lock()
+				defer pr.mu.Unlock()
+				if pr.attempts[i] < final(i) {
+					pr.early++
+				}
+				pr.settled[i]++
+				pr.seq = append(pr.seq, i)
+			}}
+	}
+	attempt := func(pr *probe, i int) int {
+		pr.mu.Lock()
+		defer pr.mu.Unlock()
+		pr.attempts[i]++
+		return pr.attempts[i]
+	}
+	// check runs right after the call returned: a cell settling late
+	// would show as a count below one.
+	check := func(name string, pr *probe) {
+		t.Helper()
+		pr.mu.Lock()
+		defer pr.mu.Unlock()
+		if pr.early != 0 {
+			t.Errorf("%s: %d cell(s) settled before their final attempt", name, pr.early)
+		}
+		for i, c := range pr.settled {
+			if c != 1 {
+				t.Errorf("%s: cell %d settled %d times before the call returned, want 1", name, i, c)
+			}
+		}
+	}
+
+	// Keep-going on two workers: cells 0 mod 3 panic once and succeed on
+	// the retry, cells 1 mod 3 fail with a non-retryable error.
+	for _, workers := range []int{1, 2} {
+		var pr probe
+		final := func(i int) int {
+			if i%3 == 0 {
+				return 2
+			}
+			return 1
+		}
+		out, errs := MapPartial(context.Background(), pool(&pr, workers, final), n, func(_ context.Context, i int) (int, error) {
+			a := attempt(&pr, i)
+			switch {
+			case i%3 == 0 && a == 1:
+				panic("transient")
+			case i%3 == 1:
+				return 0, errors.New("model error")
+			}
+			return i, nil
+		})
+		name := fmt.Sprintf("keep-going/workers=%d", workers)
+		check(name, &pr)
+		for i := range errs {
+			if (errs[i] != nil) != (i%3 == 1) || (errs[i] == nil && out[i] != i) {
+				t.Errorf("%s: cell %d = %d, %v", name, i, out[i], errs[i])
+			}
+		}
+		if workers == 1 && !reflect.DeepEqual(pr.seq, order) {
+			t.Errorf("%s: settled in %v, want dispatch order %v", name, pr.seq, order)
+		}
+	}
+
+	// Fail-fast: the failing cell 5 is dispatched at slot 11, after
+	// cells above it have run; every cell above 5 dispatched later is
+	// skipped, and still settles.
+	var ff probe
+	once := func(int) int { return 0 }
+	if _, err := Map(context.Background(), pool(&ff, 1, once), n, func(_ context.Context, i int) (int, error) {
+		attempt(&ff, i)
+		if i == 5 {
+			return 0, errors.New("model error")
+		}
+		return i, nil
+	}); err == nil || err.Error() != "model error" {
+		t.Fatalf("fail-fast: error %v, want cell 5's", err)
+	}
+	check("fail-fast", &ff)
+	for i, a := range ff.attempts {
+		if i > 5 && a != 0 && slot(order, i) > slot(order, 5) {
+			t.Errorf("fail-fast: cell %d above the failure ran after it", i)
+		}
+	}
+
+	// Cancellation mid-sweep: the fourth cell dispatched cancels the
+	// sweep, so the rest are never dispatched, in both modes.
+	for _, keepGoing := range []bool{false, true} {
+		var cp probe
+		ctx, cancel := context.WithCancel(context.Background())
+		fn := func(_ context.Context, i int) (int, error) {
+			attempt(&cp, i)
+			if i == order[3] {
+				cancel()
+			}
+			return i, nil
+		}
+		if keepGoing {
+			_, errs := MapPartial(ctx, pool(&cp, 1, once), n, fn)
+			if !errors.Is(errs[order[4]], context.Canceled) {
+				t.Errorf("cancelled keep-going: cell %d error %v, want context.Canceled", order[4], errs[order[4]])
+			}
+		} else if _, err := Map(ctx, pool(&cp, 1, once), n, fn); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled fail-fast: error %v, want context.Canceled", err)
+		}
+		cancel()
+		check(fmt.Sprintf("cancelled/keep-going=%v", keepGoing), &cp)
+	}
+}
+
+// slot returns the dispatch slot of cell i under order.
+func slot(order []int, i int) int {
+	for k, c := range order {
+		if c == i {
+			return k
+		}
+	}
+	return -1
 }

@@ -1,11 +1,11 @@
 // Package registry is the single-flight memo table behind the process-wide
-// trace-recording cache (internal/trace) and warm-snapshot cache
+// trace-recording cache (internal/trace) and probe-tape cache
 // (internal/warm). Each key maps to a slot whose value is computed once,
 // by the first caller, while concurrent callers for the same key wait for
 // it.
 //
 // A slot lives as long as someone needs it. Hold marks a key as in use by
-// one scope — an experiment sweep — and the slot leaves the registry when
+// one scope — an experiment sweep's cell — and the slot leaves the registry when
 // the last hold on it is released. A slot first created by Do, with no
 // hold on its key, is pinned: it stays until Reset, the process-lifetime
 // behaviour of a direct caller. Removing a slot only forgets it: a value

@@ -9,11 +9,11 @@
 // mutated below their materialised length, so sharing them read-only
 // across goroutines is safe.
 //
-// Lifetime: an experiment sweep holds the keys its cells replay (Hold)
-// and releases them when it returns, and a recording nobody holds leaves
-// the registry — a long-running server's memory is bounded by its
-// in-flight sweeps, not by every seed it ever served. A SharedRecording
-// call on a key no sweep holds creates an entry that stays for the life
+// Lifetime: each cell of an experiment sweep holds the keys it replays
+// (Hold) until it settles, and a recording nobody holds leaves the
+// registry — a long-running server's memory is bounded by the profiles
+// its sweeps have in flight, not by every seed it ever served. A
+// SharedRecording call on a key no sweep holds creates an entry that stays for the life
 // of the process, until ResetCache. The cache directory (SetCacheDir) is the cross-run
 // reuse tier and is independent of either lifetime.
 package trace
@@ -82,7 +82,7 @@ func CacheStats() CacheCounters {
 
 // ResetCache empties the recording cache, process-lifetime entries
 // included, and zeroes the counters. Tests and benchmarks use it to start
-// cold; sweeps need not, since their entries leave when they return. The
+// cold; sweeps need not, since their entries leave as their cells settle. The
 // cache directory setting is untouched.
 func ResetCache() {
 	recCache.Reset()
@@ -131,9 +131,10 @@ func CachedBytes() int {
 func CachedRecordings() int { return len(recCache.Values()) }
 
 // Hold keeps the (prof, seed, stream) recording resident until release is
-// called: the sweep entry points hold every stream their cells replay, so
-// the sweep records each once, concurrent sweeps over one stream share
-// it, and it leaves the cache when the last of them returns.
+// called: every cell of a sweep holds the streams it replays from before
+// the first cell starts, so the sweep records each once, concurrent
+// sweeps over one stream share it, and it leaves the cache when the last
+// cell holding it settles.
 func Hold(prof Profile, seed int64, stream int) (release func()) {
 	return recCache.Hold(recKey{prof: prof, seed: seed, stream: stream})
 }

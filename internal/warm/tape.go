@@ -9,8 +9,9 @@
 // the tape extends on demand and the generator continues from where it
 // stopped, so the stream is never recorded and a single-core sweep holds
 // no trace recording. Tapes share the trace cache's lifetime rules
-// (internal/registry): a sweep holds the identities its cells replay
-// (HoldTape), an identity no sweep holds leaves the registry, and entries
+// (internal/registry): each cell of a sweep holds the identity it replays
+// (HoldTape) until it settles, an identity no cell holds leaves the
+// registry, and entries
 // created with no hold stay until ResetCache. Tapes never go to disk.
 
 package warm
@@ -79,7 +80,7 @@ func TapeBuilds() uint64 { return tapeBuilds.Load() }
 // ResetCache drops every cached probe tape, process-lifetime entries
 // included, and zeroes TapeBuilds. Tests and benchmarks use it to measure
 // cold-versus-warm sweeps in one process; sweeps need not, since their
-// entries leave when they return.
+// entries leave as their cells settle.
 func ResetCache() {
 	tapes.Reset()
 	tapeBuilds.Store(0)
