@@ -55,7 +55,7 @@ import (
 // sharedFlags are the sweep flags the daemon shares with the batch
 // commands; every other shared setting keeps its default, which turns the
 // trace cache on.
-const sharedFlags = sweepflag.Workers | sweepflag.Journal | sweepflag.Retries | sweepflag.Trace
+const sharedFlags = sweepflag.Workers | sweepflag.Journal | sweepflag.Retries
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address")

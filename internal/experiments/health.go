@@ -7,10 +7,6 @@ package experiments
 //	                sweep to unjournaled execution (the journal package
 //	                quarantines the bad segment); results are complete but
 //	                not crash-resumable;
-//	trace layer     a cache file that is unreadable, corrupt (CRC) or
-//	                foreign is regenerated in memory through the
-//	                single-flight cache; a failed save leaves the cache
-//	                directory stale; results are bit-identical either way;
 //	sample layer    a sampled cell whose warm-phase oracle check exceeds
 //	                the error budget re-runs under full simulation —
 //	                slower, but exact.
@@ -25,7 +21,6 @@ import (
 	"sync"
 
 	"vertical3d/internal/journal"
-	"vertical3d/internal/trace"
 )
 
 // DefaultSampleErrorBudget is the calibrated warm-phase oracle bound for
@@ -40,8 +35,8 @@ const DefaultSampleErrorBudget = 0.5
 
 // DegradationEvent is one rung of the ladder a sweep stepped down.
 type DegradationEvent struct {
-	// Layer is the subsystem that degraded: "journal", "trace", "sample",
-	// "warm" or "fig8" (thermal rows dropped over failed source cells).
+	// Layer is the subsystem that degraded: "journal", "sample" or "fig8"
+	// (thermal rows dropped over failed source cells).
 	Layer string `json:"layer"`
 	// Cell is the "<benchmark>/<design>" coordinates for per-cell events,
 	// empty for sweep-wide ones.
@@ -110,28 +105,6 @@ func journalHealth(h *healthRecorder, jn *journal.Journal) {
 	if s.Quarantined > 0 {
 		h.add("journal", "",
 			fmt.Sprintf("quarantined %d corrupt segment(s) on load", s.Quarantined), nil)
-	}
-}
-
-// cacheWatch snapshots the process-global trace-recording cache counters
-// around a sweep so their deltas can be attributed to it. The counters are
-// process-wide: concurrent sweeps in one process may cross-attribute
-// events, but never invent or lose one.
-type cacheWatch struct{ trace trace.CacheCounters }
-
-func watchCaches() cacheWatch { return cacheWatch{trace: trace.CacheStats()} }
-
-// harvest records events for cache files and saves that failed while the
-// watch was open.
-func (c cacheWatch) harvest(h *healthRecorder) {
-	tr := trace.CacheStats()
-	if n := tr.LoadErrors - c.trace.LoadErrors; n > 0 {
-		h.add("trace", "",
-			fmt.Sprintf("regenerated %d recording(s) in memory (cache file unreadable, corrupt or foreign)", n), nil)
-	}
-	if n := tr.SaveErrors - c.trace.SaveErrors; n > 0 {
-		h.add("trace", "",
-			fmt.Sprintf("%d recording save(s) failed, cache directory left stale", n), nil)
 	}
 }
 

@@ -149,7 +149,6 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 		return Matrix[D, R]{}, fmt.Errorf("%s: design list must include %s for the normalisation pass", s.experiment, s.baseName)
 	}
 	hr := s.health
-	cw := watchCaches()
 	cr := openCells(s.env, s.id, hr)
 	defer cr.jn.Close()
 	nd := len(designs)
@@ -227,7 +226,6 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 	}
 	m.Journal = cr.jn.Stats()
 	journalHealth(hr, cr.jn)
-	cw.harvest(hr)
 	m.Health = hr.health()
 	return m, nil
 }

@@ -41,9 +41,11 @@ type RunOptions struct {
 	// only) and the measure phase alternates fast-forward / detailed-warm /
 	// measure windows, with Stats and HierStats extrapolated from the
 	// measured windows (see uarch.RunSampled). Sampled results approximate
-	// full simulation — CPI error is bounded at ≤2% per profile by
-	// sample_test.go — and carry a distinct journal identity, so sampled
-	// and full sweeps can never resume from each other's journals.
+	// full simulation: TestSampledCPIErrorBound bounds the CPI error at 2%
+	// for 40k-instruction intervals on Base, and BENCH_sample.json's worst
+	// profile at its geometry is 2.4%. They carry a distinct journal
+	// identity, so sampled and full sweeps can never resume from each
+	// other's journals.
 	Sample bool
 
 	// SampleParams sizes the sampling intervals when Sample is set. The

@@ -1,5 +1,5 @@
-// I/O chaos campaigns: drive the full sweep stack (experiments → journal
-// → trace) through seeded storage faults injected underneath unmodified
+// I/O chaos campaigns: drive the full sweep stack (experiments → journal)
+// through seeded storage faults injected underneath unmodified
 // production code via the fsio seam, and assert the degrade-don't-die
 // contract — the sweep completes, every healthy cell stays bit-identical
 // to an uninjected run, and each downgrade appears in the result's
@@ -15,14 +15,10 @@ import (
 	"strings"
 	"testing"
 
-	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
 	"vertical3d/internal/fsio"
 	"vertical3d/internal/journal"
-	"vertical3d/internal/multicore"
-	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
-	"vertical3d/internal/workload"
 )
 
 // journalInjector routes journal.Open through an injector for the duration
@@ -234,99 +230,6 @@ func TestChaosReadOnlyJournalDir(t *testing.T) {
 		t.Fatalf("no journaling-disabled event in %+v", f.Health.Events)
 	}
 	healthRoundTrip(t, f.Health, "journal")
-}
-
-// TestChaosFlakyTraceDir runs sweeps against a trace-cache directory
-// whose writes fail. Single-core sweeps, full and sampled, generate their
-// probe tapes and make no .m3dtrace I/O at all. A sampled Fig9 sweep
-// records its streams: every recording save errors out, the sweep falls
-// back to the in-memory single-flight cache, results stay bit-identical,
-// and the Health block reports the stale cache.
-func TestChaosFlakyTraceDir(t *testing.T) {
-	suite, profiles, full := fig6Fixture(t)
-	sampled := full
-	sampled.Sample = true
-	sampled.SampleParams = uarch.SampleParams{Interval: 4_000, Warmup: 500, Unit: 1_000}
-	mcProfiles := workload.Parallel()[:1]
-	mopt := multicore.Options{TotalInstrs: 30_000, WarmupPerCore: 2_000, Phases: 2, Seed: 42, Sample: true}
-	var refs []*experiments.Fig6Result
-	for _, opt := range []experiments.RunOptions{full, sampled} {
-		ref, err := experiments.Fig6With(suite, profiles, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, ref)
-	}
-	mcRef, err := experiments.Fig9With(suite, mcProfiles, mopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	trace.ResetCache() // drop any recording the reference runs cached
-	t.Cleanup(trace.ResetCache)
-	dir := t.TempDir()
-	if err := trace.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = trace.SetCacheDir("") })
-
-	// Single-core sweeps: tripwires on every load, save and sync of a
-	// trace file.
-	trip := fsio.NewInjector(13, nil,
-		fsio.Rule{Op: fsio.OpOpen, Match: ".m3dtrace"},
-		fsio.Rule{Op: fsio.OpCreate, Match: dir},
-		fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
-	trace.SetFS(trip)
-	t.Cleanup(func() { trace.SetFS(nil) })
-	for i, opt := range []experiments.RunOptions{full, sampled} {
-		f, err := experiments.Fig6With(suite, profiles, opt)
-		if err != nil {
-			t.Fatalf("sample=%v: sweep over a trace dir must complete: %v", opt.Sample, err)
-		}
-		if !reflect.DeepEqual(f.Runs, refs[i].Runs) {
-			t.Errorf("sample=%v: Runs over a trace dir differ from the run without one", opt.Sample)
-		}
-		if n := trip.Injected(); n != 0 || f.Health.Degraded {
-			t.Errorf("sample=%v: sweep touched the trace dir: %d tripwire(s) fired, health %+v", opt.Sample, n, f.Health)
-		}
-	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-		t.Errorf("single-core sweeps left %d file(s) in the trace dir (%v), want none", len(entries), err)
-	}
-	if st := trace.CacheStats(); st != (trace.CacheCounters{}) {
-		t.Errorf("single-core sweeps used the trace cache: %+v", st)
-	}
-
-	// Sampled Fig9: every recording's save fails at its sync.
-	in := fsio.NewInjector(13, nil, fsio.Rule{Op: fsio.OpSync, Match: ".m3dtrace"})
-	trace.SetFS(in)
-	f, err := experiments.Fig9With(suite, mcProfiles, mopt)
-	if err != nil {
-		t.Fatalf("sweep over a flaky trace dir must complete: %v", err)
-	}
-	if !reflect.DeepEqual(f.Runs, mcRef.Runs) {
-		t.Error("flaky-trace-dir Runs differ from the uninjected run")
-	}
-	streams := 0
-	for _, mc := range config.DeriveMulticore(suite) {
-		streams = max(streams, mc.Cores)
-	}
-	if n := in.InjectedOp(fsio.OpSync); n != streams*len(mcProfiles) {
-		t.Errorf("injected %d sync faults, want one per recorded stream (%d)", n, streams*len(mcProfiles))
-	}
-	if !f.Health.Degraded {
-		t.Fatal("Health does not report the failed cache saves")
-	}
-	found := false
-	for _, e := range f.Health.Events {
-		if e.Layer == "trace" && strings.Contains(e.Action, "save(s) failed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no trace save-failure event in %+v", f.Health.Events)
-	}
-	healthRoundTrip(t, f.Health, "trace")
 }
 
 // TestChaosSampleBudgetFallback runs a sampled sweep under an absurdly

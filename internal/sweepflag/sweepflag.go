@@ -1,9 +1,8 @@
 // Package sweepflag registers the command-line flags the sweep commands
 // share — m3dcli, coresim, mcsim, m3dd and sramstudy — once, with one
 // name, default and help text each. It decodes them into a sweep.Env,
-// applies their process-wide settings (the default worker count and the
-// trace cache directory), and prints the end-of-run report the batch
-// commands end with.
+// applies their process-wide setting (the default worker count), and
+// prints the end-of-run report the batch commands end with.
 package sweepflag
 
 import (
@@ -17,7 +16,6 @@ import (
 	"vertical3d/internal/journal"
 	"vertical3d/internal/parallel"
 	"vertical3d/internal/sweep"
-	"vertical3d/internal/trace"
 	"vertical3d/internal/uarch"
 )
 
@@ -31,13 +29,12 @@ const (
 	Retries                        // -retries
 	KeepGoing                      // -keep-going
 	Deadlines                      // -task-timeout, -sweep-timeout
-	Trace                          // -trace-dir
-	Caches                         // -trace-cache, when Trace is registered
+	Caches                         // -trace-cache
 	Sample                         // -sample
 	SampleParams                   // -sample-interval, -sample-warmup, -sample-unit, -sample-error-budget
 
 	// Batch is the flag set of the one-shot simulation commands.
-	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Trace | Caches | Sample
+	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Caches | Sample
 )
 
 // watchdogGrace is how far past its -task-timeout a cell may run before
@@ -53,7 +50,6 @@ type Flags struct {
 	keepGoing                  bool
 	taskTimeout, sweepTimeout  time.Duration
 	journalDir                 string
-	traceDir                   string
 	traceCache                 bool
 	sample                     bool
 	interval, sampleWarm, unit uint64
@@ -80,14 +76,11 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 		fs.DurationVar(&f.taskTimeout, "task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
 		fs.DurationVar(&f.sweepTimeout, "sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
 	}
-	if groups&Trace != 0 {
-		fs.StringVar(&f.traceDir, "trace-dir", "", "directory for packed .m3dtrace recordings, reused across runs (created if missing)")
-		if groups&Caches != 0 {
-			fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
-		}
+	if groups&Caches != 0 {
+		fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
 	}
 	if groups&Sample != 0 {
-		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (CPI error ≤2%; ≈3.5-10x faster); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
+		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (≈3.5-10x faster; CPI error about 2.4% at worst in BENCH_sample.json); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
 	}
 	if groups&SampleParams != 0 {
 		fs.Uint64Var(&f.interval, "sample-interval", 0, "sampling interval length in instructions (0 = default 100000); implies nothing without -sample")
@@ -98,16 +91,12 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 	return f
 }
 
-// Env applies the process-wide settings of the parsed flags — the default
-// worker count and the trace cache directory, created if missing —
-// validates the sampling flags, and returns the sweep
+// Env applies the process-wide setting of the parsed flags — the default
+// worker count — validates the sampling flags, and returns the sweep
 // environment the flags describe. The caller sets Context. An error is a
 // usage error.
 func (f *Flags) Env() (sweep.Env, error) {
 	parallel.SetDefaultWorkers(f.workers)
-	if err := trace.SetCacheDir(f.traceDir); err != nil {
-		return sweep.Env{}, fmt.Errorf("-trace-dir: %w", err)
-	}
 	sp, err := uarch.SampleParamsFrom(f.sample, f.interval, f.sampleWarm, f.unit)
 	if err != nil {
 		return sweep.Env{}, err
@@ -148,14 +137,10 @@ type Sweep struct {
 	Health  experiments.Health
 }
 
-// Report writes the end-of-run report: a warning when trace recordings
-// could not be saved to their directory, each journaled sweep's resume
+// Report writes the end-of-run report: each journaled sweep's resume
 // summary, then each sweep's degradation report. It is quiet for a clean,
 // unjournaled run.
 func (f *Flags) Report(w io.Writer, sweeps ...Sweep) {
-	if n := trace.CacheStats().SaveErrors; f.traceDir != "" && n > 0 {
-		fmt.Fprintf(w, "%s: warning: %d trace recording(s) could not be saved to %s\n", f.name, n, f.traceDir)
-	}
 	for _, s := range sweeps {
 		experiments.RenderJournalStats(w, s.Journal)
 	}

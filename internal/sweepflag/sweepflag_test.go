@@ -27,23 +27,23 @@ var surface = map[string]map[string]string{
 		"list": "", "measure": "200000", "memprofile": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
 		"seed": "42", "stream": "", "sweep-timeout": "", "task-timeout": "",
-		"trace-cache": "true", "trace-dir": "", "warmup": "80000",
+		"trace-cache": "true", "warmup": "80000",
 	},
 	"m3dcli": {
 		"j": "", "journal-dir": "", "keep-going": "", "quick": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
-		"sweep-timeout": "", "task-timeout": "", "trace-cache": "true", "trace-dir": "",
+		"sweep-timeout": "", "task-timeout": "", "trace-cache": "true",
 	},
 	"m3dd": {
 		"addr": `"127.0.0.1:8321"`, "cache-bytes": "268435456", "drain-timeout": "30s",
 		"event-buffer": "256", "j": "", "job-dir": "", "journal-dir": "", "keep-jobs": "64",
-		"max-sweeps": "2", "queue-depth": "64", "quick": "", "retries": "1", "trace-dir": "",
+		"max-sweeps": "2", "queue-depth": "64", "quick": "", "retries": "1",
 	},
 	"mcsim": {
 		"bench": `"Fft"`, "cpuprofile": "", "instrs": "600000", "j": "", "journal-dir": "",
 		"keep-going": "", "memprofile": "", "phases": "4", "retries": "1", "sample": "", "seed": "42",
 		"stream-base": "", "sweep-timeout": "", "task-timeout": "", "trace-cache": "true",
-		"trace-dir": "", "warmup": "30000",
+		"warmup": "30000",
 	},
 	"sramstudy":  {"compare": "true", "j": "", "journal-dir": "", "keep-going": "", "table": `"all"`},
 	"thermalsim": {"grid": "20", "m3dscale": "0.76", "power": "6.4", "tsvscale": "0.9"},
@@ -97,8 +97,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 74 {
-		t.Errorf("%d flags across the commands, want 74", total)
+	if total != 70 {
+		t.Errorf("%d flags across the commands, want 70", total)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestEnvDecodesFlags(t *testing.T) {
 	// A daemon-style group set: the trace cache stays on and one attempt
 	// per cell, as the batch commands default to.
 	fs = flag.NewFlagSet("daemon", flag.ContinueOnError)
-	f = Register(fs, "daemon", Workers|Journal|Retries|Trace)
+	f = Register(fs, "daemon", Workers|Journal|Retries)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}

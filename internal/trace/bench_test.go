@@ -4,7 +4,6 @@
 package trace_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"vertical3d/internal/trace"
@@ -59,37 +58,6 @@ func BenchmarkReplayer(b *testing.B) {
 		r.NextBatch(buf)
 	}
 	instrs := float64(b.N) * batch
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(sec*1e9/instrs, "ns_per_instr")
-		b.ReportMetric(instrs/sec/1e6, "minstr_per_s")
-	}
-}
-
-// BenchmarkLoadFileReplay measures the other way a probe-tape builder could
-// get its stream: load a -trace-dir file and replay it. Its ns_per_instr
-// compares with BenchmarkGenerator's, the source full-mode tapes use.
-func BenchmarkLoadFileReplay(b *testing.B) {
-	p := benchProfile(b)
-	const batch = 4096
-	const length = 1 << 18
-	path := filepath.Join(b.TempDir(), trace.FileName(p, 42, 0))
-	if err := trace.SaveFile(path, trace.Record(p, 42, 0, length)); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]trace.Inst, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := trace.LoadFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := trace.NewReplayer(rec)
-		for r.Pos() < length {
-			r.NextBatch(buf)
-		}
-	}
-	instrs := float64(b.N) * length
 	sec := b.Elapsed().Seconds()
 	if sec > 0 {
 		b.ReportMetric(sec*1e9/instrs, "ns_per_instr")

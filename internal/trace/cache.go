@@ -13,17 +13,12 @@
 // (Hold) until it settles, and a recording nobody holds leaves the
 // registry — a long-running server's memory is bounded by the profiles
 // its sweeps have in flight, not by every seed it ever served. A
-// SharedRecording call on a key no sweep holds creates an entry that stays for the life
-// of the process, until ResetCache. The cache directory (SetCacheDir) is the cross-run
-// reuse tier and is independent of either lifetime.
+// SharedRecording call on a key no sweep holds creates an entry that
+// stays for the life of the process, until ResetCache. Nothing persists a
+// recording across processes.
 package trace
 
 import (
-	"errors"
-	"fmt"
-	"io/fs"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"vertical3d/internal/registry"
@@ -39,15 +34,9 @@ type recKey struct {
 }
 
 var (
-	recCache   registry.Registry[recKey, *Recording]
-	recHits    atomic.Uint64
-	recMisses  atomic.Uint64
-	fileLoads  atomic.Uint64
-	loadErrors atomic.Uint64
-	saveErrors atomic.Uint64
-
-	cacheDirMu sync.RWMutex
-	cacheDir   string
+	recCache  registry.Registry[recKey, *Recording]
+	recHits   atomic.Uint64
+	recMisses atomic.Uint64
 )
 
 // CacheCounters reports the recording cache effectiveness.
@@ -56,69 +45,27 @@ type CacheCounters struct {
 	// recording (including callers that waited on a concurrent first
 	// recording).
 	Hits uint64
-	// Misses counts first-time recordings (or file loads) per key.
+	// Misses counts first-time recordings per key.
 	Misses uint64
-	// FileLoads counts misses satisfied from the cache directory instead
-	// of generation.
-	FileLoads uint64
-	// LoadErrors counts cache files that existed but could not be trusted
-	// — unreadable, corrupt (checksum or structure), or carrying a foreign
-	// identity. Each one fell back to in-memory generation.
-	LoadErrors uint64
-	// SaveErrors counts failed best-effort writes to the cache directory.
-	SaveErrors uint64
 }
 
 // CacheStats returns the cumulative counters of the recording cache.
 func CacheStats() CacheCounters {
-	return CacheCounters{
-		Hits:       recHits.Load(),
-		Misses:     recMisses.Load(),
-		FileLoads:  fileLoads.Load(),
-		LoadErrors: loadErrors.Load(),
-		SaveErrors: saveErrors.Load(),
-	}
+	return CacheCounters{Hits: recHits.Load(), Misses: recMisses.Load()}
 }
 
 // ResetCache empties the recording cache, process-lifetime entries
 // included, and zeroes the counters. Tests and benchmarks use it to start
-// cold; sweeps need not, since their entries leave as their cells settle. The
-// cache directory setting is untouched.
+// cold; sweeps need not, since their entries leave as their cells settle.
 func ResetCache() {
 	recCache.Reset()
 	recHits.Store(0)
 	recMisses.Store(0)
-	fileLoads.Store(0)
-	loadErrors.Store(0)
-	saveErrors.Store(0)
 }
 
-// SetCacheDir points the recording cache at a directory for cross-run
-// reuse: misses first try to load "<dir>/<name>.m3dtrace" and freshly
-// recorded streams are saved there best-effort (failures are counted in
-// CacheCounters.SaveErrors, never fatal). An empty dir disables the file
-// layer. The directory is created if missing.
-func SetCacheDir(dir string) error {
-	if dir != "" {
-		if err := seam.Get().MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("trace: cache dir: %w", err)
-		}
-	}
-	cacheDirMu.Lock()
-	cacheDir = dir
-	cacheDirMu.Unlock()
-	return nil
-}
-
-// CacheDir returns the configured cross-run cache directory ("" = none).
-func CacheDir() string {
-	cacheDirMu.RLock()
-	defer cacheDirMu.RUnlock()
-	return cacheDir
-}
-
-// CachedBytes reports the summed packed footprint of every resident
-// recording (~31 bytes per materialised instruction).
+// CachedBytes reports the summed footprint of every resident recording
+// (Recording.Bytes: 8–10 bytes per materialised instruction on the
+// synthetic workloads).
 func CachedBytes() int {
 	total := 0
 	for _, rec := range recCache.Values() {
@@ -141,48 +88,22 @@ func Hold(prof Profile, seed int64, stream int) (release func()) {
 
 // SharedRecording returns the shared recording for the (prof, seed,
 // stream) triple, materialising sizeHint instructions on first use (the
-// recording extends on demand past the hint). All sweep cells replaying
-// the same workload share one read-only recording; the first caller
-// records (or loads from the cache directory) while concurrent callers
-// for the same key wait on the single flight. A key no sweep holds stays
-// resident for the life of the process.
+// recording extends on demand past the hint; a hint of 0 or less records
+// 4096). All sweep cells replaying the same workload share one read-only
+// recording; the first caller records while concurrent callers for the
+// same key wait on the single flight. A key no sweep holds stays resident
+// for the life of the process.
 func SharedRecording(prof Profile, seed int64, stream int, sizeHint int) *Recording {
+	if sizeHint <= 0 {
+		sizeHint = 4096
+	}
 	rec, first := recCache.Do(recKey{prof: prof, seed: seed, stream: stream}, func() *Recording {
-		return loadOrRecord(prof, seed, stream, sizeHint)
+		return Record(prof, seed, stream, sizeHint)
 	})
 	if first {
 		recMisses.Add(1)
 	} else {
 		recHits.Add(1)
-	}
-	return rec
-}
-
-// loadOrRecord materialises a cache miss: from the cache directory when a
-// trustworthy file is there, else by recording (and saving best-effort).
-func loadOrRecord(prof Profile, seed int64, stream int, sizeHint int) *Recording {
-	if sizeHint <= 0 {
-		sizeHint = 4096
-	}
-	dir := CacheDir()
-	if dir == "" {
-		return Record(prof, seed, stream, sizeHint)
-	}
-	path := filepath.Join(dir, FileName(prof, seed, stream))
-	switch rec, err := LoadFile(path); {
-	case err == nil && rec.prof == prof && rec.seed == seed && rec.stream == stream:
-		fileLoads.Add(1)
-		return rec
-	case err == nil:
-		// A file under our identity-hashed name with a foreign identity
-		// inside is as untrustworthy as a corrupt one.
-		loadErrors.Add(1)
-	case !errors.Is(err, fs.ErrNotExist):
-		loadErrors.Add(1)
-	}
-	rec := Record(prof, seed, stream, sizeHint)
-	if err := SaveFile(path, rec); err != nil {
-		saveErrors.Add(1)
 	}
 	return rec
 }

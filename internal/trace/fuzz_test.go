@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -70,37 +70,82 @@ func FuzzGenerator(f *testing.F) {
 	})
 }
 
-// FuzzReadRecording feeds arbitrary bytes to the .m3dtrace reader. It
-// must reject them with an error or return a recording that re-encodes to
-// exactly the input; it must never panic, and never allocate more than a
-// small multiple of the input plus a fixed allowance for its buffers,
-// whatever instruction count the header claims.
-func FuzzReadRecording(f *testing.F) {
-	for _, n := range []int{0, 1, 300} {
-		var b bytes.Buffer
-		if err := Record(testProfile(), 42, 3, n).Encode(&b); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b.Bytes())
-		f.Add(b.Bytes()[:b.Len()/2])
-	}
-	f.Add(encodeClaim(f, 1<<31, make([]byte, 16)))
+// FuzzRecordingRoundTrip appends a random instruction sequence through a
+// Recorder and replays it at random batch sizes and At positions: the
+// output must equal the input. The sequences mix generator-like slots
+// (PC+4 runs, taken branches jumping to their Target) with everything the
+// control word cannot imply or hold: wide registers and kinds, PCs that
+// break the implied successor, Targets on non-branches, zero Targets on
+// taken branches and addresses above 32 bits.
+func FuzzRecordingRoundTrip(f *testing.F) {
+	f.Add(int64(1), uint16(100), uint8(0))
+	f.Add(int64(2), uint16(recChunk+300), uint8(3))
+	f.Add(int64(3), uint16(3*markEvery+1), uint8(255))
+	f.Add(int64(4), uint16(0), uint8(128))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var rec *Recording
-		var err error
-		if n := allocated(func() { rec, err = ReadRecording(bytes.NewReader(data)) }); n > 8*uint64(len(data))+1<<20 {
-			t.Fatalf("reading %d bytes allocated %d", len(data), n)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, wild uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		odd := func() bool { return rng.Intn(256) < int(wild) }
+		reg := func() int16 {
+			if odd() {
+				return int16(rng.Uint32())
+			}
+			return int16(rng.Intn(65)) - 1
 		}
-		if err != nil {
-			return
+		ins := make([]Inst, int(n))
+		pc := uint64(0x40_0000)
+		for i := range ins {
+			in := Inst{PC: pc, Kind: Kind(rng.Intn(int(numKinds))), Src1: reg(), Src2: reg(), Dst: reg(), Complex: rng.Intn(8) == 0}
+			if odd() {
+				in.Kind = Kind(rng.Intn(256))
+			}
+			if odd() {
+				in.PC = rng.Uint64()
+			}
+			switch {
+			case in.Kind == Branch:
+				in.Taken = rng.Intn(2) == 0
+				if !odd() {
+					in.Target = 0x40_0000 + uint64(rng.Intn(4096))*4
+				}
+			case in.Kind == Load || in.Kind == Store:
+				in.Addr = 0x1000_0000 + uint64(rng.Intn(1<<20))*8
+				if odd() {
+					in.Addr = rng.Uint64()
+				}
+			}
+			if odd() {
+				in.Target = rng.Uint64()
+				in.Taken = rng.Intn(2) == 0
+			}
+			ins[i] = in
+			pc = successor(&in)
 		}
-		var out bytes.Buffer
-		if err := rec.Encode(&out); err != nil {
-			t.Fatalf("an accepted recording does not re-encode: %v", err)
+		rc := NewRecorder(rng.Intn(len(ins) + 1))
+		for _, in := range ins {
+			rc.Append(in)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("an accepted recording re-encodes to %d different bytes (input %d)", out.Len(), len(data))
+		rec := rc.Finish(testProfile(), seed, 0)
+		if rec.Len() != len(ins) {
+			t.Fatalf("Len() = %d, want %d", rec.Len(), len(ins))
+		}
+		r := NewReplayer(rec)
+		buf := make([]Inst, 700)
+		for pos := 0; pos < len(ins); {
+			k := min(1+rng.Intn(len(buf)), len(ins)-pos)
+			r.NextBatch(buf[:k])
+			for i, got := range buf[:k] {
+				if got != ins[pos+i] {
+					t.Fatalf("replayed slot %d = %+v, want %+v", pos+i, got, ins[pos+i])
+				}
+			}
+			pos += k
+		}
+		for range min(len(ins), 64) {
+			i := rng.Intn(len(ins))
+			if got := rec.At(i); got != ins[i] {
+				t.Fatalf("At(%d) = %+v, want %+v", i, got, ins[i])
+			}
 		}
 	})
 }

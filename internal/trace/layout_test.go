@@ -34,21 +34,31 @@ func TestInstLayout(t *testing.T) {
 	}
 }
 
-// TestPackedMetaRoundTrip checks the meta byte can represent every Kind
-// alongside the two flags.
+// TestPackedMetaRoundTrip checks the control word represents every Kind
+// alongside the two flags and every register in [-1, 126], and refuses
+// (escapes) the values it cannot hold.
 func TestPackedMetaRoundTrip(t *testing.T) {
-	if numKinds > metaKindMask+1 {
-		t.Fatalf("numKinds = %d no longer fits the meta byte's %d kind slots", numKinds, metaKindMask+1)
+	if numKinds > ctlKindMask+1 {
+		t.Fatalf("numKinds = %d no longer fits the control word's %d kind slots", numKinds, ctlKindMask+1)
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		for _, taken := range []bool{false, true} {
 			for _, complex := range []bool{false, true} {
-				in := Inst{Kind: k, Taken: taken, Complex: complex}
-				m := packMeta(in)
-				if Kind(m&metaKindMask) != k || (m&metaTaken != 0) != taken || (m&metaComplex != 0) != complex {
-					t.Fatalf("meta byte round-trip failed for kind=%v taken=%v complex=%v", k, taken, complex)
+				for r := int16(-1); r <= 126; r++ {
+					in := Inst{Kind: k, Taken: taken, Complex: complex, Src1: r, Src2: 125 - r, Dst: r / 2}
+					w, ok := pack(in)
+					var got Inst
+					unpack(&got, w)
+					if !ok || w&(ctlPC|ctlAddr|ctlTarget|ctlEscape) != 0 || got != in {
+						t.Fatalf("control word round-trip failed for %+v: word %#x ok=%v", in, w, ok)
+					}
 				}
 			}
+		}
+	}
+	for _, in := range []Inst{{Kind: numKinds + 7}, {Src1: 127}, {Src2: -2}, {Dst: 32767}} {
+		if _, ok := pack(in); ok {
+			t.Errorf("pack accepted %+v, which the control word cannot hold", in)
 		}
 	}
 }

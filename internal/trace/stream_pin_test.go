@@ -38,8 +38,8 @@ func streamDigest(insts []trace.Inst) string {
 // SPEC2006 and Parallel profile, at seed 42 on streams 0 and 3, drawn
 // one at a time through Next and in odd-sized batches through NextBatch.
 // Every result in the repository is a function of this stream, so a
-// faster generator must reproduce it exactly; the recording file format
-// has its own pin (TestSaveFileFormatPinned).
+// faster generator must reproduce it exactly; recordings must replay it
+// exactly too (TestReplayMatchesGenerator, FuzzRecordingRoundTrip).
 func TestGeneratorStreamPinned(t *testing.T) {
 	const n, seed = 50_000, 42
 	pins := []struct {

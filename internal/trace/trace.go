@@ -60,9 +60,9 @@ func (k Kind) String() string {
 // single-byte fields) so the struct packs into 40 bytes with a single
 // 7-byte tail pad instead of the 48 bytes the declaration order of the
 // logical grouping would cost; layout_test.go pins the size. The frontend
-// moves these by value through batched NextBatch fills and the packed
-// recording stores the same fields in struct-of-arrays form at 31
-// bytes/instruction, so the saved padding is paid once per copy.
+// moves these by value through batched NextBatch fills, so the saved
+// padding is paid once per copy. A Recording stores the same fields in a
+// compact chunk codec at 8–10 bytes/instruction (record.go).
 type Inst struct {
 	// PC is the instruction's address.
 	PC uint64
@@ -89,7 +89,7 @@ type Inst struct {
 // Source produces a dynamic instruction stream. Implementations are
 // infinite: Next always yields an instruction and NextBatch always fills
 // dst completely. The two implementations — *Generator (synthesises the
-// stream) and *Replayer (replays a packed Recording) — are bit-identical
+// stream) and *Replayer (replays a Recording) — are bit-identical
 // for the same (Profile, seed, stream) triple; record_test.go enforces the
 // instruction-by-instruction equality and the uarch/experiments oracles
 // enforce it end to end.

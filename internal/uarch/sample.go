@@ -54,8 +54,10 @@ type SampleParams struct {
 }
 
 // DefaultSampleParams returns the calibrated defaults: 100k-instruction
-// intervals, 1k detailed warm, 4k measured — a 5% detailed fraction that
-// keeps every profile's CPI error under the 2% bound. The speedup it buys
+// intervals, 1k detailed warm, 4k measured — a 5% detailed fraction.
+// TestSampledCPIErrorBound checks the 2% CPI-error bound at 40k intervals,
+// not at these defaults; BENCH_sample.json records the error of each
+// profile at its own geometry (2.4% at worst). The speedup it buys
 // depends on the kernel's detailed/fast-forward cost ratio: ~8–18× on the
 // reference kernel, ~3.5–10× on the event kernel (squash-heavy profiles at
 // the low end of each band), and ~10–75× for replacing full reference
