@@ -356,8 +356,8 @@ func Derive(n *tech.Node) (*Suite, error) {
 		{core.HeteroLayer, tech.MIV()},
 		{core.IsoLayer, tech.TSVAggressive()},
 	}
-	selected, err := parallel.Map(context.Background(), parallel.Default(), len(studies),
-		func(_ context.Context, i int) ([]core.Choice, error) {
+	selected, err := parallel.Map(context.Background(), parallel.Pool{}, len(studies),
+		func(i int) ([]core.Choice, error) {
 			return core.SelectAll(n, studies[i].mode, studies[i].via)
 		})
 	if err != nil {

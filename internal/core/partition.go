@@ -142,8 +142,8 @@ func SelectBest(n *tech.Node, st Structure, mode Mode, via tech.Via) (Choice, er
 // fixed candidate order — results never depend on scheduling.
 func SelectAll(n *tech.Node, mode Mode, via tech.Via) ([]Choice, error) {
 	cat := Catalog()
-	return parallel.Map(context.Background(), parallel.Default(), len(cat),
-		func(_ context.Context, i int) (Choice, error) {
+	return parallel.Map(context.Background(), parallel.Pool{}, len(cat),
+		func(i int) (Choice, error) {
 			return SelectBest(n, cat[i], mode, via)
 		})
 }

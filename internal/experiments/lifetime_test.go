@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/multicore"
@@ -210,7 +209,7 @@ func TestFig9RecordingLifetimePerProfile(t *testing.T) {
 func TestFig9RecordingLifetimeUnderRetry(t *testing.T) {
 	last := config.MulticoreDesigns()[len(config.MulticoreDesigns())-1].String()
 	failed := map[string]bool{}
-	fig9LifetimeSweep(t, parallel.Retry{Attempts: 2, BaseDelay: time.Millisecond}, func(bench, design string) {
+	fig9LifetimeSweep(t, parallel.Retry{Attempts: 2}, func(bench, design string) {
 		if design == last && !failed[bench] {
 			failed[bench] = true
 			panic("injected")
@@ -318,7 +317,7 @@ func TestFig6TapeLifetimePerProfile(t *testing.T) {
 func TestFig6TapeLifetimeUnderRetry(t *testing.T) {
 	designs := config.SingleCoreDesigns()
 	last := designs[len(designs)-1].String()
-	fig6LifetimeSweeps(t, parallel.Retry{Attempts: 2, BaseDelay: time.Millisecond}, func(t *testing.T) func(string, string) {
+	fig6LifetimeSweeps(t, parallel.Retry{Attempts: 2}, func(t *testing.T) func(string, string) {
 		var mu sync.Mutex
 		failed := map[string]bool{}
 		t.Cleanup(func() {

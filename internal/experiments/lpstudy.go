@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -60,7 +59,7 @@ func LPStudy(suite *config.Suite, names []string, opt RunOptions) (*LPStudyResul
 		return opt.holdCaches(suite.Configs[lpDesigns[i%nd]], profiles[i/nd].prof)
 	})()
 	cells, err := parallel.Map(opt.Ctx(), pool, len(profiles)*nd,
-		func(_ context.Context, i int) (float64, error) {
+		func(i int) (float64, error) {
 			p, d := profiles[i/nd], lpDesigns[i%nd]
 			key := journal.CellKey(p.name, d.String(), suite.Configs[d], p.prof)
 			e, err := runCell(cr, p.name, d.String(), key, func() (float64, error) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -158,7 +157,7 @@ func runMatrix[D DesignAxis, R any](s matrixSweep[D, R], suite *config.Suite, pr
 		pool.Order = staggered(len(profiles), nd, pool.Size(n))
 	}
 	defer holdCells(&pool, n, func(i int) func() { return s.hold(profiles[i/nd], designs[i%nd]) })()
-	task := func(_ context.Context, i int) (R, error) {
+	task := func(i int) (R, error) {
 		prof, d := profiles[i/nd], designs[i%nd]
 		key := journal.CellKey(prof.Name, d.String(), s.config(d), prof)
 		r, err := runCell(cr, prof.Name, d.String(), key, func() (R, error) {

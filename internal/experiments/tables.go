@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -169,7 +168,7 @@ func StrategyTable(env sweep.Env, st sram.Strategy) ([]PartRow, Health, error) {
 		}
 	}
 	rows, err := parallel.Map(env.Ctx(), env.Pool(), len(cells),
-		func(_ context.Context, i int) (PartRow, error) {
+		func(i int) (PartRow, error) {
 			cl := cells[i]
 			key := journal.CellKey(cl.name, cl.label, st.String(), cl.via, *n)
 			return runCell(cr, cl.name, cl.label, key, func() (PartRow, error) {
@@ -204,7 +203,7 @@ func Table6(env sweep.Env) (m3d, tsv []core.Choice, h Health, err error) {
 	defer cr.jn.Close()
 	vias := []tech.Via{tech.MIV(), tech.TSVAggressive()}
 	out, err := parallel.Map(env.Ctx(), env.Pool(), len(vias),
-		func(_ context.Context, i int) ([]core.Choice, error) {
+		func(i int) ([]core.Choice, error) {
 			key := journal.CellKey("table6", vias[i].Name, vias[i], *n)
 			return runCell(cr, "table6", vias[i].Name, key, func() ([]core.Choice, error) {
 				return core.SelectAll(n, core.IsoLayer, vias[i])

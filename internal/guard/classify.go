@@ -20,7 +20,7 @@ const (
 	KindError Kind = iota
 	// KindPanic is a recovered cell panic (parallel.PanicError).
 	KindPanic
-	// KindTimeout is an expired task or sweep deadline.
+	// KindTimeout is an expired sweep or request deadline.
 	KindTimeout
 	// KindCanceled is an externally cancelled cell — typically the
 	// SIGINT/SIGTERM shutdown layer stopping dispatch mid-sweep.

@@ -23,7 +23,7 @@ func (f fakeTimeout) Timeout() bool { return f.hit }
 func TestClassify(t *testing.T) {
 	panicErr := func() error {
 		p := parallel.Pool{Workers: 1}
-		err := p.ForEach(context.Background(), 1, func(context.Context, int) error {
+		err := p.ForEach(context.Background(), 1, func(int) error {
 			panic("boom")
 		})
 		var pe *parallel.PanicError
@@ -81,10 +81,10 @@ func TestClassify(t *testing.T) {
 }
 
 func TestClassifyPanicWinsOverDeadline(t *testing.T) {
-	// A cell that panicked while its deadline expired is still a panic:
-	// the panic is the root cause worth surfacing and retry-classifying.
-	p := parallel.Pool{Workers: 1, TaskTimeout: time.Hour}
-	err := p.ForEach(context.Background(), 1, func(context.Context, int) error {
+	// A cell that panicked with a deadline error is still a panic: the
+	// panic is the root cause worth surfacing and retry-classifying.
+	p := parallel.Pool{Workers: 1}
+	err := p.ForEach(context.Background(), 1, func(int) error {
 		panic(context.DeadlineExceeded)
 	})
 	if got := guard.Classify(err); got != guard.KindPanic {

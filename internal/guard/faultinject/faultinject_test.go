@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"vertical3d/internal/config"
 	"vertical3d/internal/experiments"
@@ -65,7 +64,7 @@ func TestPoolPanicsRecovered(t *testing.T) {
 			in.PanicAt(faultinject.TaskKey(i))
 		}
 		pool := parallel.Pool{Workers: w}
-		out, errs := parallel.MapPartial(context.Background(), pool, n, func(_ context.Context, i int) (int, error) {
+		out, errs := parallel.MapPartial(context.Background(), pool, n, func(i int) (int, error) {
 			in.Visit(faultinject.TaskKey(i))
 			return i * i, nil
 		})
@@ -120,7 +119,7 @@ func TestPoolFailFastLowestIndex(t *testing.T) {
 			in := faultinject.New()
 			in.PanicAt(faultinject.TaskKey(5), faultinject.TaskKey(17))
 			pool := parallel.Pool{Workers: w, Order: order}
-			_, err := parallel.Map(context.Background(), pool, n, func(_ context.Context, i int) (int, error) {
+			_, err := parallel.Map(context.Background(), pool, n, func(i int) (int, error) {
 				in.Visit(faultinject.TaskKey(i))
 				return i, nil
 			})
@@ -135,36 +134,6 @@ func TestPoolFailFastLowestIndex(t *testing.T) {
 	}
 }
 
-// TestPoolSlowTaskDeadline checks that a cooperative slow cell trips its
-// TaskTimeout without disturbing healthy cells.
-func TestPoolSlowTaskDeadline(t *testing.T) {
-	const n = 8
-	const slow = 3
-	pool := parallel.Pool{Workers: 4, TaskTimeout: 10 * time.Millisecond}
-	out, errs := parallel.MapPartial(context.Background(), pool, n, func(ctx context.Context, i int) (int, error) {
-		if i == slow {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(10 * time.Second):
-				t.Error("slow task outlived its deadline")
-			}
-		}
-		return i * i, nil
-	})
-	if !errors.Is(errs[slow], context.DeadlineExceeded) {
-		t.Fatalf("errs[%d] = %v, want deadline exceeded", slow, errs[slow])
-	}
-	if parallel.CountErrors(errs) != 1 {
-		t.Errorf("only the slow cell may fail, got %d errors", parallel.CountErrors(errs))
-	}
-	for i := 0; i < n; i++ {
-		if i != slow && out[i] != i*i {
-			t.Errorf("healthy cell %d = %d, want %d", i, out[i], i*i)
-		}
-	}
-}
-
 // TestPoolMidSweepCancellation cancels the sweep from inside a cell. With a
 // single worker the dispatch order is sequential, so exactly the cells after
 // the cancelling one must be marked with the context error.
@@ -174,7 +143,7 @@ func TestPoolMidSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pool := parallel.Pool{Workers: 1}
-	out, errs := parallel.MapPartial(ctx, pool, n, func(_ context.Context, i int) (int, error) {
+	out, errs := parallel.MapPartial(ctx, pool, n, func(i int) (int, error) {
 		if i == cancelAt {
 			cancel()
 		}

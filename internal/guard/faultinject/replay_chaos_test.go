@@ -226,7 +226,7 @@ func TestChaosCancellationLeavesRecordingsIntact(t *testing.T) {
 	var mu sync.Mutex
 	sums := map[int]uint64{}
 	pool := parallel.Pool{Workers: 1}
-	_, errs := parallel.MapPartial(ctx, pool, n, func(_ context.Context, i int) (int, error) {
+	_, errs := parallel.MapPartial(ctx, pool, n, func(i int) (int, error) {
 		r := trace.NewReplayer(trace.SharedRecording(prof, 42, 0, instrs))
 		var sum uint64
 		for k := 0; k < instrs; k++ {

@@ -15,7 +15,7 @@ import (
 func TestMapCollectsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		got, err := Map(context.Background(), Pool{Workers: workers}, 100,
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
+			func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -32,7 +32,7 @@ func TestMapCollectsByIndex(t *testing.T) {
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []float64 {
 		out, err := Map(context.Background(), Pool{Workers: workers}, 64,
-			func(_ context.Context, i int) (float64, error) {
+			func(i int) (float64, error) {
 				return float64(i) * 1.7, nil
 			})
 		if err != nil {
@@ -61,7 +61,7 @@ func TestFirstErrorByLowestIndex(t *testing.T) {
 	for _, order := range [][]int{nil, reversed(32)} {
 		for _, workers := range []int{1, 4, 16} {
 			_, err := Map(context.Background(), Pool{Workers: workers, Order: order}, 32,
-				func(_ context.Context, i int) (int, error) {
+				func(i int) (int, error) {
 					switch i {
 					case 3:
 						return 0, errLow
@@ -83,7 +83,7 @@ func TestOrderedDispatch(t *testing.T) {
 	order := []int{4, 0, 3, 1, 2}
 	var started []int
 	got, err := Map(context.Background(), Pool{Workers: 1, Order: order}, 5,
-		func(_ context.Context, i int) (int, error) {
+		func(i int) (int, error) {
 			started = append(started, i)
 			return i * 10, nil
 		})
@@ -105,7 +105,7 @@ func TestFailFastKeyedByIndex(t *testing.T) {
 	order := []int{6, 0, 1, 2, 3, 4, 5, 7}
 	var started []int
 	err := Pool{Workers: 1, Order: order}.ForEach(context.Background(), 8,
-		func(_ context.Context, i int) error {
+		func(i int) error {
 			started = append(started, i)
 			if i == 6 || i == 2 {
 				return fmt.Errorf("cell %d", i)
@@ -120,44 +120,85 @@ func TestFailFastKeyedByIndex(t *testing.T) {
 	}
 }
 
-// TestFailFastCancelsOnlyAbove runs cells 0, 1 and 2 together and fails
-// cell 1: cell 2's context is cancelled, cell 0's is not.
-func TestFailFastCancelsOnlyAbove(t *testing.T) {
+// TestDispatchedCellsRunToCompletion checks the pool's one cancellation
+// model: cancelling the sweep or failing a cell stops dispatch only, and
+// every cell already running finishes with its own outcome.
+func TestDispatchedCellsRunToCompletion(t *testing.T) {
+	// Keep-going: cell 1 cancels the sweep while cell 0 is still running
+	// (blocked until after the cancel). Both keep their values; every
+	// later cell is dispatched after the cancel and never runs.
+	const n = 6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	out, errs := MapPartial(ctx, Pool{Workers: 2}, n, func(i int) (int, error) {
+		switch i {
+		case 0:
+			<-release
+		case 1:
+			cancel()
+			close(release)
+		default:
+			t.Errorf("cell %d ran after the cancel", i)
+		}
+		return i + 10, nil
+	})
+	for i := range 2 {
+		if errs[i] != nil || out[i] != i+10 {
+			t.Errorf("in-flight cell %d = %d, %v; want %d, nil", i, out[i], errs[i], i+10)
+		}
+	}
+	for i := 2; i < n; i++ {
+		var ce *CellAbortError
+		if !errors.As(errs[i], &ce) || ce.Index != i || !errors.Is(errs[i], context.Canceled) {
+			t.Errorf("cell %d error %v, want a *CellAbortError for cell %d", i, errs[i], i)
+		}
+	}
+
+	// Fail-fast: cells 1 and 2 are in flight when cell 0 fails, and end
+	// only once cell 0 has settled. Cell 1 still completes; cell 2 panics
+	// and is not retried, since its result can no longer be reported; the
+	// cell above them is never dispatched, and Map returns cell 0's error.
 	boom := errors.New("boom")
-	inFlight := make(chan struct{}, 2) // one send each from cells 0 and 2
-	cancelled := make(chan struct{})
-	err := Pool{Workers: 3}.ForEach(context.Background(), 3,
-		func(ctx context.Context, i int) error {
-			switch i {
-			case 1:
-				<-inFlight
-				<-inFlight
-				return boom
-			case 2:
-				inFlight <- struct{}{}
-				select {
-				case <-ctx.Done():
-					close(cancelled)
-					return ctx.Err()
-				case <-time.After(10 * time.Second):
-					t.Error("cell 2 above the failure was not cancelled")
-					return nil
-				}
-			default:
-				inFlight <- struct{}{}
-				select {
-				case <-cancelled:
-				case <-time.After(10 * time.Second):
-					t.Error("cell 2 was never cancelled")
-				}
-				if ctx.Err() != nil {
-					t.Errorf("cell 0 below the failure was cancelled: %v", ctx.Err())
-				}
-				return nil
+	started1, started2, settled0 := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var finished, tries2, late atomic.Int64
+	p := Pool{Workers: 3, Retry: Retry{Attempts: 3}, Settled: func(i int) {
+		if i == 0 {
+			close(settled0)
+		}
+	}}
+	_, err := Map(context.Background(), p, 4, func(i int) (int, error) {
+		switch i {
+		case 0:
+			<-started1
+			<-started2
+			return 0, boom
+		case 1:
+			close(started1)
+			<-settled0
+			finished.Add(1)
+			return 1, nil
+		case 2:
+			if tries2.Add(1) == 1 {
+				close(started2)
 			}
-		})
+			<-settled0
+			panic("transient")
+		}
+		late.Add(1)
+		return i, nil
+	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("want boom from cell 1, got %v", err)
+		t.Fatalf("Map error %v, want cell 0's", err)
+	}
+	if finished.Load() != 1 {
+		t.Fatal("the in-flight cell above the failure did not finish")
+	}
+	if n := tries2.Load(); n != 1 {
+		t.Fatalf("panicking cell above the failure ran %d times, want 1", n)
+	}
+	if late.Load() != 0 {
+		t.Fatalf("%d cell(s) above the failure were dispatched after it", late.Load())
 	}
 }
 
@@ -166,7 +207,7 @@ func TestFailFastCancelsOnlyAbove(t *testing.T) {
 func TestOrderMustBePermutation(t *testing.T) {
 	for _, order := range [][]int{{}, {0, 1}, {0, 1, 1}, {0, 1, 3}, {-1, 0, 1}, {0, 1, 2, 3}} {
 		var ran atomic.Int64
-		fn := func(_ context.Context, i int) (int, error) {
+		fn := func(i int) (int, error) {
 			ran.Add(1)
 			return i, nil
 		}
@@ -190,7 +231,7 @@ func TestErrorCancelsRemainingTasks(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")
 	err := Pool{Workers: 2}.ForEach(context.Background(), 1000,
-		func(_ context.Context, i int) error {
+		func(i int) error {
 			started.Add(1)
 			if i == 0 {
 				return boom
@@ -209,7 +250,7 @@ func TestErrorCancelsRemainingTasks(t *testing.T) {
 func TestExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Pool{Workers: 4}.ForEach(ctx, 100, func(ctx context.Context, i int) error {
+	err := Pool{Workers: 4}.ForEach(ctx, 100, func(i int) error {
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -218,8 +259,8 @@ func TestExternalCancellation(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	out, err := Map(context.Background(), Default(), 0,
-		func(_ context.Context, i int) (int, error) { return 0, nil })
+	out, err := Map(context.Background(), Pool{}, 0,
+		func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("empty input: out=%v err=%v", out, err)
 	}
@@ -245,7 +286,7 @@ func TestDefaultWorkers(t *testing.T) {
 func TestPanicRecoveredIntoPanicError(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		_, err := Map(context.Background(), Pool{Workers: workers}, 32,
-			func(_ context.Context, i int) (int, error) {
+			func(i int) (int, error) {
 				if i == 7 {
 					panic("boom cell")
 				}
@@ -269,7 +310,7 @@ func TestPanicLowestIndexSelection(t *testing.T) {
 	// runs and must be the reported error at any worker count.
 	for _, workers := range []int{1, 2, 8} {
 		err := Pool{Workers: workers}.ForEach(context.Background(), 64,
-			func(_ context.Context, i int) error {
+			func(i int) error {
 				if i == 5 || i == 25 {
 					panic(i)
 				}
@@ -290,7 +331,7 @@ func TestMapPartialKeepsHealthyCells(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 16} {
 		out, errs := MapPartial(context.Background(), Pool{Workers: workers}, 50,
-			func(_ context.Context, i int) (int, error) {
+			func(i int) (int, error) {
 				switch i {
 				case 4:
 					return 0, boom
@@ -330,7 +371,7 @@ func TestMapPartialExternalCancelMarksSkippedCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, errs := MapPartial(ctx, Pool{Workers: 2}, 10,
-		func(_ context.Context, i int) (int, error) { return i + 1, nil })
+		func(i int) (int, error) { return i + 1, nil })
 	if len(out) != 10 || len(errs) != 10 {
 		t.Fatalf("want full-length slices, got %d/%d", len(out), len(errs))
 	}
@@ -342,28 +383,10 @@ func TestMapPartialExternalCancelMarksSkippedCells(t *testing.T) {
 	}
 }
 
-func TestTaskTimeout(t *testing.T) {
-	p := Pool{Workers: 2, TaskTimeout: 5 * time.Millisecond}
-	err := p.ForEach(context.Background(), 4, func(ctx context.Context, i int) error {
-		if i == 2 { // cooperative slow task observes its deadline
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(5 * time.Second):
-				return nil
-			}
-		}
-		return nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-}
-
 func TestSweepTimeout(t *testing.T) {
 	p := Pool{Workers: 1, SweepTimeout: 10 * time.Millisecond}
 	var ran atomic.Int64
-	err := p.ForEach(context.Background(), 1000, func(ctx context.Context, i int) error {
+	err := p.ForEach(context.Background(), 1000, func(i int) error {
 		ran.Add(1)
 		time.Sleep(time.Millisecond)
 		return nil
@@ -390,7 +413,7 @@ func TestFirstAndCountErrorHelpers(t *testing.T) {
 func TestConcurrencyBound(t *testing.T) {
 	var cur, peak atomic.Int64
 	err := Pool{Workers: 3}.ForEach(context.Background(), 64,
-		func(_ context.Context, i int) error {
+		func(i int) error {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -421,7 +444,7 @@ func TestExternalDeadlinePropagates(t *testing.T) {
 	defer cancel()
 
 	var ran atomic.Int64
-	out, errs := MapPartial(ctx, Pool{Workers: 1}, 500, func(ctx context.Context, i int) (int, error) {
+	out, errs := MapPartial(ctx, Pool{Workers: 1}, 500, func(i int) (int, error) {
 		ran.Add(1)
 		time.Sleep(time.Millisecond)
 		return i * 2, nil
@@ -469,7 +492,7 @@ func TestSettledOncePerFinalOutcome(t *testing.T) {
 		early             atomic.Int32 // settles seen before the final attempt
 	}
 	newPool := func(pr *probe, final func(i int) int32) Pool {
-		return Pool{Workers: 3, Retry: Retry{Attempts: 3, BaseDelay: time.Microsecond},
+		return Pool{Workers: 3, Retry: Retry{Attempts: 3},
 			Settled: func(i int) {
 				if pr.attempts[i].Load() < final(i) {
 					pr.early.Add(1)
@@ -498,7 +521,7 @@ func TestSettledOncePerFinalOutcome(t *testing.T) {
 		}
 		return 1
 	}
-	_, errs := MapPartial(context.Background(), newPool(&pr, final), n, func(_ context.Context, i int) (int, error) {
+	_, errs := MapPartial(context.Background(), newPool(&pr, final), n, func(i int) (int, error) {
 		a := pr.attempts[i].Add(1)
 		switch {
 		case i%3 == 0 && a == 1:
@@ -519,7 +542,7 @@ func TestSettledOncePerFinalOutcome(t *testing.T) {
 	zero := func(int) int32 { return 0 }
 	pool := newPool(&ff, zero)
 	pool.Workers = 1
-	if err := pool.ForEach(context.Background(), n, func(_ context.Context, i int) error {
+	if err := pool.ForEach(context.Background(), n, func(i int) error {
 		ff.attempts[i].Add(1)
 		if i == 0 {
 			return errors.New("model error")
@@ -534,9 +557,9 @@ func TestSettledOncePerFinalOutcome(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var cf, ck probe
-	_ = newPool(&cf, zero).ForEach(ctx, n, func(context.Context, int) error { return nil })
+	_ = newPool(&cf, zero).ForEach(ctx, n, func(int) error { return nil })
 	check("cancelled fail-fast", &cf)
-	MapPartial(ctx, newPool(&ck, zero), n, func(context.Context, int) (int, error) { return 0, nil })
+	MapPartial(ctx, newPool(&ck, zero), n, func(int) (int, error) { return 0, nil })
 	check("cancelled keep-going", &ck)
 }
 
@@ -559,7 +582,7 @@ func TestOrderSettledTogether(t *testing.T) {
 		early    int   // settles seen before the cell's final attempt
 	}
 	pool := func(pr *probe, workers int, final func(i int) int) Pool {
-		return Pool{Workers: workers, Order: order, Retry: Retry{Attempts: 2, BaseDelay: time.Microsecond},
+		return Pool{Workers: workers, Order: order, Retry: Retry{Attempts: 2},
 			Settled: func(i int) {
 				pr.mu.Lock()
 				defer pr.mu.Unlock()
@@ -602,7 +625,7 @@ func TestOrderSettledTogether(t *testing.T) {
 			}
 			return 1
 		}
-		out, errs := MapPartial(context.Background(), pool(&pr, workers, final), n, func(_ context.Context, i int) (int, error) {
+		out, errs := MapPartial(context.Background(), pool(&pr, workers, final), n, func(i int) (int, error) {
 			a := attempt(&pr, i)
 			switch {
 			case i%3 == 0 && a == 1:
@@ -629,7 +652,7 @@ func TestOrderSettledTogether(t *testing.T) {
 	// skipped, and still settles.
 	var ff probe
 	once := func(int) int { return 0 }
-	if _, err := Map(context.Background(), pool(&ff, 1, once), n, func(_ context.Context, i int) (int, error) {
+	if _, err := Map(context.Background(), pool(&ff, 1, once), n, func(i int) (int, error) {
 		attempt(&ff, i)
 		if i == 5 {
 			return 0, errors.New("model error")
@@ -650,7 +673,7 @@ func TestOrderSettledTogether(t *testing.T) {
 	for _, keepGoing := range []bool{false, true} {
 		var cp probe
 		ctx, cancel := context.WithCancel(context.Background())
-		fn := func(_ context.Context, i int) (int, error) {
+		fn := func(i int) (int, error) {
 			attempt(&cp, i)
 			if i == order[3] {
 				cancel()

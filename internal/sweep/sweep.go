@@ -38,19 +38,12 @@ type Env struct {
 	// Without it the sweep fails fast on the lowest-index error.
 	KeepGoing bool
 
-	// TaskTimeout bounds each cell attempt and SweepTimeout the whole
-	// sweep; zero means unbounded. Retry re-runs transiently failed cells
-	// (panics, timeouts) with jittered exponential backoff; the zero value
-	// runs every cell exactly once.
-	TaskTimeout  time.Duration
+	// SweepTimeout bounds the sweep's dispatch; zero means unbounded. Like
+	// a cancelled Context it stops only dispatch: a cell that started runs
+	// to completion. Retry re-runs cells that panicked with jittered
+	// exponential backoff; the zero value runs every cell exactly once.
 	SweepTimeout time.Duration
 	Retry        parallel.Retry
-
-	// WatchdogGrace and WatchdogLog arm the pool's stuck-cell watchdog:
-	// cells still running WatchdogGrace past their TaskTimeout are reported
-	// to WatchdogLog once per attempt.
-	WatchdogGrace time.Duration
-	WatchdogLog   func(format string, args ...any)
 
 	// CellHook, when non-nil, is invoked at the start of every cell that
 	// reaches the simulator (never for cache or journal serves) with the
@@ -74,12 +67,13 @@ type Env struct {
 	// internal/resultcache.
 	Cache *resultcache.Cache
 
-	// NoTraceCache disables the shared trace recordings and probe tapes:
-	// every cell generates its own instruction stream and probes a memory
-	// hierarchy of its own, as the pipeline behaved before
-	// record-once/replay-many. Results are bit-identical either way; the
-	// flag exists for differential debugging, and its cells are the
-	// reference the shared paths are tested against.
+	// NoTraceCache disables the shared instruction streams: single-core
+	// cells stop sharing their geometry's probe tape and multicore cells
+	// stop replaying the shared trace recordings, so every cell generates
+	// its own instruction stream and probes a memory hierarchy of its own.
+	// Results are identical either way; the flag exists for differential
+	// debugging, and its cells are the reference the shared paths are
+	// tested against.
 	NoTraceCache bool
 
 	// WarmCache is read by nothing in this module. It once switched the
@@ -101,14 +95,7 @@ func (e Env) Ctx() context.Context {
 
 // Pool maps the environment onto the sweep worker pool.
 func (e Env) Pool() parallel.Pool {
-	return parallel.Pool{
-		Workers:       e.Workers,
-		TaskTimeout:   e.TaskTimeout,
-		SweepTimeout:  e.SweepTimeout,
-		Retry:         e.Retry,
-		WatchdogGrace: e.WatchdogGrace,
-		WatchdogLog:   e.WatchdogLog,
-	}
+	return parallel.Pool{Workers: e.Workers, SweepTimeout: e.SweepTimeout, Retry: e.Retry}
 }
 
 // OpenJournal opens the sweep's checkpoint journal under id, or returns a

@@ -28,7 +28,7 @@ const (
 	Journal                        // -journal-dir
 	Retries                        // -retries
 	KeepGoing                      // -keep-going
-	Deadlines                      // -task-timeout, -sweep-timeout
+	Deadlines                      // -sweep-timeout
 	Caches                         // -trace-cache
 	Sample                         // -sample
 	SampleParams                   // -sample-interval, -sample-warmup, -sample-unit, -sample-error-budget
@@ -37,10 +37,6 @@ const (
 	Batch = Workers | Journal | Retries | KeepGoing | Deadlines | Caches | Sample
 )
 
-// watchdogGrace is how far past its -task-timeout a cell may run before
-// the pool's watchdog reports it as stuck.
-const watchdogGrace = 30 * time.Second
-
 // Flags holds the parsed values of the shared flags. A flag whose group
 // was not registered keeps its default.
 type Flags struct {
@@ -48,7 +44,7 @@ type Flags struct {
 
 	workers, retries           int
 	keepGoing                  bool
-	taskTimeout, sweepTimeout  time.Duration
+	sweepTimeout               time.Duration
 	journalDir                 string
 	traceCache                 bool
 	sample                     bool
@@ -67,17 +63,16 @@ func Register(fs *flag.FlagSet, name string, groups Group) *Flags {
 		fs.StringVar(&f.journalDir, "journal-dir", "", "checkpoint completed sweep cells to this write-ahead journal directory; a re-run with the same sizing resumes from it bit-identically, and an unusable directory degrades to unjournaled execution (created if missing)")
 	}
 	if groups&Retries != 0 {
-		fs.IntVar(&f.retries, "retries", 1, "attempts per sweep cell; transient failures (panics, timeouts) retry with jittered exponential backoff")
+		fs.IntVar(&f.retries, "retries", 1, "attempts per sweep cell; a cell that panics retries with jittered exponential backoff")
 	}
 	if groups&KeepGoing != 0 {
 		fs.BoolVar(&f.keepGoing, "keep-going", false, "complete sweeps when cells fail; failed cells render as ERR and the exit code is 1")
 	}
 	if groups&Deadlines != 0 {
-		fs.DurationVar(&f.taskTimeout, "task-timeout", 0, "per-cell attempt deadline (0 = unbounded); timed-out cells count as failed (and retry under -retries > 1)")
 		fs.DurationVar(&f.sweepTimeout, "sweep-timeout", 0, "whole-sweep deadline (0 = unbounded); undispatched cells report which deadline cut them off")
 	}
 	if groups&Caches != 0 {
-		fs.BoolVar(&f.traceCache, "trace-cache", true, "record each workload's instruction stream once and replay it in every sweep cell (identical results; disable to re-generate per cell)")
+		fs.BoolVar(&f.traceCache, "trace-cache", true, "share instruction streams across sweep cells: single-core cells replay one probe tape per workload and memory geometry, multicore cells one recording per core stream (identical results; disable to re-generate per cell)")
 	}
 	if groups&Sample != 0 {
 		fs.BoolVar(&f.sample, "sample", false, "interval sampling for single-core sweeps (≈3.5-10x faster; CPI error about 2.4% at worst in BENCH_sample.json); multicore sweeps fast-forward warmup only. Sampled cells journal separately from full cells")
@@ -103,15 +98,12 @@ func (f *Flags) Env() (sweep.Env, error) {
 	}
 	f.sampleParams = sp
 	return sweep.Env{
-		Workers:       f.workers,
-		KeepGoing:     f.keepGoing,
-		TaskTimeout:   f.taskTimeout,
-		SweepTimeout:  f.sweepTimeout,
-		Retry:         parallel.Retry{Attempts: f.retries},
-		WatchdogGrace: watchdogGrace,
-		WatchdogLog:   f.Logf,
-		JournalDir:    f.journalDir,
-		NoTraceCache:  !f.traceCache,
+		Workers:      f.workers,
+		KeepGoing:    f.keepGoing,
+		SweepTimeout: f.sweepTimeout,
+		Retry:        parallel.Retry{Attempts: f.retries},
+		JournalDir:   f.journalDir,
+		NoTraceCache: !f.traceCache,
 	}, nil
 }
 

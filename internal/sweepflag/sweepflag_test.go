@@ -26,13 +26,13 @@ var surface = map[string]map[string]string{
 		"bench": `"Gamess"`, "cpuprofile": "", "j": "", "journal-dir": "", "keep-going": "",
 		"list": "", "measure": "200000", "memprofile": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
-		"seed": "42", "stream": "", "sweep-timeout": "", "task-timeout": "",
-		"trace-cache": "true", "warmup": "80000",
+		"seed": "42", "stream": "", "sweep-timeout": "", "trace-cache": "true",
+		"warmup": "80000",
 	},
 	"m3dcli": {
 		"j": "", "journal-dir": "", "keep-going": "", "quick": "", "retries": "1", "sample": "",
 		"sample-error-budget": "", "sample-interval": "", "sample-unit": "", "sample-warmup": "",
-		"sweep-timeout": "", "task-timeout": "", "trace-cache": "true",
+		"sweep-timeout": "", "trace-cache": "true",
 	},
 	"m3dd": {
 		"addr": `"127.0.0.1:8321"`, "cache-bytes": "268435456", "drain-timeout": "30s",
@@ -42,8 +42,7 @@ var surface = map[string]map[string]string{
 	"mcsim": {
 		"bench": `"Fft"`, "cpuprofile": "", "instrs": "600000", "j": "", "journal-dir": "",
 		"keep-going": "", "memprofile": "", "phases": "4", "retries": "1", "sample": "", "seed": "42",
-		"stream-base": "", "sweep-timeout": "", "task-timeout": "", "trace-cache": "true",
-		"warmup": "30000",
+		"stream-base": "", "sweep-timeout": "", "trace-cache": "true", "warmup": "30000",
 	},
 	"sramstudy":  {"compare": "true", "j": "", "journal-dir": "", "keep-going": "", "table": `"all"`},
 	"thermalsim": {"grid": "20", "m3dscale": "0.76", "power": "6.4", "tsvscale": "0.9"},
@@ -97,8 +96,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 70 {
-		t.Errorf("%d flags across the commands, want 70", total)
+	if total != 67 {
+		t.Errorf("%d flags across the commands, want 67", total)
 	}
 }
 
@@ -108,7 +107,7 @@ func TestEnvDecodesFlags(t *testing.T) {
 	defer parallel.SetDefaultWorkers(0)
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	f := Register(fs, "batch", Batch|SampleParams)
-	err := fs.Parse([]string{"-j", "3", "-keep-going", "-retries", "2", "-task-timeout", "1s",
+	err := fs.Parse([]string{"-j", "3", "-keep-going", "-retries", "2",
 		"-sweep-timeout", "1m", "-journal-dir", "jdir", "-trace-cache=false",
 		"-sample", "-sample-interval", "8000", "-sample-warmup", "500", "-sample-unit", "1000",
 		"-sample-error-budget", "-1"})
@@ -119,13 +118,8 @@ func TestEnvDecodesFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.WatchdogLog == nil {
-		t.Error("no watchdog log")
-	}
-	env.WatchdogLog = nil
 	want := sweep.Env{Workers: 3, KeepGoing: true, Retry: parallel.Retry{Attempts: 2},
-		TaskTimeout: time.Second, SweepTimeout: time.Minute, WatchdogGrace: watchdogGrace,
-		JournalDir: "jdir", NoTraceCache: true}
+		SweepTimeout: time.Minute, JournalDir: "jdir", NoTraceCache: true}
 	if !reflect.DeepEqual(env, want) {
 		t.Errorf("env = %+v\nwant %+v", env, want)
 	}
